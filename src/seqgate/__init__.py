@@ -83,9 +83,7 @@ from .thresholds import (
 from .trajectories import (
     CalibrationSet,
     LabeledTrajectory,
-    ScoreSequence,
     SplitConfig,
-    prefix,
     split_calibration,
     validate,
 )

@@ -20,6 +20,7 @@ from .harness import ExperimentConfig, derive_seed
 from .monitor import MonitorState, ratio_rule
 from .thresholds import (
     DEFAULT_DELTA,
+    THRESHOLD_KINDS,
     bonferroni_threshold,
     null_maxima,
     pac_threshold,
@@ -50,9 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
-    p.add_argument(
-        "--threshold", choices=["pac", "ville", "bonferroni"], default="pac"
-    )
+    p.add_argument("--threshold", choices=THRESHOLD_KINDS, default="pac")
     p.add_argument("--dre-fraction", type=float, default=DEFAULT_DRE_FRACTION)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -199,7 +198,11 @@ def _cmd_ablate(args) -> int:
                 file=sys.stderr,
             )
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        harness.write_ablation_csv(results, fh)
+        harness.write_curves_csv(
+            [(res.cal_fraction, p) for res in results for p in res.curves],
+            fh,
+            prefix_column="cal_fraction",
+        )
     produced = sum(1 for r in results if r.error is None)
     print(f"wrote curves for {produced}/{len(results)} fractions -> {args.out}")
     return EXIT_OK

@@ -8,13 +8,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
-from .errors import InvalidTrajectory, ParseError
-from .ratio import RatioModel, ratio_model_from_dict, ratio_model_to_dict
-from .thresholds import ThresholdSpec, threshold_from_dict, threshold_to_dict
+from .errors import InvalidTrajectory, OutOfRange, ParseError
+from .kernels import FitConfig, LogisticModel
+from .ratio import RatioModel
+from .thresholds import THRESHOLD_KINDS, ThresholdSpec
 from .trajectories import CalibrationSet, LabeledTrajectory, validate
 
 ARTIFACT_FORMAT = "seqgate-calibration"
@@ -185,8 +186,8 @@ def save_calibration(
     payload = {
         "format": ARTIFACT_FORMAT,
         "version": ARTIFACT_VERSION,
-        "ratio_model": ratio_model_to_dict(model),
-        "threshold": threshold_to_dict(threshold),
+        "ratio_model": asdict(model),
+        "threshold": asdict(threshold),
         "metadata": metadata or {},
     }
     fh, owned = _open_maybe(path, "w")
@@ -198,7 +199,71 @@ def save_calibration(
             fh.close()
 
 
+def _fields_of(cls, payload, where: str) -> dict:
+    """``payload`` checked to be a JSON object holding exactly cls's fields."""
+    if not isinstance(payload, dict):
+        raise ParseError(f"{where} must be a JSON object")
+    names = {f.name for f in fields(cls)}
+    missing = sorted(names - payload.keys())
+    unknown = sorted(payload.keys() - names)
+    if missing or unknown:
+        raise ParseError(f"{where}: missing keys {missing}, unknown keys {unknown}")
+    return payload
+
+
+def _number(value, where: str, kind=(int, float)):
+    finite = isinstance(value, kind) and not isinstance(value, bool)
+    if not (finite and math.isfinite(value)):
+        raise ParseError(f"{where} must be a finite number, got {value!r}")
+    return value
+
+
+def _probability(value, where: str) -> float:
+    if not 0.0 < _number(value, where) < 1.0:
+        raise ParseError(f"{where} must lie strictly in (0, 1), got {value!r}")
+    return value
+
+
+def _ratio_model(payload) -> RatioModel:
+    p = _fields_of(RatioModel, payload, "ratio_model")
+    cfg = _fields_of(FitConfig, p["fit_config"], "ratio_model.fit_config")
+    t_max, steps = _number(p["t_max"], "ratio_model.t_max", int), p["step_models"]
+    if not isinstance(steps, list) or len(steps) != t_max:
+        raise ParseError(f"ratio_model.t_max={t_max} != the number of step models")
+    models = []
+    for t, step in enumerate(steps, start=1):
+        where = f"ratio_model.step_models[{t - 1}]"
+        step = _fields_of(LogisticModel, step, where)
+        if not isinstance(step["weights"], list) or len(step["weights"]) != t:
+            raise ParseError(f"{where}.weights must hold {t} numbers")
+        weights = tuple(_number(w, f"{where}.weights") for w in step["weights"])
+        intercept = _number(step["intercept"], f"{where}.intercept")
+        models.append(LogisticModel(weights, intercept))
+    try:
+        fit_config = FitConfig(
+            **{k: _number(v, f"ratio_model.fit_config.{k}") for k, v in cfg.items()}
+        )
+    except OutOfRange as exc:
+        raise ParseError(f"ratio_model.fit_config: {exc}") from exc
+    prior_1 = _probability(p["prior_1"], "ratio_model.prior_1")
+    return RatioModel(tuple(models), prior_1, t_max, fit_config)
+
+
+def _threshold(payload) -> ThresholdSpec:
+    p = _fields_of(ThresholdSpec, payload, "threshold")
+    if p["kind"] not in THRESHOLD_KINDS:
+        raise ParseError(f"threshold.kind {p['kind']!r} is not one of {THRESHOLD_KINDS}")
+    _probability(p["alpha"], "threshold.alpha")
+    _number(p["value"], "threshold.value")
+    for key in ("delta", "n_null", "k_index", "t_cal_max"):
+        if p[key] is not None:
+            _number(p[key], f"threshold.{key}", float if key == "delta" else int)
+    return ThresholdSpec(**p)
+
+
 def load_calibration(path):
+    """(ratio model, threshold, metadata) from an artifact, every field
+    validated; anything malformed raises ParseError."""
     fh, owned = _open_maybe(path, "r")
     try:
         payload = json.load(fh)
@@ -207,10 +272,10 @@ def load_calibration(path):
     finally:
         if owned:
             fh.close()
-    if payload.get("format") != ARTIFACT_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != ARTIFACT_FORMAT:
         raise ParseError(f"not a {ARTIFACT_FORMAT} file")
     if payload.get("version") != ARTIFACT_VERSION:
         raise ParseError(f"unsupported artifact version {payload.get('version')!r}")
-    model = ratio_model_from_dict(payload["ratio_model"])
-    threshold = threshold_from_dict(payload["threshold"])
+    model = _ratio_model(payload.get("ratio_model"))
+    threshold = _threshold(payload.get("threshold"))
     return model, threshold, payload.get("metadata", {})

@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import DegenerateSplit, InsufficientCalibration, MissingTokens, OutOfRange
 from .kernels import FitConfig, apply_isotonic
-from .monitor import REJECT_AT_OR_ABOVE, REJECT_BELOW, pooled_isotonic
-from .ratio import eval_process, fit_ratio_model
+from .monitor import calibrated_score_rule, pooled_isotonic, ratio_rule, raw_score_rule
+from .ratio import fit_ratio_model, replay
 from .thresholds import null_maxima, pac_threshold, ville_threshold
-from .trajectories import CalibrationSet, SplitConfig, split_calibration
+from .trajectories import CalibrationSet, SplitConfig, offsets, split_calibration
 
 KNOWN_METHODS = ("evaluator_pac", "evaluator_ville", "bonferroni", "raw", "calibrated")
 _RATIO_METHODS = {"evaluator_pac", "evaluator_ville", "bonferroni"}
@@ -89,15 +89,16 @@ def derive_seed(master: int, *key) -> int:
     return int(np.random.SeedSequence((master,) + tuple(key)).generate_state(1)[0])
 
 
-def _first_fire(process, threshold: float, direction: str) -> Optional[int]:
-    """First 1-based step at which the rule fires, mirroring observe()."""
-    for t, value in enumerate(process, start=1):
-        if direction == REJECT_AT_OR_ABOVE:
-            if value >= threshold:
-                return t
-        elif value < threshold:
-            return t
-    return None
+def _first_steps(fired, starts) -> list:
+    """First 1-based step at which each trajectory's rule fired, None if it
+    never did; ``fired`` concatenates the per-step flags of all trajectories
+    and ``starts`` holds where each one begins."""
+    never = fired.size
+    first = np.minimum.reduceat(np.where(fired, np.arange(fired.size), never), starts)
+    return [
+        None if f == never else f - s + 1
+        for f, s in zip(first.tolist(), starts.tolist())
+    ]
 
 
 class _SplitArtifacts:
@@ -111,46 +112,43 @@ class _SplitArtifacts:
         self.test = test
         self.pac_seed = derive_seed(split_seed, 2)
         self.t_cal_max = max(len(item) for item in cal)
+        self.labels = [item.label for item in test]
 
-        self.ratio_model = None
-        self.null_maxima = None
+        # per-step statistic values of every test trajectory, concatenated
+        scores = [item.scores for item in test]
+        self.starts = offsets(scores)
+        self.raw = np.concatenate(scores)
+
         if any(m in _RATIO_METHODS for m in cfg.methods):
             dre, thresh = split_calibration(
                 cal, SplitConfig(cfg.dre_fraction, derive_seed(split_seed, 1))
             )
             self.ratio_model = fit_ratio_model(dre, cfg.fit_config)
             self.null_maxima = null_maxima(self.ratio_model, thresh)
+            self.ratio = replay(self.ratio_model, scores)
 
-        self.iso_model = None
         if "calibrated" in cfg.methods:
             self.iso_model = pooled_isotonic(cal)
-
-        # per-trajectory statistic processes, computed once
-        self.labels = [item.label for item in test]
-        self.raw = [list(item.scores) for item in test]
-        self.ratio = (
-            [eval_process(self.ratio_model, item.sequence) for item in test]
-            if self.ratio_model is not None
-            else None
-        )
-        self.calibrated = (
-            [[apply_isotonic(self.iso_model, s) for s in item.scores] for item in test]
-            if self.iso_model is not None
-            else None
-        )
+            self.calibrated = np.array(
+                [apply_isotonic(self.iso_model, s) for s in self.raw.tolist()]
+            )
 
     def decide(self, method: str, alpha: float, delta: float):
         """Per-test-trajectory first rejection step (None = accepted)."""
-        if method in _RATIO_METHODS:
+        if method == "raw":
+            rule, process = raw_score_rule(alpha), self.raw
+        elif method == "calibrated":
+            rule = calibrated_score_rule(self.iso_model, alpha)
+            process = self.calibrated
+        else:
             if method == "evaluator_ville":
                 thr = ville_threshold(alpha).value
             elif method == "bonferroni":
                 thr = self.t_cal_max / alpha
             else:
                 thr = pac_threshold(self.null_maxima, alpha, delta, self.pac_seed).value
-            return [_first_fire(p, thr, REJECT_AT_OR_ABOVE) for p in self.ratio]
-        processes = self.raw if method == "raw" else self.calibrated
-        return [_first_fire(p, alpha, REJECT_BELOW) for p in processes]
+            rule, process = ratio_rule(self.ratio_model, thr), self.ratio
+        return _first_steps(rule.fires(process), self.starts)
 
 
 def _far_power(labels, rejections):
@@ -298,24 +296,15 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_curves_csv(points, fh) -> None:
-    fh.write(CURVE_HEADER + "\n")
-    for p in points:
-        fh.write(
-            ",".join(
-                [
-                    p.method,
-                    _fmt(p.alpha),
-                    _fmt(p.far_mean),
-                    _fmt(p.far_lo),
-                    _fmt(p.far_hi),
-                    _fmt(p.power_mean),
-                    _fmt(p.power_lo),
-                    _fmt(p.power_hi),
-                ]
-            )
-            + "\n"
-        )
+def write_curves_csv(points, fh, prefix_column=None) -> None:
+    """Curve points as CSV. With ``prefix_column``, ``points`` holds
+    (value, point) pairs and each value leads its row under that column."""
+    header = CURVE_HEADER if prefix_column is None else f"{prefix_column},{CURVE_HEADER}"
+    fh.write(header + "\n")
+    for item in points:
+        lead, p = ([], item) if prefix_column is None else ([_fmt(item[0])], item[1])
+        values = [_fmt(getattr(p, name)) for name in CURVE_HEADER.split(",")[1:]]
+        fh.write(",".join(lead + [p.method] + values) + "\n")
 
 
 def write_tokens_csv(points, fh) -> None:
@@ -325,25 +314,3 @@ def write_tokens_csv(points, fh) -> None:
             ",".join([p.method, _fmt(p.alpha), str(p.tokens_used), _fmt(p.accuracy)])
             + "\n"
         )
-
-
-def write_ablation_csv(results, fh) -> None:
-    fh.write("cal_fraction," + CURVE_HEADER + "\n")
-    for res in results:
-        for p in res.curves:
-            fh.write(
-                ",".join(
-                    [
-                        _fmt(res.cal_fraction),
-                        p.method,
-                        _fmt(p.alpha),
-                        _fmt(p.far_mean),
-                        _fmt(p.far_lo),
-                        _fmt(p.far_hi),
-                        _fmt(p.power_mean),
-                        _fmt(p.power_lo),
-                        _fmt(p.power_hi),
-                    ]
-                )
-                + "\n"
-            )

@@ -71,14 +71,9 @@ class IsotonicModel:
 
 
 def _sigmoid(z):
-    # branch on sign so exp never overflows
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; each branch is the exact form for its sign
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def logistic_objective(theta, Z, y, l2_lambda):
@@ -150,16 +145,24 @@ def fit_logistic(features, labels, cfg: FitConfig = FitConfig()) -> LogisticMode
 
 
 def predict_proba(
-    model: LogisticModel, x: Sequence[float], prob_clamp: float = DEFAULT_PROB_CLAMP
-) -> float:
-    """Clamped sigmoid(weights . x + intercept); never returns 0 or 1."""
+    model: LogisticModel, x: Sequence, prob_clamp: float = DEFAULT_PROB_CLAMP
+):
+    """Clamped sigmoid(weights . x + intercept); never returns 0 or 1.
+
+    ``x`` holds one entry per weight: a float each for one input, or an
+    equal-length array each for a batch, which gives one probability per
+    array element. The dot product is summed left to right and then the
+    intercept is added, so a batch element equals the single-input result
+    bit for bit.
+    """
     if len(x) != len(model.weights):
         raise DimensionMismatch(
             f"input dimension {len(x)} != model dimension {len(model.weights)}"
         )
-    z = float(np.dot(model.weights, np.asarray(x, dtype=float)) + model.intercept)
-    p = float(_sigmoid(z))
-    return min(max(p, prob_clamp), 1.0 - prob_clamp)
+    z = 0.0
+    for w, v in zip(model.weights, x):
+        z = z + w * v
+    return np.clip(_sigmoid(z + model.intercept), prob_clamp, 1.0 - prob_clamp)
 
 
 def fit_isotonic(xs, ys) -> IsotonicModel:

@@ -1,89 +1,58 @@
 """Streaming accept/reject decisions over one trajectory.
 
-A DecisionRule pairs a statistic source with a threshold. Ratio-style
-statistics reject when the value reaches the threshold (inclusive >=);
-score-style statistics reject when the value drops strictly below it.
+A DecisionRule holds a per-prefix statistic, a threshold and a direction,
+and writes the first-crossing comparison once, in ``fires``. MonitorState
+applies it to one prefix per observed score; the experiment harness applies
+the same ``fires`` to whole replayed processes at once, so streaming and
+batch decisions agree exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Optional
 
-from .errors import MonitorClosed, SingleClassData
+from .errors import InvalidTrajectory, MonitorClosed, SingleClassData
 from .kernels import IsotonicModel, apply_isotonic, fit_isotonic
 from .ratio import RatioModel, eval_ratio
 from .trajectories import CalibrationSet, LabeledTrajectory
 
-REJECT_AT_OR_ABOVE = "reject_if_stat_at_or_above"
-REJECT_BELOW = "reject_if_stat_below"
-
-_SCORE_KINDS = {"raw_score", "calibrated_score"}
-
-
-class RatioStatistic:
-    """Estimated density-ratio process from a fitted RatioModel."""
-
-    kind = "estimated_ratio"
-
-    def __init__(self, model: RatioModel):
-        self.model = model
-
-    def value(self, prefix) -> float:
-        return eval_ratio(self.model, prefix)
-
-
-class RawScoreStatistic:
-    """The verifier score itself, taken at the current step."""
-
-    kind = "raw_score"
-
-    def value(self, prefix) -> float:
-        return float(prefix[-1])
-
-
-class CalibratedScoreStatistic:
-    """Current score passed through a fitted isotonic recalibration map."""
-
-    kind = "calibrated_score"
-
-    def __init__(self, model: IsotonicModel):
-        self.model = model
-
-    def value(self, prefix) -> float:
-        return apply_isotonic(self.model, float(prefix[-1]))
-
 
 @dataclass(frozen=True)
 class DecisionRule:
-    statistic: object
+    """Reject at the first prefix whose statistic crosses the threshold.
+
+    ``value`` maps the observed prefix of scores to the statistic. Ratio
+    statistics cross when they reach the threshold (inclusive >=); score
+    statistics, with ``reject_below`` set, when they drop strictly below it.
+    The rule constructors below pair each statistic with its direction.
+    """
+
+    value: Callable[[list], float]
     threshold: float
-    direction: str
+    reject_below: bool = False
 
-    def __post_init__(self):
-        kind = getattr(self.statistic, "kind", None)
-        expected = REJECT_BELOW if kind in _SCORE_KINDS else REJECT_AT_OR_ABOVE
-        if self.direction != expected:
-            raise ValueError(
-                f"statistic kind {kind!r} must use direction {expected!r}"
-            )
-
-    def fires(self, stat_value: float) -> bool:
-        if self.direction == REJECT_AT_OR_ABOVE:
-            return stat_value >= self.threshold
-        return stat_value < self.threshold
+    def fires(self, stat):
+        """Whether the statistic crosses; elementwise on an array of values."""
+        if self.reject_below:
+            return stat < self.threshold
+        return stat >= self.threshold
 
 
 def ratio_rule(model: RatioModel, threshold: float) -> DecisionRule:
-    return DecisionRule(RatioStatistic(model), threshold, REJECT_AT_OR_ABOVE)
+    return DecisionRule(lambda prefix: eval_ratio(model, prefix), threshold)
 
 
 def raw_score_rule(alpha: float) -> DecisionRule:
-    return DecisionRule(RawScoreStatistic(), alpha, REJECT_BELOW)
+    return DecisionRule(itemgetter(-1), alpha, reject_below=True)
 
 
 def calibrated_score_rule(model: IsotonicModel, alpha: float) -> DecisionRule:
-    return DecisionRule(CalibratedScoreStatistic(model), alpha, REJECT_BELOW)
+    return DecisionRule(
+        lambda prefix: apply_isotonic(model, prefix[-1]), alpha, reject_below=True
+    )
 
 
 def pooled_isotonic(cal: CalibrationSet) -> IsotonicModel:
@@ -128,9 +97,12 @@ class MonitorState:
     def observe(self, score: float) -> Status:
         if self.status.terminal:
             raise MonitorClosed(f"monitor already {self.status.decision}")
-        self.observed.append(float(score))
+        score = float(score)
+        if not math.isfinite(score):
+            raise InvalidTrajectory(f"non-finite score {score!r}", field="scores")
+        self.observed.append(score)
         self.step += 1
-        if self.rule.fires(self.rule.statistic.value(self.observed)):
+        if self.rule.fires(self.rule.value(self.observed)):
             self.status = Status("rejected", self.step)
         return self.status
 

@@ -4,15 +4,23 @@ One logistic classifier is fit per step t on raw score prefixes of length t,
 up to the largest step at which both labels still have data. Beyond that
 step the statistic is frozen: evaluation always sees the earliest scores, so
 the monitored value is literally constant from then on.
+
+Two entry points share one arithmetic. ``eval_ratio`` evaluates one prefix,
+for the streaming monitor; ``replay`` evaluates whole processes of many
+trajectories, for thresholds and the experiment harness. Both sum the logit
+left to right and map it to the ratio through the same numpy functions, so
+they return bit-identical values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyPrefix, NoOverlap, SingleClassData
-from .kernels import FitConfig, LogisticModel, fit_logistic, predict_proba
-from .trajectories import CalibrationSet, ScoreSequence
+from .kernels import FitConfig, fit_logistic, predict_proba
+from .trajectories import CalibrationSet
 
 
 @dataclass(frozen=True)
@@ -67,70 +75,53 @@ def fit_ratio_model(dre: CalibrationSet, cfg: FitConfig = FitConfig()) -> RatioM
     )
 
 
+def _plug_in(model: RatioModel, f):
+    """((1-f)/f) * (prior_1/(1-prior_1)), elementwise on a float or an array."""
+    return (1.0 - f) / f * (model.prior_1 / (1.0 - model.prior_1))
+
+
 def eval_ratio(model: RatioModel, prefix) -> float:
-    """Plug-in density ratio ((1-f)/f) * (prior_1/(1-prior_1)) at this prefix.
+    """Plug-in density ratio at the end of one prefix of scores.
 
     Prefixes longer than t_max are truncated to their first t_max scores,
-    freezing the statistic.
+    freezing the statistic. The arithmetic is replay's, one prefix at a time.
     """
-    scores = getattr(prefix, "scores", prefix)
-    t = len(scores)
+    t = len(prefix)
     if t == 0:
         raise EmptyPrefix("cannot evaluate the ratio on an empty prefix")
     t_eff = min(t, model.t_max)
     f = predict_proba(
-        model.step_models[t_eff - 1], scores[:t_eff], model.fit_config.prob_clamp
+        model.step_models[t_eff - 1], prefix[:t_eff], model.fit_config.prob_clamp
     )
-    prior_odds = model.prior_1 / (1.0 - model.prior_1)
-    return (1.0 - f) / f * prior_odds
+    return float(_plug_in(model, f))
 
 
-def plugin_ratio(f: float, prior_1: float) -> float:
-    """The bare plug-in formula, exposed for identity checks."""
-    return (1.0 - f) / f * (prior_1 / (1.0 - prior_1))
+def replay(model: RatioModel, trajectories) -> np.ndarray:
+    """Ratio process of every trajectory, concatenated in input order.
+
+    Step t of all trajectories is one batched predict_proba call whose j-th
+    feature is the column of j-th scores, so every value equals eval_ratio on
+    that prefix exactly. Past t_max each process repeats its step-t_max value.
+    """
+    lengths = np.array([len(s) for s in trajectories], dtype=int)
+    if lengths.min() == 0:
+        raise EmptyPrefix("cannot evaluate the ratio on an empty prefix")
+    longest = int(lengths.max())
+    k = min(longest, model.t_max)
+    columns = np.zeros((k, lengths.size))
+    for i, scores in enumerate(trajectories):
+        head = scores[:k]
+        columns[: len(head), i] = head
+    values = np.empty((lengths.size, longest))
+    for t in range(1, k + 1):
+        f = predict_proba(
+            model.step_models[t - 1], columns[:t], model.fit_config.prob_clamp
+        )
+        values[:, t - 1] = _plug_in(model, f)
+    values[:, k:] = values[:, k - 1 : k]
+    return values[np.arange(longest) < lengths[:, None]]
 
 
-def eval_process(model: RatioModel, seq: ScoreSequence) -> list:
-    """Estimated ratio at every step of the sequence."""
-    scores = getattr(seq, "scores", seq)
-    out = []
-    frozen = None
-    for t in range(1, len(scores) + 1):
-        if t > model.t_max:
-            if frozen is None:
-                frozen = eval_ratio(model, scores[: model.t_max])
-            out.append(frozen)
-        else:
-            out.append(eval_ratio(model, scores[:t]))
-    return out
-
-
-def ratio_model_to_dict(model: RatioModel) -> dict:
-    return {
-        "prior_1": model.prior_1,
-        "t_max": model.t_max,
-        "fit_config": {
-            "l2_lambda": model.fit_config.l2_lambda,
-            "max_iters": model.fit_config.max_iters,
-            "tolerance": model.fit_config.tolerance,
-            "prob_clamp": model.fit_config.prob_clamp,
-        },
-        "step_models": [
-            {"weights": list(m.weights), "intercept": m.intercept}
-            for m in model.step_models
-        ],
-    }
-
-
-def ratio_model_from_dict(payload: dict) -> RatioModel:
-    cfg = FitConfig(**payload["fit_config"])
-    models = tuple(
-        LogisticModel(weights=tuple(m["weights"]), intercept=float(m["intercept"]))
-        for m in payload["step_models"]
-    )
-    return RatioModel(
-        step_models=models,
-        prior_1=float(payload["prior_1"]),
-        t_max=int(payload["t_max"]),
-        fit_config=cfg,
-    )
+def eval_process(model: RatioModel, scores) -> list:
+    """Estimated ratio at every step of one score sequence."""
+    return replay(model, [scores]).tolist()

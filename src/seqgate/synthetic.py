@@ -8,14 +8,13 @@ monitoring guarantee checkable against closed-form truth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .monitor import REJECT_AT_OR_ABOVE, DecisionRule
+from .monitor import DecisionRule
 from .trajectories import CalibrationSet, LabeledTrajectory
 
 
@@ -79,27 +78,17 @@ def log_ratio_increments(spec: SyntheticSpec, scores) -> np.ndarray:
     return theta * (np.asarray(scores, dtype=float) - mid)
 
 
-def true_ratio_process(spec: SyntheticSpec, seq) -> list:
+def true_ratio_process(spec: SyntheticSpec, scores) -> list:
     """Exact density ratio at every step: the cumulative Gaussian
     likelihood ratio (the shared length density cancels)."""
-    scores = getattr(seq, "scores", seq)
     return np.exp(np.cumsum(log_ratio_increments(spec, scores))).tolist()
 
 
-class TrueRatioStatistic:
-    """Exact ratio process, for injecting ground truth into a DecisionRule."""
-
-    kind = "true_ratio"
-
-    def __init__(self, spec: SyntheticSpec):
-        self.spec = spec
-
-    def value(self, prefix) -> float:
-        return float(math.exp(float(np.sum(log_ratio_increments(self.spec, prefix)))))
-
-
 def true_ratio_rule(spec: SyntheticSpec, threshold: float) -> DecisionRule:
-    return DecisionRule(TrueRatioStatistic(spec), threshold, REJECT_AT_OR_ABOVE)
+    """Ratio rule on the exact process, for injecting ground truth."""
+    return DecisionRule(
+        lambda prefix: true_ratio_process(spec, prefix)[-1], threshold
+    )
 
 
 class ToyMarginalResult(NamedTuple):

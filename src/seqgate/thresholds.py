@@ -15,17 +15,18 @@ import numpy as np
 
 from .errors import InsufficientCalibration, NoNullTrajectories, OutOfRange
 from .kernels import binomial_sf
-from .ratio import RatioModel, eval_process
-from .trajectories import CalibrationSet
+from .ratio import RatioModel, replay
+from .trajectories import CalibrationSet, offsets
 
 DEFAULT_DELTA = 0.05
+THRESHOLD_KINDS = ("pac", "ville", "bonferroni")
 
 
 @dataclass(frozen=True)
 class ThresholdSpec:
     """A resolved decision threshold plus how it was derived."""
 
-    kind: str  # "ville" | "pac" | "bonferroni"
+    kind: str  # one of THRESHOLD_KINDS
     alpha: float
     value: float
     delta: Optional[float] = None   # pac only
@@ -57,14 +58,10 @@ def bonferroni_threshold(alpha: float, t_cal_max: int) -> ThresholdSpec:
 
 def null_maxima(model: RatioModel, thresh_set: CalibrationSet) -> list:
     """Trajectory-wise maximum of the estimated ratio process, nulls only."""
-    maxima = [
-        max(eval_process(model, item.sequence))
-        for item in thresh_set
-        if item.label == 1
-    ]
-    if not maxima:
+    nulls = [item.scores for item in thresh_set if item.label == 1]
+    if not nulls:
         raise NoNullTrajectories("threshold calibration needs label-1 trajectories")
-    return maxima
+    return np.maximum.reduceat(replay(model, nulls), offsets(nulls)).tolist()
 
 
 def min_null_samples(alpha: float, delta: float) -> int:
@@ -109,30 +106,4 @@ def pac_threshold(maxima, alpha: float, delta: float, seed: int = 0) -> Threshol
         delta=delta,
         n_null=n,
         k_index=k,
-    )
-
-
-def threshold_to_dict(spec: ThresholdSpec) -> dict:
-    return {
-        "kind": spec.kind,
-        "alpha": spec.alpha,
-        "value": spec.value,
-        "delta": spec.delta,
-        "n_null": spec.n_null,
-        "k_index": spec.k_index,
-        "t_cal_max": spec.t_cal_max,
-    }
-
-
-def threshold_from_dict(payload: dict) -> ThresholdSpec:
-    return ThresholdSpec(
-        kind=payload["kind"],
-        alpha=float(payload["alpha"]),
-        value=float(payload["value"]),
-        delta=None if payload.get("delta") is None else float(payload["delta"]),
-        n_null=None if payload.get("n_null") is None else int(payload["n_null"]),
-        k_index=None if payload.get("k_index") is None else int(payload["k_index"]),
-        t_cal_max=None
-        if payload.get("t_cal_max") is None
-        else int(payload["t_cal_max"]),
     )

@@ -1,4 +1,4 @@
-"""Core data types: score sequences, labeled trajectories, calibration sets,
+"""Core data types: labeled score trajectories, calibration sets,
 and the seeded stratified splits every downstream stage consumes.
 
 Label convention: 1 marks a successful trajectory (the null hypothesis of
@@ -19,49 +19,26 @@ DEFAULT_DRE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
-class ScoreSequence:
-    """Ordered per-step verifier scores of one trajectory."""
-
-    scores: tuple
-
-    def __init__(self, scores: Sequence[float]):
-        object.__setattr__(self, "scores", tuple(float(s) for s in scores))
-
-    def __len__(self) -> int:
-        return len(self.scores)
-
-    def __iter__(self):
-        return iter(self.scores)
-
-
-@dataclass(frozen=True)
 class LabeledTrajectory:
-    """A score sequence plus its trajectory-level outcome label.
+    """Ordered per-step verifier scores plus the trajectory-level outcome label.
 
     ``tokens``, when present, holds cumulative token counts after each step
     (same length as scores, non-decreasing).
     """
 
     id: str
-    sequence: ScoreSequence
+    scores: tuple
     label: int
     tokens: Optional[tuple] = None
 
-    def __init__(self, id, scores, label, tokens=None):
-        object.__setattr__(self, "id", str(id))
-        seq = scores if isinstance(scores, ScoreSequence) else ScoreSequence(scores)
-        object.__setattr__(self, "sequence", seq)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(
-            self, "tokens", None if tokens is None else tuple(tokens)
-        )
-
-    @property
-    def scores(self) -> tuple:
-        return self.sequence.scores
+    def __post_init__(self):
+        object.__setattr__(self, "id", str(self.id))
+        object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
+        if self.tokens is not None:
+            object.__setattr__(self, "tokens", tuple(self.tokens))
 
     def __len__(self) -> int:
-        return len(self.sequence)
+        return len(self.scores)
 
 
 @dataclass(frozen=True)
@@ -102,7 +79,7 @@ def validate(raw: LabeledTrajectory, line: Optional[int] = None) -> LabeledTraje
 
     Raises InvalidTrajectory naming the offending trajectory and field.
     """
-    scores = raw.sequence.scores
+    scores = raw.scores
     if len(scores) == 0:
         raise InvalidTrajectory(
             "empty score sequence", trajectory_id=raw.id, field="scores", line=line
@@ -139,11 +116,9 @@ def validate(raw: LabeledTrajectory, line: Optional[int] = None) -> LabeledTraje
     return raw
 
 
-def prefix(seq: ScoreSequence, t: int) -> ScoreSequence:
-    """First ``t`` scores of the sequence, order preserved."""
-    if not (1 <= t <= len(seq)):
-        raise OutOfRange(f"prefix length t={t} out of range [1, {len(seq)}]")
-    return ScoreSequence(seq.scores[:t])
+def offsets(sequences) -> np.ndarray:
+    """Start index of each sequence in the concatenation of all of them."""
+    return np.cumsum([0] + [len(s) for s in sequences])[:-1]
 
 
 def _per_label_take(counts: dict, k: int) -> dict:

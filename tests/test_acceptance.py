@@ -64,7 +64,7 @@ def criterion(num, name):
 def null_max_ratios(spec, n, seed):
     data = sample_dataset(spec, n, seed=seed, label=1)
     return np.array(
-        [max(true_ratio_process(spec, item.sequence)) for item in data]
+        [max(true_ratio_process(spec, item.scores)) for item in data]
     )
 
 
@@ -122,7 +122,7 @@ def test_criterion_04_martingale_unit_mean():
         for t in (1, 2, 3):
             vals = np.array(
                 [
-                    true_ratio_process(spec, item.sequence)[t - 1]
+                    true_ratio_process(spec, item.scores)[t - 1]
                     for item in data
                     if len(item) >= t
                 ]
@@ -138,8 +138,8 @@ def test_criterion_05_log_optimality_surrogate():
         data = sample_dataset(spec, 10_000, seed=57, label=0)
         diffs = []
         for item in data:
-            true_log = math.log(true_ratio_process(spec, item.sequence)[-1])
-            wrong_log = math.log(true_ratio_process(mismatched, item.sequence)[-1])
+            true_log = math.log(true_ratio_process(spec, item.scores)[-1])
+            wrong_log = math.log(true_ratio_process(mismatched, item.scores)[-1])
             diffs.append(true_log - wrong_log)
         diffs = np.array(diffs)
         se = float(diffs.std(ddof=1)) / math.sqrt(len(diffs))

@@ -282,3 +282,73 @@ def test_synth_bad_spec_key_fails(tmp_path, capsys):
     )
     assert code == 1
     assert "ERROR PARSE_ERROR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_monitor_nonfinite_score_fails_closed(tmp_path, data_file, capsys, bad):
+    model_path = tmp_path / "model.json"
+    cli_dispatch(
+        [
+            "calibrate", "--data", str(data_file), "--alpha", "0.5",
+            "--threshold", "ville", "--seed", "5", "--out", str(model_path),
+        ]
+    )
+    stdin = io.StringIO(f"0.7\n{bad}\n0.7\n")
+    code, out = run(["monitor", "--model", str(model_path)], stdin=stdin)
+    assert code == 1
+    assert out.splitlines() == ["CONTINUE"]
+    assert "ERROR INVALID_TRAJECTORY" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def artifact_payload(tmp_path_factory):
+    d = tmp_path_factory.mktemp("artifact")
+    write_dataset(sample_dataset(SyntheticSpec(), 300, seed=7), d / "data.jsonl")
+    cli_dispatch(
+        [
+            "calibrate", "--data", str(d / "data.jsonl"), "--alpha", "0.5",
+            "--threshold", "pac", "--seed", "5", "--out", str(d / "model.json"),
+        ]
+    )
+    return json.loads((d / "model.json").read_text())
+
+
+def _steps(a):
+    return a["ratio_model"]["step_models"]
+
+
+ARTIFACT_FAULTS = {
+    "missing threshold.value": lambda a: a["threshold"].pop("value"),
+    "missing threshold": lambda a: a.pop("threshold"),
+    "missing step intercept": lambda a: _steps(a)[0].pop("intercept"),
+    "unknown fit_config key": lambda a: a["ratio_model"]["fit_config"].update(momentum=0.9),
+    "t_max above the step count": lambda a: a["ratio_model"].update(
+        t_max=a["ratio_model"]["t_max"] + 1
+    ),
+    "t_max not an integer": lambda a: a["ratio_model"].update(t_max="2"),
+    "step-2 weights of length 1": lambda a: _steps(a)[1].update(weights=[0.5]),
+    "prior_1 above 1": lambda a: a["ratio_model"].update(prior_1=1.5),
+    "prior_1 zero": lambda a: a["ratio_model"].update(prior_1=0.0),
+    "alpha 7": lambda a: a["threshold"].update(alpha=7),
+    "nan weight": lambda a: _steps(a)[0]["weights"].__setitem__(0, float("nan")),
+    "infinite threshold value": lambda a: a["threshold"].update(value=float("inf")),
+    "non-finite fit_config": lambda a: a["ratio_model"]["fit_config"].update(
+        l2_lambda=float("-inf")
+    ),
+    "unknown threshold kind": lambda a: a["threshold"].update(kind="bogus"),
+    "bogus kind with alpha 7": lambda a: a["threshold"].update(kind="bogus", alpha=7),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ARTIFACT_FAULTS))
+def test_monitor_rejects_malformed_artifact_at_load(
+    tmp_path, artifact_payload, capsys, fault
+):
+    payload = json.loads(json.dumps(artifact_payload))
+    ARTIFACT_FAULTS[fault](payload)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(payload))
+    code, out = run(["monitor", "--model", str(model_path)], stdin=io.StringIO("0.7\n"))
+    assert code == 1
+    assert out == ""  # failed at load, before any score was read
+    assert "ERROR PARSE_ERROR" in capsys.readouterr().err

@@ -4,20 +4,18 @@ import numpy as np
 import pytest
 
 from seqgate.errors import MonitorClosed, SingleClassData
-from seqgate.kernels import FitConfig, LogisticModel
+from seqgate.kernels import FitConfig, IsotonicModel, LogisticModel
 from seqgate.monitor import (
     DecisionRule,
     MonitorState,
-    RawScoreStatistic,
-    REJECT_AT_OR_ABOVE,
-    REJECT_BELOW,
+    calibrated_score_rule,
     make_calibrated_rule,
     ratio_rule,
     raw_score_rule,
     run_offline,
 )
 from seqgate.ratio import RatioModel
-from seqgate.synthetic import SyntheticSpec, sample_dataset
+from seqgate.synthetic import SyntheticSpec, sample_dataset, true_ratio_rule
 from seqgate.trajectories import CalibrationSet, LabeledTrajectory
 
 
@@ -91,12 +89,23 @@ def test_finalize():
 
 
 def test_direction_pairing_enforced():
-    with pytest.raises(ValueError):
-        DecisionRule(RawScoreStatistic(), 0.1, REJECT_AT_OR_ABOVE)
-    with pytest.raises(ValueError):
-        DecisionRule(
-            ratio_rule(score_echo_model(1), 2.0).statistic, 2.0, REJECT_BELOW
-        )
+    # each constructor pairs its statistic with its direction: ratio
+    # statistics reject at >= threshold, score statistics strictly below it
+    ratio_rules = [
+        ratio_rule(score_echo_model(1), 2.0),
+        true_ratio_rule(SyntheticSpec(), 2.0),
+    ]
+    score_rules = [
+        raw_score_rule(2.0),
+        calibrated_score_rule(IsotonicModel(breakpoints=(0.0,), values=(0.5,)), 2.0),
+    ]
+    values = np.array([1.5, 2.0, 2.5, np.nan])
+    for rule in ratio_rules:
+        assert not rule.reject_below
+        assert rule.fires(values).tolist() == [False, True, True, False]
+    for rule in score_rules:
+        assert rule.reject_below
+        assert rule.fires(values).tolist() == [True, False, False, False]
 
 
 def test_run_offline_accepts_below_threshold():
@@ -139,8 +148,8 @@ def test_make_calibrated_rule_separated_scores():
     ]
     cal = CalibrationSet(items)
     rule = make_calibrated_rule(cal, alpha=0.2)
-    assert rule.statistic.value([0.1]) == pytest.approx(0.0, abs=1e-12)
-    assert rule.statistic.value([0.9]) == pytest.approx(1.0, abs=1e-12)
+    assert rule.value([0.1]) == pytest.approx(0.0, abs=1e-12)
+    assert rule.value([0.9]) == pytest.approx(1.0, abs=1e-12)
     for item in items:
         status, _ = run_offline(rule, item)
         expected = "accepted" if item.label == 1 else "rejected"
@@ -163,8 +172,8 @@ def test_make_calibrated_rule_constant_scores_hit_base_rate():
         LabeledTrajectory(id=f"x{i}", scores=[0.5, 0.5], label=i % 2) for i in range(8)
     ]
     rule = make_calibrated_rule(CalibrationSet(items), alpha=0.1)
-    assert rule.statistic.value([0.02]) == pytest.approx(0.5)
-    assert rule.statistic.value([0.97]) == pytest.approx(0.5)
+    assert rule.value([0.02]) == pytest.approx(0.5)
+    assert rule.value([0.97]) == pytest.approx(0.5)
 
 
 def test_make_calibrated_rule_single_class():

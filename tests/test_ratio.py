@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqgate.errors import EmptyPrefix, NoOverlap, SingleClassData
-from seqgate.kernels import FitConfig, LogisticModel
+from seqgate.kernels import FitConfig, LogisticModel, predict_proba
 from seqgate.ratio import (
     RatioModel,
     compute_tmax,
@@ -12,9 +12,6 @@ from seqgate.ratio import (
     eval_process,
     eval_ratio,
     fit_ratio_model,
-    plugin_ratio,
-    ratio_model_from_dict,
-    ratio_model_to_dict,
 )
 from seqgate.synthetic import SyntheticSpec, sample_dataset, true_ratio_process
 from seqgate.trajectories import CalibrationSet, LabeledTrajectory
@@ -125,20 +122,31 @@ def test_eval_ratio_clamped_confident_classifier():
     assert eval_ratio(m, [0.0]) == pytest.approx(clamp / (1 - clamp), rel=1e-12)
 
 
+def one_step_model(intercept, prior_1):
+    return RatioModel(
+        step_models=(LogisticModel(weights=(0.0,), intercept=intercept),),
+        prior_1=prior_1,
+        t_max=1,
+        fit_config=FitConfig(),
+    )
+
+
 def test_plugin_identity_random():
+    # eval_ratio is exactly the plug-in formula applied to predict_proba
     rng = np.random.default_rng(8)
     for _ in range(100):
-        f = float(rng.uniform(1e-6, 1 - 1e-6))
-        p1 = float(rng.uniform(1e-6, 1 - 1e-6))
-        assert plugin_ratio(f, p1) == (1.0 - f) / f * (p1 / (1.0 - p1))
+        model = one_step_model(float(rng.normal(scale=5.0)), float(rng.uniform(1e-6, 1 - 1e-6)))
+        f = float(predict_proba(model.step_models[0], [0.0]))
+        p1 = model.prior_1
+        assert eval_ratio(model, [0.0]) == (1.0 - f) / f * (p1 / (1.0 - p1))
 
 
 def test_monotone_response_in_f_and_prior():
-    fs = np.linspace(0.05, 0.95, 19)
-    vals = [plugin_ratio(float(f), 0.4) for f in fs]
+    intercepts = np.linspace(-3.0, 3.0, 19)  # f increases with the intercept
+    vals = [eval_ratio(one_step_model(float(b), 0.4), [0.0]) for b in intercepts]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     priors = np.linspace(0.05, 0.95, 19)
-    vals = [plugin_ratio(0.3, float(p)) for p in priors]
+    vals = [eval_ratio(one_step_model(-0.85, float(p)), [0.0]) for p in priors]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
@@ -174,8 +182,8 @@ def test_eval_process_tracks_true_ratio():
     eval_set = sample_dataset(spec, 2000, seed=999)
     errs = []
     for item in eval_set:
-        est = eval_process(model, item.sequence)
-        tru = true_ratio_process(spec, item.sequence)
+        est = eval_process(model, item.scores)
+        tru = true_ratio_process(spec, item.scores)
         for t in (1, 2, 3):
             if len(item) >= t:
                 errs.append(abs(math.log(est[t - 1]) - math.log(tru[t - 1])))
@@ -186,14 +194,14 @@ def test_estimation_error_shrinks_with_calibration_size():
     spec = SyntheticSpec()
     eval_set = sample_dataset(spec, 1500, seed=321)
     true_procs = {
-        item.id: true_ratio_process(spec, item.sequence) for item in eval_set
+        item.id: true_ratio_process(spec, item.scores) for item in eval_set
     }
     per_size = {}
     for n in (250, 1000, 4000):
         model = fit_ratio_model(sample_dataset(spec, n, seed=77))
         errs = {1: [], 2: [], 3: []}
         for item in eval_set:
-            est = eval_process(model, item.sequence)
+            est = eval_process(model, item.scores)
             for t in (1, 2, 3):
                 if len(item) >= t:
                     errs[t].append(
@@ -206,10 +214,14 @@ def test_estimation_error_shrinks_with_calibration_size():
         assert per_size[4000][t] <= per_size[1000][t] + 0.05
 
 
-def test_ratio_model_serialization_roundtrip():
+def test_ratio_model_serialization_roundtrip(tmp_path):
+    from seqgate.dataio import load_calibration, save_calibration
+    from seqgate.thresholds import ville_threshold
+
     data = sample_dataset(SyntheticSpec(), 120, seed=9)
     model = fit_ratio_model(data)
-    clone = ratio_model_from_dict(ratio_model_to_dict(model))
+    save_calibration(tmp_path / "model.json", model, ville_threshold(0.1))
+    clone, _, _ = load_calibration(tmp_path / "model.json")
     assert clone == model
 
 

@@ -83,9 +83,9 @@ def test_true_ratio_rule_matches_process():
     spec = SyntheticSpec()
     traj = sample_trajectory(spec, 1, seed=77)
     rule = true_ratio_rule(spec, threshold=10.0)
-    proc = true_ratio_process(spec, traj.sequence)
+    proc = true_ratio_process(spec, traj.scores)
     for t in range(1, len(traj) + 1):
-        assert rule.statistic.value(traj.scores[:t]) == pytest.approx(
+        assert rule.value(traj.scores[:t]) == pytest.approx(
             proc[t - 1], rel=1e-12
         )
 

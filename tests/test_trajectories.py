@@ -5,9 +5,7 @@ from seqgate.errors import DegenerateSplit, InvalidTrajectory, OutOfRange
 from seqgate.trajectories import (
     CalibrationSet,
     LabeledTrajectory,
-    ScoreSequence,
     SplitConfig,
-    prefix,
     split_calibration,
     validate,
 )
@@ -61,23 +59,6 @@ def test_validate_rejects_decreasing_tokens():
 def test_validate_rejects_negative_tokens():
     with pytest.raises(InvalidTrajectory):
         validate(LabeledTrajectory(id="f", scores=[0.5], label=1, tokens=[-1]))
-
-
-def test_prefix_basic():
-    seq = ScoreSequence([0.1, 0.2, 0.3])
-    assert prefix(seq, 2).scores == (0.1, 0.2)
-
-
-def test_prefix_identity_at_full_length():
-    seq = ScoreSequence([0.5])
-    assert prefix(seq, 1).scores == (0.5,)
-
-
-def test_prefix_out_of_range():
-    with pytest.raises(OutOfRange):
-        prefix(ScoreSequence([0.1]), 2)
-    with pytest.raises(OutOfRange):
-        prefix(ScoreSequence([0.1]), 0)
 
 
 def test_split_sizes_and_partition():
