@@ -129,9 +129,7 @@ class _SplitArtifacts:
 
         if "calibrated" in cfg.methods:
             self.iso_model = pooled_isotonic(cal)
-            self.calibrated = np.array(
-                [apply_isotonic(self.iso_model, s) for s in self.raw.tolist()]
-            )
+            self.calibrated = apply_isotonic(self.iso_model, self.raw)
 
     def decide(self, method: str, alpha: float, delta: float):
         """Per-test-trajectory first rejection step (None = accepted)."""

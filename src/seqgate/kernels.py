@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,46 +82,68 @@ def logistic_objective(theta, Z, y, l2_lambda):
     return nll + l2_lambda * float(np.dot(theta[:-1], theta[:-1]))
 
 
-def logistic_gradient(theta, Z, y, l2_lambda):
-    mu = _sigmoid(Z @ theta)
+def _gradient_from_mu(theta, Z, y, l2_lambda, mu):
+    # mu is sigmoid(Z @ theta), which fit_logistic also needs for the Hessian
     grad = Z.T @ (mu - y)
     grad[:-1] += 2.0 * l2_lambda * theta[:-1]
     return grad
 
 
-def _as_feature_matrix(features):
-    dims = {len(f) for f in features}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"feature vectors have mixed dimensions {sorted(dims)}")
-    return np.asarray([[float(v) for v in f] for f in features], dtype=float)
+def logistic_gradient(theta, Z, y, l2_lambda):
+    """Gradient of logistic_objective."""
+    return _gradient_from_mu(theta, Z, y, l2_lambda, _sigmoid(Z @ theta))
+
+
+def _design_matrix(features):
+    """C-ordered (n, d+1) float array: the features, then a column of ones.
+
+    A 2-D float array is read without a per-element rebuild. The layout is
+    fixed because BLAS rounds products with C- and Fortran-ordered matrices
+    differently, and a fit must depend on the feature values alone.
+    """
+    try:
+        X = np.asarray(features, dtype=float)
+    except ValueError:
+        X = None  # ragged rows
+    if X is None or X.ndim != 2:
+        raise DimensionMismatch("feature vectors must all have the same dimension")
+    Z = np.empty((X.shape[0], X.shape[1] + 1))
+    Z[:, :-1] = X
+    Z[:, -1] = 1.0
+    return Z
 
 
 def fit_logistic(features, labels, cfg: FitConfig = FitConfig()) -> LogisticModel:
     """Minimize the L2-penalized logistic loss by damped Newton iterations.
 
-    Stops when the gradient infinity-norm drops to cfg.tolerance or after
-    cfg.max_iters Newton steps, whichever comes first.
+    ``features`` is a sequence of equal-length vectors or a 2-D array.
+    Stops at the first of: the gradient infinity-norm drops to
+    cfg.tolerance; step halving finds no candidate that does not raise the
+    objective; an accepted candidate equals the current weights bit for bit.
+    At that fixed point every further iteration would repeat the same step
+    and accept the same weights, so stopping returns exactly what running
+    all cfg.max_iters iterations would. Otherwise it stops after
+    cfg.max_iters Newton steps.
     """
     if len(features) != len(labels):
         raise DimensionMismatch(
             f"{len(features)} feature vectors vs {len(labels)} labels"
         )
-    y = np.asarray([int(v) for v in labels], dtype=float)
-    if any(v not in (0.0, 1.0) for v in y):
+    y = np.asarray(labels, dtype=float)
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise OutOfRange("labels must be binary 0/1")
-    if len(set(y.tolist())) < 2:
+    if y.all() or not y.any():
         raise SingleClassData("need at least one example of each label")
-    X = _as_feature_matrix(features)
-    n, d = X.shape
-    Z = np.hstack([X, np.ones((n, 1))])
+    Z = _design_matrix(features)
+    d = Z.shape[1] - 1
     theta = np.zeros(d + 1)
     obj = logistic_objective(theta, Z, y, cfg.l2_lambda)
 
     for _ in range(cfg.max_iters):
-        grad = logistic_gradient(theta, Z, y, cfg.l2_lambda)
+        mu = _sigmoid(Z @ theta)
+        grad = _gradient_from_mu(theta, Z, y, cfg.l2_lambda, mu)
         if float(np.max(np.abs(grad))) <= cfg.tolerance:
             break
-        mu = _sigmoid(Z @ theta)
         w = np.maximum(mu * (1.0 - mu), 1e-12)
         hess = Z.T @ (w[:, None] * Z)
         hess[np.arange(d), np.arange(d)] += 2.0 * cfg.l2_lambda
@@ -136,11 +157,13 @@ def fit_logistic(features, labels, cfg: FitConfig = FitConfig()) -> LogisticMode
             cand = theta - scale * step
             cand_obj = logistic_objective(cand, Z, y, cfg.l2_lambda)
             if cand_obj <= obj:
-                theta, obj = cand, cand_obj
                 break
             scale *= 0.5
         else:
             break
+        if np.array_equal(cand, theta):
+            break
+        theta, obj = cand, cand_obj
     return LogisticModel(weights=tuple(theta[:-1]), intercept=float(theta[-1]))
 
 
@@ -208,11 +231,16 @@ def fit_isotonic(xs, ys) -> IsotonicModel:
     return IsotonicModel(breakpoints=tuple(breakpoints), values=tuple(values))
 
 
-def apply_isotonic(model: IsotonicModel, s: float) -> float:
+def apply_isotonic(model: IsotonicModel, s):
     """Step-function evaluation; inputs below the first breakpoint map to the
-    first value."""
-    idx = bisect_right(model.breakpoints, s) - 1
-    return float(model.values[max(idx, 0)])
+    first value.
+
+    ``s`` is one float, which gives a float, or an array, which gives one
+    value per element.
+    """
+    idx = np.searchsorted(model.breakpoints, s, side="right") - 1
+    out = np.asarray(model.values)[np.maximum(idx, 0)]
+    return float(out) if out.ndim == 0 else out
 
 
 def binomial_sf(n: int, p: float, k: int) -> float:

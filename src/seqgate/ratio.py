@@ -5,6 +5,11 @@ up to the largest step at which both labels still have data. Beyond that
 step the statistic is frozen: evaluation always sees the earliest scores, so
 the monitored value is literally constant from then on.
 
+Fitting and batch evaluation read trajectories through one padded score
+matrix (``padded_scores``): column i holds the first scores of trajectory i,
+zero past its end, beside a vector of lengths. Step t is fit on the first t
+rows of the columns of trajectories at least t long.
+
 Two entry points share one arithmetic. ``eval_ratio`` evaluates one prefix,
 for the streaming monitor; ``replay`` evaluates whole processes of many
 trajectories, for thresholds and the experiment harness. Both sum the logit
@@ -61,15 +66,31 @@ def compute_tmax(dre: CalibrationSet) -> int:
     return t_max
 
 
+def padded_scores(trajectories, width: int):
+    """(width, n) matrix whose column i holds the first ``width`` scores of
+    trajectory i, zero past its end, and the (n,) vector of full lengths.
+
+    Row j is then the j-th score of every trajectory, one contiguous feature
+    for a batched predict_proba; the transpose is a fit's feature matrix.
+    """
+    lengths = np.array([len(s) for s in trajectories], dtype=int)
+    columns = np.zeros((width, lengths.size))
+    for i, scores in enumerate(trajectories):
+        head = scores[:width]
+        columns[: len(head), i] = head
+    return columns, lengths
+
+
 def fit_ratio_model(dre: CalibrationSet, cfg: FitConfig = FitConfig()) -> RatioModel:
     """Fit one prefix classifier per step t = 1..t_max."""
     prior_1 = estimate_prior(dre)
     t_max = compute_tmax(dre)
+    columns, lengths = padded_scores([item.scores for item in dre], t_max)
+    labels = np.array(dre.labels())
     step_models = []
     for t in range(1, t_max + 1):
-        feats = [item.scores[:t] for item in dre if len(item) >= t]
-        labels = [item.label for item in dre if len(item) >= t]
-        step_models.append(fit_logistic(feats, labels, cfg))
+        keep = lengths >= t
+        step_models.append(fit_logistic(columns[:t, keep].T, labels[keep], cfg))
     return RatioModel(
         step_models=tuple(step_models), prior_1=prior_1, t_max=t_max, fit_config=cfg
     )
@@ -103,15 +124,11 @@ def replay(model: RatioModel, trajectories) -> np.ndarray:
     feature is the column of j-th scores, so every value equals eval_ratio on
     that prefix exactly. Past t_max each process repeats its step-t_max value.
     """
-    lengths = np.array([len(s) for s in trajectories], dtype=int)
+    k = min(max(len(s) for s in trajectories), model.t_max)
+    columns, lengths = padded_scores(trajectories, k)
     if lengths.min() == 0:
         raise EmptyPrefix("cannot evaluate the ratio on an empty prefix")
     longest = int(lengths.max())
-    k = min(longest, model.t_max)
-    columns = np.zeros((k, lengths.size))
-    for i, scores in enumerate(trajectories):
-        head = scores[:k]
-        columns[: len(head), i] = head
     values = np.empty((lengths.size, longest))
     for t in range(1, k + 1):
         f = predict_proba(

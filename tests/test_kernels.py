@@ -1,12 +1,16 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize
 
 from oracles import central_diff_gradient, exact_binomial_sf, isotonic_bruteforce
 from fractions import Fraction
 
+from seqgate import kernels
 from seqgate.errors import (
     DimensionMismatch,
     LengthMismatch,
@@ -24,6 +28,7 @@ from seqgate.kernels import (
     logistic_objective,
     predict_proba,
 )
+from seqgate.synthetic import SyntheticSpec, sample_dataset
 
 
 # ---------------------------------------------------------------- logistic
@@ -36,6 +41,21 @@ def test_fit_logistic_single_class():
 def test_fit_logistic_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         fit_logistic([[0.1], [0.2, 0.3]], [0, 1])
+    with pytest.raises(DimensionMismatch):
+        fit_logistic([(0.1,), np.array([0.2, 0.3])], [0, 1])
+    with pytest.raises(DimensionMismatch):
+        fit_logistic(np.array([0.1, 0.2]), [0, 1])
+
+
+def test_fit_logistic_label_validation():
+    with pytest.raises(OutOfRange, match="labels must be binary 0/1"):
+        fit_logistic([[0.1], [0.2]], [0, 2])
+    with pytest.raises(OutOfRange, match="labels must be binary 0/1"):
+        fit_logistic([[0.1], [0.2]], [0.5, 1])
+    with pytest.raises(SingleClassData, match="need at least one example of each label"):
+        fit_logistic([[0.1], [0.2]], np.zeros(2))
+    with pytest.raises(SingleClassData):
+        fit_logistic([], [])
 
 
 def test_fit_logistic_zero_features_balanced():
@@ -123,6 +143,122 @@ def test_logistic_gradient_matches_finite_differences():
         num = central_diff_gradient(lambda th: logistic_objective(th, Z, y, lam), theta)
         denom = max(1.0, float(np.max(np.abs(num))))
         assert np.max(np.abs(grad - num)) / denom <= 1e-5
+
+
+def newton_without_fixed_point_stop(features, labels, cfg):
+    """Reference Newton loop that runs until the gradient is small, step
+    halving runs out or cfg.max_iters steps are taken; returns theta and the
+    number of accepted steps."""
+    y = np.asarray(labels, dtype=float)
+    X = np.asarray(features, dtype=float)
+    n, d = X.shape
+    Z = np.hstack([X, np.ones((n, 1))])
+    theta = np.zeros(d + 1)
+    obj = kernels.logistic_objective(theta, Z, y, cfg.l2_lambda)
+    accepted = 0
+    for _ in range(cfg.max_iters):
+        grad = logistic_gradient(theta, Z, y, cfg.l2_lambda)
+        if float(np.max(np.abs(grad))) <= cfg.tolerance:
+            break
+        mu = kernels._sigmoid(Z @ theta)
+        w = np.maximum(mu * (1.0 - mu), 1e-12)
+        hess = Z.T @ (w[:, None] * Z)
+        hess[np.arange(d), np.arange(d)] += 2.0 * cfg.l2_lambda
+        try:
+            step = np.linalg.solve(hess, grad)
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+        scale = 1.0
+        while scale > 2.0 ** -40:
+            cand = theta - scale * step
+            cand_obj = kernels.logistic_objective(cand, Z, y, cfg.l2_lambda)
+            if cand_obj <= obj:
+                theta, obj = cand, cand_obj
+                break
+            scale *= 0.5
+        else:
+            break
+        accepted += 1
+    return theta, accepted
+
+
+def assert_fit_matches_reference(features, labels, cfg):
+    """fit_logistic == the reference loop; returns both objective-call counts."""
+    with mock.patch.object(
+        kernels, "logistic_objective", wraps=kernels.logistic_objective
+    ) as calls:
+        theta, accepted = newton_without_fixed_point_stop(features, labels, cfg)
+        reference_calls = calls.call_count
+        calls.reset_mock()
+        model = fit_logistic(features, labels, cfg)
+        fit_calls = calls.call_count
+    assert model.weights == tuple(theta[:-1])
+    assert model.intercept == float(theta[-1])
+    return accepted, reference_calls, fit_calls
+
+
+@st.composite
+def logistic_problems(draw):
+    n = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 4))
+    value = st.floats(-5.0, 5.0, allow_nan=False)
+    features = [draw(st.lists(value, min_size=d, max_size=d)) for _ in range(n)]
+    labels = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    labels[:2] = [0, 1]
+    cfg = FitConfig(
+        l2_lambda=draw(st.sampled_from([0.0, 0.02, 1.0])),
+        max_iters=draw(st.integers(1, 100)),
+    )
+    return features, labels, cfg
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(logistic_problems())
+def test_fixed_point_stop_returns_the_full_loop_result(problem):
+    assert_fit_matches_reference(*problem)
+
+
+def stalled_long_trajectory_step(cfg):
+    """Features and labels of a long-trajectory step on which the reference
+    takes every Newton step, or None.
+
+    The gradient's rounding floor can stay above cfg.tolerance. Where that
+    floor lies depends on the BLAS build, so the step is searched for.
+    """
+    for seed in range(2, 8):
+        data = sample_dataset(SyntheticSpec(stop_prob=0.05), 100, seed=seed)
+        for t in range(1, 4):
+            rows = [item for item in data if len(item) >= t]
+            features = [item.scores[:t] for item in rows]
+            labels = [item.label for item in rows]
+            if len(set(labels)) < 2:
+                continue
+            _, accepted = newton_without_fixed_point_stop(features, labels, cfg)
+            if accepted == cfg.max_iters:
+                return features, labels
+    return None
+
+
+def test_fixed_point_stop_on_a_stalled_long_trajectory_step():
+    cfg = FitConfig()
+    stalled = stalled_long_trajectory_step(cfg)
+    if stalled is None:
+        pytest.skip("no candidate step stalls under this BLAS build")
+    features, labels = stalled
+    accepted, reference_calls, fit_calls = assert_fit_matches_reference(
+        features, labels, cfg
+    )
+    assert accepted == cfg.max_iters
+    assert fit_calls <= reference_calls / 4
+
+
+def test_fit_logistic_array_and_list_features_agree():
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(50, 3))
+    y = (X[:, 0] + rng.normal(size=50) > 0).astype(int)
+    from_list = fit_logistic([tuple(row) for row in X.tolist()], y.tolist())
+    assert fit_logistic(X, y) == from_list
+    assert fit_logistic(np.asfortranarray(X), y) == from_list
 
 
 def test_predict_proba_neutral_model():
@@ -217,6 +353,17 @@ def test_apply_isotonic_step_semantics():
     assert apply_isotonic(model, 0.0) == 0.1
     assert apply_isotonic(model, 0.2) == 0.1
     assert apply_isotonic(model, 0.8) == 0.9
+    assert type(apply_isotonic(model, 0.5)) is float
+    # an array gives the scalar result per element: below the first
+    # breakpoint, on each breakpoint, between them and above the last
+    model = IsotonicModel(breakpoints=(0.25, 0.5, 0.75), values=(0.1, 0.4, 0.9))
+    grid = np.array([[0.0, 0.25, 0.3], [0.5, 0.6, 0.75], [0.8, 1.0, -1.0]])
+    got = apply_isotonic(model, grid)
+    assert got.shape == grid.shape
+    assert got.tolist() == [
+        [apply_isotonic(model, s) for s in row] for row in grid.tolist()
+    ]
+    assert got.tolist() == [[0.1, 0.1, 0.1], [0.4, 0.4, 0.9], [0.9, 0.9, 0.1]]
 
 
 def test_apply_isotonic_nondecreasing():

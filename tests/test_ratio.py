@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqgate.errors import EmptyPrefix, NoOverlap, SingleClassData
-from seqgate.kernels import FitConfig, LogisticModel, predict_proba
+from seqgate.kernels import FitConfig, LogisticModel, fit_logistic, predict_proba
 from seqgate.ratio import (
     RatioModel,
     compute_tmax,
@@ -88,6 +88,18 @@ def test_fit_ratio_model_separates_first_step():
 
     assert predict_proba(model.step_models[0], [0.9]) > 0.5
     assert predict_proba(model.step_models[0], [0.1]) < 0.5
+
+
+def test_fit_ratio_model_steps_equal_list_feature_fits():
+    # the padded-matrix path fits each step on exactly the list-of-prefixes data
+    data = sample_dataset(SyntheticSpec(stop_prob=0.05), 200, seed=6)
+    model = fit_ratio_model(data)
+    assert model.t_max > 20
+    for t, step_model in enumerate(model.step_models, start=1):
+        rows = [item for item in data if len(item) >= t]
+        feats = [item.scores[:t] for item in rows]
+        labels = [item.label for item in rows]
+        assert step_model == fit_logistic(feats, labels, model.fit_config)
 
 
 def test_fit_ratio_model_deterministic():
