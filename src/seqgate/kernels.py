@@ -164,7 +164,7 @@ def fit_logistic(features, labels, cfg: FitConfig = FitConfig()) -> LogisticMode
         if np.array_equal(cand, theta):
             break
         theta, obj = cand, cand_obj
-    return LogisticModel(weights=tuple(theta[:-1]), intercept=float(theta[-1]))
+    return LogisticModel(weights=tuple(theta[:-1].tolist()), intercept=float(theta[-1]))
 
 
 def predict_proba(
@@ -177,6 +177,13 @@ def predict_proba(
     array element. The dot product is summed left to right and then the
     intercept is added, so a batch element equals the single-input result
     bit for bit.
+
+    One input, whose logit is a float, is mapped in plain float arithmetic
+    and gives a float: each operation is the IEEE double operation the
+    batch path applies elementwise, without the cost of numpy calls on a
+    single value. Only ``exp`` stays numpy's, because numpy's (SIMD) exp
+    need not match ``math.exp`` in the last bit and both paths must use
+    the same one.
     """
     if len(x) != len(model.weights):
         raise DimensionMismatch(
@@ -185,7 +192,14 @@ def predict_proba(
     z = 0.0
     for w, v in zip(model.weights, x):
         z = z + w * v
-    return np.clip(_sigmoid(z + model.intercept), prob_clamp, 1.0 - prob_clamp)
+    z = z + model.intercept
+    if isinstance(z, float):
+        # _sigmoid and np.clip on one value; max before min keeps a nan
+        # logit nan, as np.clip does
+        e = float(np.exp(-abs(z)))
+        p = 1.0 / (1.0 + e) if z >= 0 else e / (1.0 + e)
+        return min(max(p, prob_clamp), 1.0 - prob_clamp)
+    return np.clip(_sigmoid(z), prob_clamp, 1.0 - prob_clamp)
 
 
 def fit_isotonic(xs, ys) -> IsotonicModel:

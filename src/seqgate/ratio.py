@@ -13,8 +13,9 @@ rows of the columns of trajectories at least t long.
 Two entry points share one arithmetic. ``eval_ratio`` evaluates one prefix,
 for the streaming monitor; ``replay`` evaluates whole processes of many
 trajectories, for thresholds and the experiment harness. Both sum the logit
-left to right and map it to the ratio through the same numpy functions, so
-they return bit-identical values.
+left to right and map it to the ratio with the same IEEE operations, so they
+return bit-identical values: ``eval_ratio`` in plain float arithmetic with
+one numpy ``exp`` (see ``predict_proba``), ``replay`` with numpy arrays.
 """
 
 from __future__ import annotations
@@ -110,10 +111,9 @@ def eval_ratio(model: RatioModel, prefix) -> float:
     t = len(prefix)
     if t == 0:
         raise EmptyPrefix("cannot evaluate the ratio on an empty prefix")
-    t_eff = min(t, model.t_max)
-    f = predict_proba(
-        model.step_models[t_eff - 1], prefix[:t_eff], model.fit_config.prob_clamp
-    )
+    if t > model.t_max:
+        t, prefix = model.t_max, prefix[: model.t_max]
+    f = predict_proba(model.step_models[t - 1], prefix, model.fit_config.prob_clamp)
     return float(_plug_in(model, f))
 
 

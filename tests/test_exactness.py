@@ -2,19 +2,27 @@
 
 A `>=` tie against a PAC order-statistic threshold is decided the same way
 online and offline only if both paths compute bit-identical statistic
-values, so every comparison here uses `==`, never an approximation.
+values, so every comparison here uses `==`, never an approximation. The
+kernels beneath them are held to the same standard: the single-input form
+of `predict_proba` equals the element of the array form.
 """
 
 import math
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqgate import harness
 from seqgate.harness import ExperimentConfig, _first_steps, _SplitArtifacts
 from seqgate.errors import InsufficientCalibration
-from seqgate.kernels import FitConfig, LogisticModel
+from seqgate.kernels import (
+    FitConfig,
+    LogisticModel,
+    fit_logistic,
+    predict_proba,
+)
 from seqgate.monitor import (
     DecisionRule,
     MonitorState,
@@ -121,3 +129,62 @@ def test_harness_first_crossing_equals_run_offline(drawn):
         for method, rule in rules.items():
             expected = [run_offline(rule, item)[1] for item in arts.test]
             assert arts.decide(method, alpha, cfg.delta) == expected, method
+
+
+def same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def assert_single_inputs_equal_batch(model, inputs, prob_clamp):
+    """predict_proba on each input of floats is a float equal to its element
+    of predict_proba on the whole batch, one array per feature."""
+    columns = [np.array(column) for column in zip(*inputs)]
+    batch = predict_proba(model, columns, prob_clamp)
+    for x, expected in zip(inputs, batch.tolist()):
+        one = predict_proba(model, x, prob_clamp)
+        assert type(one) is float
+        assert same(one, expected), (x, one, expected)
+
+
+@st.composite
+def models_and_inputs(draw):
+    d = draw(st.integers(1, 6))
+    model = LogisticModel(
+        weights=tuple(draw(st.lists(weights, min_size=d, max_size=d))),
+        intercept=draw(weights),
+    )
+    inputs = draw(
+        st.lists(st.lists(scores, min_size=d, max_size=d), min_size=1, max_size=20)
+    )
+    return model, inputs, draw(st.sampled_from([1e-6, 1e-3, 0.2]))
+
+
+@EXACT
+@given(models_and_inputs())
+def test_predict_proba_single_input_equals_batch_element(drawn):
+    assert_single_inputs_equal_batch(*drawn)
+
+
+def test_predict_proba_single_input_edge_logits():
+    # the logit sum starts at +0.0, which absorbs a -0.0 term or intercept
+    zero = [(0.0,), (-0.0,)]
+    for intercept in (0.0, -0.0):
+        assert_single_inputs_equal_batch(LogisticModel((1.0,), intercept), zero, 1e-6)
+    # negative and positive logits inside the clamp, at it, and with |z| > 746,
+    # where exp(-|z|) underflows to 0
+    logits = [(-3.0,), (2.5,), (-20.0,), (20.0,), (-800.0,), (800.0,), (-1e308,)]
+    for prob_clamp in (1e-6, 0.2):
+        assert_single_inputs_equal_batch(LogisticModel((1.0,), 0.0), logits, prob_clamp)
+    # inf + -inf: a nan logit stays nan on both paths, as np.clip keeps it
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_single_inputs_equal_batch(
+            LogisticModel((1e308, -1e308), 0.0), [(10.0, 10.0), (1.0, 1.0)], 1e-6
+        )
+    assert math.isnan(predict_proba(LogisticModel((1e308, -1e308), 0.0), (10.0, 10.0)))
+
+
+def test_fit_logistic_weights_are_python_floats():
+    features = [(0.1, 0.9), (0.4, 0.2), (0.8, 0.7), (0.3, 0.5), (0.9, 0.1)]
+    model = fit_logistic(features, [1, 0, 1, 0, 1])
+    assert all(type(w) is float for w in model.weights)
+    assert type(model.intercept) is float
