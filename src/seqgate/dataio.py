@@ -68,15 +68,16 @@ def read_dataset(path_or_stream) -> CalibrationSet:
             tokens = record.get("tokens")
             if not isinstance(ident, str):
                 raise ParseError("'id' must be a string", line=line_no)
-            if not isinstance(scores, list) or any(
-                not isinstance(s, (int, float)) or isinstance(s, bool) for s in scores
+            # json.loads gives a number as exactly int or float, and bool is
+            # a type of its own, so exact types rule out true and false
+            if not isinstance(scores, list) or not {int, float}.issuperset(
+                map(type, scores)
             ):
                 raise ParseError("'scores' must be an array of numbers", line=line_no)
             if not isinstance(label, int) or isinstance(label, bool):
                 raise ParseError("'label' must be an integer 0 or 1", line=line_no)
             if tokens is not None and (
-                not isinstance(tokens, list)
-                or any(not isinstance(t, int) or isinstance(t, bool) for t in tokens)
+                not isinstance(tokens, list) or not {int}.issuperset(map(type, tokens))
             ):
                 raise ParseError("'tokens' must be an array of integers", line=line_no)
             traj = LabeledTrajectory(id=ident, scores=scores, label=label, tokens=tokens)

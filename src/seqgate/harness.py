@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -89,16 +90,13 @@ def derive_seed(master: int, *key) -> int:
     return int(np.random.SeedSequence((master,) + tuple(key)).generate_state(1)[0])
 
 
-def _first_steps(fired, starts) -> list:
-    """First 1-based step at which each trajectory's rule fired, None if it
+def _first_steps(fired, starts) -> np.ndarray:
+    """First 1-based step at which each trajectory's rule fired, 0 if it
     never did; ``fired`` concatenates the per-step flags of all trajectories
     and ``starts`` holds where each one begins."""
     never = fired.size
     first = np.minimum.reduceat(np.where(fired, np.arange(fired.size), never), starts)
-    return [
-        None if f == never else f - s + 1
-        for f, s in zip(first.tolist(), starts.tolist())
-    ]
+    return np.where(first == never, 0, first - starts + 1)
 
 
 class _SplitArtifacts:
@@ -111,13 +109,13 @@ class _SplitArtifacts:
         self.cal = cal
         self.test = test
         self.pac_seed = derive_seed(split_seed, 2)
-        self.t_cal_max = max(len(item) for item in cal)
-        self.labels = [item.label for item in test]
+        self.t_cal_max = max(map(len, cal))
+        self.null = np.array(test.labels()) == 1
 
         # per-step statistic values of every test trajectory, concatenated
         scores = [item.scores for item in test]
         self.starts = offsets(scores)
-        self.raw = np.concatenate(scores)
+        self.raw = np.fromiter(chain.from_iterable(scores), float)
 
         if any(m in _RATIO_METHODS for m in cfg.methods):
             dre, thresh = split_calibration(
@@ -132,7 +130,7 @@ class _SplitArtifacts:
             self.calibrated = apply_isotonic(self.iso_model, self.raw)
 
     def decide(self, method: str, alpha: float, delta: float):
-        """Per-test-trajectory first rejection step (None = accepted)."""
+        """Per-test-trajectory first rejection step (0 = accepted)."""
         if method == "raw":
             rule, process = raw_score_rule(alpha), self.raw
         elif method == "calibrated":
@@ -149,10 +147,14 @@ class _SplitArtifacts:
         return _first_steps(rule.fires(process), self.starts)
 
 
-def _far_power(labels, rejections):
-    nulls = [r is not None for y, r in zip(labels, rejections) if y == 1]
-    alts = [r is not None for y, r in zip(labels, rejections) if y == 0]
-    return sum(nulls) / len(nulls), sum(alts) / len(alts)
+def _far_power(null, rejections):
+    """Rejected shares of the null and the alternative trajectories, each an
+    int over an int, the division of ``sum(flags) / len(flags)``."""
+    rejected = rejections > 0
+    n_null = int(np.count_nonzero(null))
+    n_alt = null.size - n_null
+    far = int(np.count_nonzero(rejected & null)) / n_null
+    return far, int(np.count_nonzero(rejected & ~null)) / n_alt
 
 
 def evaluate_split(data: CalibrationSet, cfg: ExperimentConfig, split_seed: int) -> dict:
@@ -170,7 +172,7 @@ def evaluate_split(data: CalibrationSet, cfg: ExperimentConfig, split_seed: int)
             except InsufficientCalibration:
                 out[(method, alpha)] = (math.nan, math.nan)
                 continue
-            out[(method, alpha)] = _far_power(arts.labels, rejections)
+            out[(method, alpha)] = _far_power(arts.null, rejections)
     return out
 
 
@@ -234,9 +236,13 @@ def token_study(data: CalibrationSet, cfg: ExperimentConfig) -> list:
 
     arts = _SplitArtifacts(data, cfg, derive_seed(cfg.seed, 0))
     tokens = [item.tokens for item in arts.test]
+    # token counts stay Python ints, picked by index from one flat list
+    flat = list(chain.from_iterable(tokens))
+    starts = offsets(tokens)
+    last = starts + np.fromiter(map(len, tokens), int, count=len(tokens)) - 1
     n_test = len(arts.test)
-    full_tokens = sum(tok[-1] for tok in tokens)
-    base_accuracy = sum(arts.labels) / n_test
+    full_tokens = sum(map(flat.__getitem__, last.tolist()))
+    base_accuracy = int(np.count_nonzero(arts.null)) / n_test
 
     points = [
         TokenCurvePoint(
@@ -252,13 +258,9 @@ def token_study(data: CalibrationSet, cfg: ExperimentConfig) -> list:
                 rejections = arts.decide(method, alpha, cfg.delta)
             except InsufficientCalibration:
                 continue
-            used = sum(
-                tok[r - 1] if r is not None else tok[-1]
-                for tok, r in zip(tokens, rejections)
-            )
-            kept = sum(
-                1 for y, r in zip(arts.labels, rejections) if y == 1 and r is None
-            )
+            spent = np.where(rejections > 0, starts + rejections - 1, last)
+            used = sum(map(flat.__getitem__, spent.tolist()))
+            kept = int(np.count_nonzero(arts.null & (rejections == 0)))
             points.append(
                 TokenCurvePoint(
                     method=method,

@@ -212,9 +212,10 @@ def fit_isotonic(xs, ys) -> IsotonicModel:
         raise LengthMismatch(f"{len(xs)} xs vs {len(ys)} ys")
     if len(xs) == 0:
         raise LengthMismatch("need at least one point")
-    order = np.argsort(np.asarray(xs, dtype=float), kind="stable")
-    x_sorted = [float(xs[i]) for i in order]
-    y_sorted = [float(ys[i]) for i in order]
+    x = np.asarray(xs, dtype=float)
+    order = np.argsort(x, kind="stable")
+    x_sorted = x[order].tolist()
+    y_sorted = np.asarray(ys, dtype=float)[order].tolist()
 
     # pool ties in x
     grp_x, grp_y, grp_w = [], [], []

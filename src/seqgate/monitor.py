@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Callable, Optional
+
+import numpy as np
 
 from .errors import InvalidTrajectory, MonitorClosed, SingleClassData
 from .kernels import IsotonicModel, apply_isotonic, fit_isotonic
@@ -58,14 +61,13 @@ def calibrated_score_rule(model: IsotonicModel, alpha: float) -> DecisionRule:
 def pooled_isotonic(cal: CalibrationSet) -> IsotonicModel:
     """Isotonic recalibration map fit on the pooled (score, label) pairs of
     every step of every trajectory."""
-    xs, ys = [], []
-    for item in cal:
-        for s in item.scores:
-            xs.append(s)
-            ys.append(item.label)
-    if len(set(ys)) < 2:
+    scores = [item.scores for item in cal]
+    lengths = np.fromiter(map(len, scores), int, count=len(scores))
+    xs = np.fromiter(chain.from_iterable(scores), float, count=int(lengths.sum()))
+    labels = np.array(cal.labels())
+    if len(set(labels[lengths > 0].tolist())) < 2:
         raise SingleClassData("calibrated rule needs both labels present")
-    return fit_isotonic(xs, ys)
+    return fit_isotonic(xs, np.repeat(labels, lengths))
 
 
 def make_calibrated_rule(cal: CalibrationSet, alpha: float) -> DecisionRule:
@@ -101,8 +103,15 @@ class MonitorState:
         if not math.isfinite(score):
             raise InvalidTrajectory(f"non-finite score {score!r}", field="scores")
         self.observed.append(score)
+        stat = self.rule.value(self.observed)
+        if stat != stat:
+            # a nan statistic never crosses, which would accept in silence
+            self.observed.pop()
+            raise InvalidTrajectory(
+                f"statistic is nan after score {score!r}", field="scores"
+            )
         self.step += 1
-        if self.rule.fires(self.rule.value(self.observed)):
+        if self.rule.fires(stat):
             self.status = Status("rejected", self.step)
         return self.status
 

@@ -21,6 +21,8 @@ one numpy ``exp`` (see ``predict_proba``), ``replay`` with numpy arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -73,12 +75,19 @@ def padded_scores(trajectories, width: int):
 
     Row j is then the j-th score of every trajectory, one contiguous feature
     for a batched predict_proba; the transpose is a fit's feature matrix.
+    The heads are read in one pass and written in one masked assignment to
+    the transpose, whose row-major order is trajectory by trajectory.
     """
-    lengths = np.array([len(s) for s in trajectories], dtype=int)
-    columns = np.zeros((width, lengths.size))
-    for i, scores in enumerate(trajectories):
-        head = scores[:width]
-        columns[: len(head), i] = head
+    n = len(trajectories)
+    lengths = np.fromiter(map(len, trajectories), int, count=n)
+    heads = np.minimum(lengths, width)
+    values = np.fromiter(
+        chain.from_iterable(map(itemgetter(slice(width)), trajectories)),
+        float,
+        count=int(heads.sum()),
+    )
+    columns = np.zeros((width, n))
+    columns.T[np.arange(width) < heads[:, None]] = values
     return columns, lengths
 
 
@@ -124,7 +133,7 @@ def replay(model: RatioModel, trajectories) -> np.ndarray:
     feature is the column of j-th scores, so every value equals eval_ratio on
     that prefix exactly. Past t_max each process repeats its step-t_max value.
     """
-    k = min(max(len(s) for s in trajectories), model.t_max)
+    k = min(max(map(len, trajectories)), model.t_max)
     columns, lengths = padded_scores(trajectories, k)
     if lengths.min() == 0:
         raise EmptyPrefix("cannot evaluate the ratio on an empty prefix")

@@ -33,7 +33,7 @@ class LabeledTrajectory:
 
     def __post_init__(self):
         object.__setattr__(self, "id", str(self.id))
-        object.__setattr__(self, "scores", tuple(float(s) for s in self.scores))
+        object.__setattr__(self, "scores", tuple(map(float, self.scores)))
         if self.tokens is not None:
             object.__setattr__(self, "tokens", tuple(self.tokens))
 
@@ -84,11 +84,11 @@ def validate(raw: LabeledTrajectory, line: Optional[int] = None) -> LabeledTraje
         raise InvalidTrajectory(
             "empty score sequence", trajectory_id=raw.id, field="scores", line=line
         )
-    for s in scores:
-        if not math.isfinite(s):
-            raise InvalidTrajectory(
-                f"non-finite score {s!r}", trajectory_id=raw.id, field="scores", line=line
-            )
+    if not all(map(math.isfinite, scores)):
+        s = next(s for s in scores if not math.isfinite(s))
+        raise InvalidTrajectory(
+            f"non-finite score {s!r}", trajectory_id=raw.id, field="scores", line=line
+        )
     if raw.label not in (0, 1):
         raise InvalidTrajectory(
             f"label must be 0 or 1, got {raw.label!r}",
@@ -118,7 +118,8 @@ def validate(raw: LabeledTrajectory, line: Optional[int] = None) -> LabeledTraje
 
 def offsets(sequences) -> np.ndarray:
     """Start index of each sequence in the concatenation of all of them."""
-    return np.cumsum([0] + [len(s) for s in sequences])[:-1]
+    lengths = np.fromiter(map(len, sequences), int, count=len(sequences))
+    return np.cumsum(lengths) - lengths
 
 
 def _per_label_take(counts: dict, k: int) -> dict:
@@ -153,23 +154,25 @@ def split_calibration(cal: CalibrationSet, cfg: SplitConfig):
     if n == 0:
         raise DegenerateSplit("cannot split an empty calibration set")
     k = int(math.floor(cfg.dre_fraction * n + 0.5))
-    counts = {1: 0, 0: 0}
-    for item in cal:
-        if item.label not in counts:
-            raise InvalidTrajectory(
-                f"label must be 0 or 1, got {item.label!r}",
-                trajectory_id=item.id, field="label",
-            )
-        counts[item.label] += 1
+    labels = cal.labels()
+    counts = {1: labels.count(1), 0: labels.count(0)}
+    if counts[1] + counts[0] != n:
+        item = next(item for item in cal if item.label not in counts)
+        raise InvalidTrajectory(
+            f"label must be 0 or 1, got {item.label!r}",
+            trajectory_id=item.id, field="label",
+        )
     take = _per_label_take(counts, k)
 
     rng = np.random.default_rng(cfg.seed)
-    first_idx = []
-    for label in (1, 0):
-        idx = [i for i, item in enumerate(cal.items) if item.label == label]
+    is_one = np.array(labels) == 1
+    first = np.zeros(n, dtype=bool)
+    for label, members in ((1, is_one), (0, ~is_one)):
+        idx = np.flatnonzero(members)
         order = rng.permutation(len(idx))
-        first_idx.extend(idx[j] for j in order[: take[label]])
-    chosen = set(first_idx)
-    first = [item for i, item in enumerate(cal.items) if i in chosen]
-    second = [item for i, item in enumerate(cal.items) if i not in chosen]
-    return CalibrationSet(first), CalibrationSet(second)
+        first[idx[order[: take[label]]]] = True
+    pick = cal.items.__getitem__
+    return (
+        CalibrationSet(map(pick, np.flatnonzero(first).tolist())),
+        CalibrationSet(map(pick, np.flatnonzero(~first).tolist())),
+    )

@@ -4,8 +4,11 @@ import json
 import pytest
 
 from seqgate.cli import cli_dispatch
-from seqgate.dataio import load_calibration, write_dataset
+from seqgate.dataio import load_calibration, save_calibration, write_dataset
+from seqgate.kernels import FitConfig, LogisticModel
+from seqgate.ratio import RatioModel
 from seqgate.synthetic import SyntheticSpec, sample_dataset
+from seqgate.thresholds import ville_threshold
 from seqgate.trajectories import CalibrationSet, LabeledTrajectory
 
 
@@ -294,6 +297,19 @@ def test_monitor_nonfinite_score_fails_closed(tmp_path, data_file, capsys, bad):
         ]
     )
     stdin = io.StringIO(f"0.7\n{bad}\n0.7\n")
+    code, out = run(["monitor", "--model", str(model_path)], stdin=stdin)
+    assert code == 1
+    assert out.splitlines() == ["CONTINUE"]
+    assert "ERROR INVALID_TRAJECTORY" in capsys.readouterr().err
+
+
+def test_monitor_nan_statistic_fails_closed(tmp_path, capsys):
+    # finite scores whose step-2 logit is 2*1e308 - 2*1e308 = inf - inf = nan
+    steps = (LogisticModel((1.0,), 0.0), LogisticModel((2.0, -2.0), 0.0))
+    model = RatioModel(step_models=steps, prior_1=0.5, t_max=2, fit_config=FitConfig())
+    model_path = tmp_path / "model.json"
+    save_calibration(model_path, model, ville_threshold(0.1))
+    stdin = io.StringIO("1e308\n1e308\n")
     code, out = run(["monitor", "--model", str(model_path)], stdin=stdin)
     assert code == 1
     assert out.splitlines() == ["CONTINUE"]

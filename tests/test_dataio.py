@@ -54,6 +54,10 @@ def test_read_dataset_type_errors():
         '{"id":"a","scores":"x","label":1}',
         '{"id":"a","scores":[0.9],"label":"1"}',
         '{"id":"a","scores":[0.9],"label":1,"tokens":[1.5]}',
+        '{"id":"a","scores":[0.9,true],"label":1}',
+        '{"id":"a","scores":[0.9,"0.5"],"label":1}',
+        '{"id":"a","scores":[0.9,[0.5]],"label":1}',
+        '{"id":"a","scores":[0.9],"label":1,"tokens":[true]}',
     ):
         with pytest.raises(ParseError):
             read_dataset(io.StringIO(line + "\n"))
@@ -67,6 +71,19 @@ def test_read_dataset_invariant_errors_carry_line():
         read_dataset(stream)
     assert err.value.line == 2
     assert err.value.trajectory_id == "bad"
+    # json.loads accepts the NaN and Infinity literals; they are scores of
+    # the right type, so they fail as invalid values, not as parse errors
+    for literal in ("NaN", "Infinity", "-Infinity"):
+        stream = io.StringIO(
+            '{"id":"ok","scores":[0.5],"label":1}\n\n'
+            f'{{"id":"bad","scores":[0.5,{literal}],"label":0}}\n'
+        )
+        with pytest.raises(InvalidTrajectory) as err:
+            read_dataset(stream)
+        assert err.value.line == 3
+        assert err.value.trajectory_id == "bad"
+        assert err.value.field == "scores"
+        assert "non-finite score" in str(err.value)
 
 
 def test_read_dataset_skips_blank_lines():

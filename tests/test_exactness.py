@@ -11,7 +11,7 @@ import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqgate import harness
@@ -20,18 +20,19 @@ from seqgate.errors import InsufficientCalibration
 from seqgate.kernels import (
     FitConfig,
     LogisticModel,
+    fit_isotonic,
     fit_logistic,
     predict_proba,
 )
 from seqgate.monitor import (
     DecisionRule,
     MonitorState,
-    make_calibrated_rule,
+    calibrated_score_rule,
     ratio_rule,
     raw_score_rule,
     run_offline,
 )
-from seqgate.ratio import RatioModel, eval_process, replay
+from seqgate.ratio import RatioModel, eval_process, padded_scores, replay
 from seqgate.thresholds import pac_threshold, ville_threshold
 from seqgate.trajectories import CalibrationSet, LabeledTrajectory, offsets
 
@@ -99,7 +100,14 @@ def test_threshold_at_a_batch_value_rejects_at_that_step(drawn):
         rule = ratio_rule(model, process[step - 1])
         _, offline = run_offline(rule, LabeledTrajectory("x", trajectory, 1))
         batch = _first_steps(rule.fires(replay(model, [trajectory])), offsets([trajectory]))
-        assert offline == step and batch == [step]
+        assert offline == step and batch.tolist() == [step]
+
+
+def pooled_reference(cal):
+    """pooled_isotonic with its inputs gathered score by score."""
+    xs = [s for item in cal for s in item.scores]
+    ys = [item.label for item in cal for _ in item.scores]
+    return fit_isotonic(xs, ys)
 
 
 @EXACT
@@ -114,21 +122,58 @@ def test_harness_first_crossing_equals_run_offline(drawn):
     )
     with mock.patch.object(harness, "fit_ratio_model", lambda dre, fit_config: model):
         arts = _SplitArtifacts(data, cfg, split_seed=3)
+        cells = harness.evaluate_split(data, cfg, split_seed=3)
+    assert arts.iso_model == pooled_reference(arts.cal)
     for alpha in cfg.alpha_grid:
         rules = {
             "evaluator_ville": ratio_rule(model, ville_threshold(alpha).value),
             "bonferroni": ratio_rule(model, arts.t_cal_max / alpha),
             "raw": raw_score_rule(alpha),
-            "calibrated": make_calibrated_rule(arts.cal, alpha),
+            "calibrated": calibrated_score_rule(pooled_reference(arts.cal), alpha),
         }
         try:
             pac = pac_threshold(arts.null_maxima, alpha, cfg.delta, arts.pac_seed)
             rules["evaluator_pac"] = ratio_rule(model, pac.value)
         except InsufficientCalibration:
-            pass
+            far, power = cells[("evaluator_pac", alpha)]
+            assert math.isnan(far) and math.isnan(power)
         for method, rule in rules.items():
             expected = [run_offline(rule, item)[1] for item in arts.test]
-            assert arts.decide(method, alpha, cfg.delta) == expected, method
+            # the harness writes a trajectory that is never rejected as 0
+            steps = arts.decide(method, alpha, cfg.delta)
+            assert steps.tolist() == [r or 0 for r in expected], method
+            flags = {1: [], 0: []}
+            for r, item in zip(expected, arts.test):
+                flags[item.label].append(r is not None)
+            far = sum(flags[1]) / len(flags[1])
+            power = sum(flags[0]) / len(flags[0])
+            assert cells[(method, alpha)] == (far, power), method
+
+
+def padded_reference(trajectories, width):
+    """padded_scores built column by column, one trajectory at a time."""
+    columns = np.zeros((width, len(trajectories)))
+    for i, trajectory in enumerate(trajectories):
+        head = trajectory[:width]
+        columns[: len(head), i] = head
+    return columns, np.array([len(t) for t in trajectories], dtype=int)
+
+
+@EXACT
+@given(
+    st.lists(st.lists(st.floats(allow_nan=False), max_size=12), max_size=10),
+    st.integers(1, 8),
+)
+@example([[0.5, -0.0, 2.0], [], [1.0]], 1)
+@example([[1.0, 2.0, 3.0, 4.0], [5.0], [6.0, 7.0]], 2)
+def test_padded_scores_equals_per_column_reference(trajectories, width):
+    # ragged lengths, empty trajectories, lengths above width and width 1
+    columns, lengths = padded_scores([tuple(t) for t in trajectories], width)
+    expected_columns, expected_lengths = padded_reference(trajectories, width)
+    assert columns.shape == (width, len(trajectories))
+    assert columns.flags.c_contiguous
+    assert columns.tobytes() == expected_columns.tobytes()
+    assert lengths.tolist() == expected_lengths.tolist()
 
 
 def same(a, b):

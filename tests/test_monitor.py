@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqgate.errors import MonitorClosed, SingleClassData
+from seqgate.errors import InvalidTrajectory, MonitorClosed, SingleClassData
 from seqgate.kernels import FitConfig, IsotonicModel, LogisticModel
 from seqgate.monitor import (
     DecisionRule,
@@ -67,6 +67,23 @@ def test_observe_after_terminal_raises():
     state.finalize()
     with pytest.raises(MonitorClosed):
         state.observe(0.9)
+
+
+def overflow_model():
+    """Two steps whose step-2 logit is 2*1e308 - 2*1e308 = inf - inf = nan
+    for the finite scores (1e308, 1e308)."""
+    steps = (LogisticModel((1.0,), 0.0), LogisticModel((2.0, -2.0), 0.0))
+    return RatioModel(step_models=steps, prior_1=0.5, t_max=2, fit_config=FitConfig())
+
+
+def test_nan_statistic_fails_closed():
+    state = MonitorState(ratio_rule(overflow_model(), threshold=10.0))
+    assert state.observe(1e308).decision == "active"
+    with pytest.raises(InvalidTrajectory):
+        state.observe(1e308)
+    # the failed step is not recorded, and the stream is not accepted
+    assert state.step == 1 and state.observed == [1e308]
+    assert state.status.decision == "active"
 
 
 def test_finalize():

@@ -6,6 +6,7 @@ from seqgate.trajectories import (
     CalibrationSet,
     LabeledTrajectory,
     SplitConfig,
+    _per_label_take,
     split_calibration,
     validate,
 )
@@ -108,6 +109,22 @@ def test_split_degenerate_empty():
         split_calibration(CalibrationSet([]), SplitConfig(0.5, seed=0))
 
 
+def reference_split(cal, cfg):
+    """split_calibration written item by item: the same permutation calls in
+    the same order, each side in input order."""
+    k = int(np.floor(cfg.dre_fraction * len(cal) + 0.5))
+    take = _per_label_take({y: cal.labels().count(y) for y in (1, 0)}, k)
+    rng = np.random.default_rng(cfg.seed)
+    chosen = set()
+    for label in (1, 0):
+        idx = [i for i, item in enumerate(cal.items) if item.label == label]
+        order = rng.permutation(len(idx))
+        chosen.update(idx[j] for j in order[: take[label]])
+    first = [item for i, item in enumerate(cal.items) if i in chosen]
+    second = [item for i, item in enumerate(cal.items) if i not in chosen]
+    return CalibrationSet(first), CalibrationSet(second)
+
+
 def test_split_partition_property_random():
     rng = np.random.default_rng(0)
     for trial in range(50):
@@ -129,6 +146,7 @@ def test_split_partition_property_random():
         assert {i.id for i in first}.isdisjoint({i.id for i in second})
         for side in (first, second):
             assert {item.label for item in side} == {0, 1}
+        assert (first, second) == reference_split(cal, SplitConfig(frac, seed=trial))
 
 
 def test_split_config_validates_fraction():
