@@ -14,20 +14,14 @@ import json
 import sys
 from pathlib import Path
 
-from . import dataio, harness, synthetic
-from .errors import InsufficientCalibration, SeqgateError
-from .harness import ExperimentConfig, derive_seed
-from .monitor import MonitorState, ratio_rule
-from .thresholds import (
-    DEFAULT_DELTA,
-    THRESHOLD_KINDS,
-    bonferroni_threshold,
-    null_maxima,
-    pac_threshold,
-    ville_threshold,
-)
+from . import dataio
+from .errors import InsufficientCalibration, ParseError, SeqgateError
+from .monitor import KNOWN_METHODS, MonitorState, ratio_rule
+from .thresholds import DEFAULT_DELTA, THRESHOLD_KINDS
 from .trajectories import DEFAULT_DRE_FRACTION, SplitConfig, split_calibration
-from .ratio import fit_ratio_model
+
+# The harness, the generator, the fit and the threshold builders are imported
+# by the subcommands that run them: `monitor` loads only what it runs.
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -94,13 +88,15 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dre-fraction", type=float, default=DEFAULT_DRE_FRACTION)
     p.add_argument(
         "--methods",
-        default=",".join(harness.KNOWN_METHODS),
-        help="comma-separated subset of " + ",".join(harness.KNOWN_METHODS),
+        default=",".join(KNOWN_METHODS),
+        help="comma-separated subset of " + ",".join(KNOWN_METHODS),
     )
     p.add_argument("--seed", type=int, default=0)
 
 
-def _experiment_config(args, n_splits: int) -> ExperimentConfig:
+def _experiment_config(args, n_splits: int):
+    from .harness import ExperimentConfig
+
     return ExperimentConfig(
         alpha_grid=tuple(_float_list(args.alphas)),
         n_splits=n_splits,
@@ -113,6 +109,11 @@ def _experiment_config(args, n_splits: int) -> ExperimentConfig:
 
 
 def _cmd_calibrate(args) -> int:
+    from .harness import derive_seed
+    from .ratio import fit_ratio_model
+    from .thresholds import bonferroni_threshold, null_maxima
+    from .thresholds import pac_threshold, ville_threshold
+
     data = dataio.read_dataset(args.data)
     dre, thresh_set = split_calibration(
         data, SplitConfig(args.dre_fraction, args.seed)
@@ -166,6 +167,8 @@ def _cmd_monitor(args, stdin, stdout) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from . import harness
+
     data = dataio.read_dataset(args.data)
     cfg = _experiment_config(args, args.splits)
     points = harness.run_experiment(data, cfg)
@@ -176,6 +179,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_tokens(args) -> int:
+    from . import harness
+
     data = dataio.read_dataset(args.data)
     cfg = _experiment_config(args, 1)
     points = harness.token_study(data, cfg)
@@ -186,6 +191,8 @@ def _cmd_tokens(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    from . import harness
+
     data = dataio.read_dataset(args.data)
     cfg = _experiment_config(args, args.splits)
     fractions = _float_list(args.fractions)
@@ -209,7 +216,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _load_synth_spec(text):
-    from .errors import ParseError
+    from . import synthetic
 
     if text is None:
         return synthetic.SyntheticSpec()
@@ -231,8 +238,10 @@ def _load_synth_spec(text):
 def _cmd_synth(args, parser) -> int:
     if args.n < 1:
         parser.error("--n must be a positive integer")
+    from .synthetic import sample_dataset
+
     spec = _load_synth_spec(args.spec)
-    data = synthetic.sample_dataset(spec, args.n, args.seed)
+    data = sample_dataset(spec, args.n, args.seed)
     dataio.write_dataset(data, args.out)
     print(f"wrote {len(data)} trajectories -> {args.out}")
     return EXIT_OK

@@ -5,7 +5,6 @@ decision threshold.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -175,6 +174,8 @@ def chess_to_dataset(games) -> CalibrationSet:
 
 
 def data_digest(path) -> str:
+    import hashlib
+
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

@@ -18,12 +18,12 @@ import numpy as np
 
 from .errors import DegenerateSplit, InsufficientCalibration, MissingTokens, OutOfRange
 from .kernels import FitConfig, apply_isotonic
-from .monitor import calibrated_score_rule, pooled_isotonic, ratio_rule, raw_score_rule
+from .monitor import KNOWN_METHODS, calibrated_score_rule, pooled_isotonic
+from .monitor import ratio_rule, raw_score_rule
 from .ratio import fit_ratio_model, replay
 from .thresholds import null_maxima, pac_threshold, ville_threshold
 from .trajectories import CalibrationSet, SplitConfig, offsets, split_calibration
 
-KNOWN_METHODS = ("evaluator_pac", "evaluator_ville", "bonferroni", "raw", "calibrated")
 _RATIO_METHODS = {"evaluator_pac", "evaluator_ville", "bonferroni"}
 NEVER_TERMINATE = "never_terminate"
 

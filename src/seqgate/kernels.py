@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,9 +50,12 @@ class FitConfig:
             raise OutOfRange(f"max_iters must be >= 1, got {self.max_iters}")
         if self.tolerance <= 0:
             raise OutOfRange(f"tolerance must be > 0, got {self.tolerance}")
-        if not (0.0 < self.prob_clamp < 0.5):
+        # the ratio takes math.exp of logits up to log((1 - c)/c), which
+        # raises OverflowError unless (1 - c)/c is a finite float
+        if not (sys.float_info.min <= self.prob_clamp < 0.5):
             raise OutOfRange(
-                f"prob_clamp must lie in (0, 0.5), got {self.prob_clamp}"
+                f"prob_clamp must lie in [{sys.float_info.min!r}, 0.5), "
+                f"got {self.prob_clamp}"
             )
 
 
@@ -80,18 +84,6 @@ def logistic_objective(theta, Z, y, l2_lambda):
     z = Z @ theta
     nll = float(np.sum(np.logaddexp(0.0, z) - y * z))
     return nll + l2_lambda * float(np.dot(theta[:-1], theta[:-1]))
-
-
-def _gradient_from_mu(theta, Z, y, l2_lambda, mu):
-    # mu is sigmoid(Z @ theta), which fit_logistic also needs for the Hessian
-    grad = Z.T @ (mu - y)
-    grad[:-1] += 2.0 * l2_lambda * theta[:-1]
-    return grad
-
-
-def logistic_gradient(theta, Z, y, l2_lambda):
-    """Gradient of logistic_objective."""
-    return _gradient_from_mu(theta, Z, y, l2_lambda, _sigmoid(Z @ theta))
 
 
 def _design_matrix(features):
@@ -141,7 +133,8 @@ def fit_logistic(features, labels, cfg: FitConfig = FitConfig()) -> LogisticMode
 
     for _ in range(cfg.max_iters):
         mu = _sigmoid(Z @ theta)
-        grad = _gradient_from_mu(theta, Z, y, cfg.l2_lambda, mu)
+        grad = Z.T @ (mu - y)
+        grad[:-1] += 2.0 * cfg.l2_lambda * theta[:-1]
         if float(np.max(np.abs(grad))) <= cfg.tolerance:
             break
         w = np.maximum(mu * (1.0 - mu), 1e-12)
@@ -177,13 +170,6 @@ def predict_proba(
     array element. The dot product is summed left to right and then the
     intercept is added, so a batch element equals the single-input result
     bit for bit.
-
-    One input, whose logit is a float, is mapped in plain float arithmetic
-    and gives a float: each operation is the IEEE double operation the
-    batch path applies elementwise, without the cost of numpy calls on a
-    single value. Only ``exp`` stays numpy's, because numpy's (SIMD) exp
-    need not match ``math.exp`` in the last bit and both paths must use
-    the same one.
     """
     if len(x) != len(model.weights):
         raise DimensionMismatch(
@@ -193,12 +179,6 @@ def predict_proba(
     for w, v in zip(model.weights, x):
         z = z + w * v
     z = z + model.intercept
-    if isinstance(z, float):
-        # _sigmoid and np.clip on one value; max before min keeps a nan
-        # logit nan, as np.clip does
-        e = float(np.exp(-abs(z)))
-        p = 1.0 / (1.0 + e) if z >= 0 else e / (1.0 + e)
-        return min(max(p, prob_clamp), 1.0 - prob_clamp)
     return np.clip(_sigmoid(z), prob_clamp, 1.0 - prob_clamp)
 
 

@@ -44,6 +44,11 @@ class DecisionRule:
         return stat >= self.threshold
 
 
+# The rules the experiment harness compares: the ratio statistic under the
+# PAC, Ville and Bonferroni thresholds, and the raw and calibrated scores.
+KNOWN_METHODS = ("evaluator_pac", "evaluator_ville", "bonferroni", "raw", "calibrated")
+
+
 def ratio_rule(model: RatioModel, threshold: float) -> DecisionRule:
     return DecisionRule(lambda prefix: eval_ratio(model, prefix), threshold)
 
@@ -68,10 +73,6 @@ def pooled_isotonic(cal: CalibrationSet) -> IsotonicModel:
     if len(set(labels[lengths > 0].tolist())) < 2:
         raise SingleClassData("calibrated rule needs both labels present")
     return fit_isotonic(xs, np.repeat(labels, lengths))
-
-
-def make_calibrated_rule(cal: CalibrationSet, alpha: float) -> DecisionRule:
-    return calibrated_score_rule(pooled_isotonic(cal), alpha)
 
 
 @dataclass(frozen=True)

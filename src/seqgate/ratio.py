@@ -10,24 +10,30 @@ matrix (``padded_scores``): column i holds the first scores of trajectory i,
 zero past its end, beside a vector of lengths. Step t is fit on the first t
 rows of the columns of trajectories at least t long.
 
+The plug-in ratio (1 - f)/f * prior_1/(1 - prior_1) with f = sigmoid(z) is
+odds * exp(-z), and clamping f to [c, 1 - c] is clamping the logit z to
+[-L, L] with L = log((1 - c)/c); both constants are computed once per model.
+
 Two entry points share one arithmetic. ``eval_ratio`` evaluates one prefix,
 for the streaming monitor; ``replay`` evaluates whole processes of many
 trajectories, for thresholds and the experiment harness. Both sum the logit
-left to right and map it to the ratio with the same IEEE operations, so they
-return bit-identical values: ``eval_ratio`` in plain float arithmetic with
-one numpy ``exp`` (see ``predict_proba``), ``replay`` with numpy arrays.
+left to right, clamp it and take ``math.exp`` of its negation, so they return
+bit-identical values on any platform: ``eval_ratio`` in plain float
+arithmetic, ``replay`` with numpy arrays for the sums and the clamp.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
 import numpy as np
 
-from .errors import EmptyPrefix, NoOverlap, SingleClassData
-from .kernels import FitConfig, fit_logistic, predict_proba
+from .errors import EmptyPrefix, InvalidTrajectory, NoOverlap, SingleClassData
+from .kernels import FitConfig, fit_logistic
 from .trajectories import CalibrationSet
 
 
@@ -47,6 +53,18 @@ class RatioModel:
             )
         if not (0.0 < self.prior_1 < 1.0):
             raise ValueError(f"prior_1 must lie strictly in (0, 1), got {self.prior_1}")
+
+    # cached beside the fields: asdict, == and the artifact bytes ignore them
+    @cached_property
+    def prior_odds(self) -> float:
+        """prior_1 / (1 - prior_1), the factor every ratio value carries."""
+        return self.prior_1 / (1.0 - self.prior_1)
+
+    @cached_property
+    def logit_bound(self) -> float:
+        """L = log((1 - c)/c): f = sigmoid(z) in [c, 1 - c] is z in [-L, L]."""
+        c = self.fit_config.prob_clamp
+        return math.log((1.0 - c) / c)
 
 
 def estimate_prior(dre: CalibrationSet) -> float:
@@ -106,11 +124,6 @@ def fit_ratio_model(dre: CalibrationSet, cfg: FitConfig = FitConfig()) -> RatioM
     )
 
 
-def _plug_in(model: RatioModel, f):
-    """((1-f)/f) * (prior_1/(1-prior_1)), elementwise on a float or an array."""
-    return (1.0 - f) / f * (model.prior_1 / (1.0 - model.prior_1))
-
-
 def eval_ratio(model: RatioModel, prefix) -> float:
     """Plug-in density ratio at the end of one prefix of scores.
 
@@ -120,32 +133,55 @@ def eval_ratio(model: RatioModel, prefix) -> float:
     t = len(prefix)
     if t == 0:
         raise EmptyPrefix("cannot evaluate the ratio on an empty prefix")
-    if t > model.t_max:
-        t, prefix = model.t_max, prefix[: model.t_max]
-    f = predict_proba(model.step_models[t - 1], prefix, model.fit_config.prob_clamp)
-    return float(_plug_in(model, f))
+    step = model.step_models[min(t, model.t_max) - 1]
+    z = 0.0
+    for w, v in zip(step.weights, prefix):
+        z = z + w * v
+    z = z + step.intercept
+    # two comparisons, as np.clip: a nan logit stays nan
+    bound = model.logit_bound
+    if z > bound:
+        z = bound
+    elif z < -bound:
+        z = -bound
+    return model.prior_odds * math.exp(-z)
 
 
 def replay(model: RatioModel, trajectories) -> np.ndarray:
     """Ratio process of every trajectory, concatenated in input order.
 
-    Step t of all trajectories is one batched predict_proba call whose j-th
-    feature is the column of j-th scores, so every value equals eval_ratio on
-    that prefix exactly. Past t_max each process repeats its step-t_max value.
+    Step t sums the logits of every trajectory at least t long at once, the
+    j-th term from the row of j-th scores, so every value equals eval_ratio
+    on that prefix exactly. Columns are padded longest first, so the ones
+    still running at step t are a leading slice. Past t_max each process
+    repeats its step-t_max value. A nan value, which never crosses a
+    threshold and so would accept in silence, raises InvalidTrajectory.
     """
-    k = min(max(map(len, trajectories)), model.t_max)
-    columns, lengths = padded_scores(trajectories, k)
+    lengths = np.fromiter(map(len, trajectories), int, count=len(trajectories))
     if lengths.min() == 0:
         raise EmptyPrefix("cannot evaluate the ratio on an empty prefix")
     longest = int(lengths.max())
+    k = min(longest, model.t_max)
+    order = np.argsort(-lengths, kind="stable")
+    columns, _ = padded_scores([trajectories[i] for i in order.tolist()], k)
+    running = lengths.size - np.searchsorted(np.sort(lengths), np.arange(1, k + 1))
+    bound, odds = model.logit_bound, model.prior_odds
     values = np.empty((lengths.size, longest))
-    for t in range(1, k + 1):
-        f = predict_proba(
-            model.step_models[t - 1], columns[:t], model.fit_config.prob_clamp
-        )
-        values[:, t - 1] = _plug_in(model, f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, live in enumerate(running.tolist(), start=1):
+            step = model.step_models[t - 1]
+            z = 0.0
+            for w, v in zip(step.weights, columns[:t, :live]):
+                z = z + w * v
+            z = -np.clip(z + step.intercept, -bound, bound)
+            values[order[:live], t - 1] = odds * np.fromiter(
+                map(math.exp, z.tolist()), float, count=live
+            )
     values[:, k:] = values[:, k - 1 : k]
-    return values[np.arange(longest) < lengths[:, None]]
+    out = values[np.arange(longest) < lengths[:, None]]
+    if np.isnan(out).any():
+        raise InvalidTrajectory("ratio statistic is nan", field="scores")
+    return out
 
 
 def eval_process(model: RatioModel, scores) -> list:

@@ -77,3 +77,13 @@ def central_diff_gradient(fn, x, h=1e-6):
         hi[i] = h
         grad[i] = (fn(x + hi) - fn(x - hi)) / (2 * h)
     return grad
+
+
+def logistic_gradient(theta, Z, y, l2_lambda):
+    """Gradient of kernels.logistic_objective: Z^T (sigmoid(Z theta) - y),
+    plus 2 * l2_lambda * theta on the weights; the intercept, last, is free.
+    The sigmoid is exp(-log(1 + exp(-z))), which never overflows."""
+    mu = np.exp(-np.logaddexp(0.0, -(Z @ theta)))
+    grad = Z.T @ (mu - y)
+    grad[:-1] += 2.0 * l2_lambda * theta[:-1]
+    return grad

@@ -19,6 +19,7 @@ from oracles import (
     central_diff_gradient,
     exact_binomial_tails,
     isotonic_bruteforce,
+    logistic_gradient,
     pac_index_oracle,
 )
 
@@ -30,12 +31,12 @@ from seqgate.kernels import (
     binomial_sf,
     fit_isotonic,
     apply_isotonic,
-    logistic_gradient,
     logistic_objective,
 )
 from seqgate.monitor import (
     MonitorState,
-    make_calibrated_rule,
+    calibrated_score_rule,
+    pooled_isotonic,
     ratio_rule,
     raw_score_rule,
     run_offline,
@@ -271,7 +272,7 @@ def test_criterion_10_determinism_and_replay(tmp_path):
         rules = [
             ratio_rule(model, 10.0),
             raw_score_rule(0.3),
-            make_calibrated_rule(cal, 0.3),
+            calibrated_score_rule(pooled_isotonic(cal), 0.3),
         ]
         mismatches = 0
         for rule in rules:

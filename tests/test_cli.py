@@ -1,8 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import seqgate
+from seqgate import harness, ratio
 from seqgate.cli import cli_dispatch
 from seqgate.dataio import load_calibration, save_calibration, write_dataset
 from seqgate.kernels import FitConfig, LogisticModel
@@ -316,6 +323,80 @@ def test_monitor_nan_statistic_fails_closed(tmp_path, capsys):
     assert "ERROR INVALID_TRAJECTORY" in capsys.readouterr().err
 
 
+def overflow_model():
+    steps = (LogisticModel((1.0,), 0.0), LogisticModel((2.0, -2.0), 0.0))
+    return RatioModel(step_models=steps, prior_1=0.5, t_max=2, fit_config=FitConfig())
+
+
+NAN_STATISTIC_RUNS = {
+    "evaluate": ["evaluate", "--alphas", "0.3", "--splits", "2"],
+    "ablate": ["ablate", "--alphas", "0.3", "--fractions", "0.5", "--splits", "2"],
+    "calibrate pac": ["calibrate", "--alpha", "0.5", "--threshold", "pac"],
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", sorted(NAN_STATISTIC_RUNS))
+def test_batch_nan_statistic_fails_closed(tmp_path, capsys, command):
+    # every trajectory's step-2 logit is inf - inf under the patched fit: the
+    # batch paths stop with the monitor's error line and no numpy warning
+    data = CalibrationSet(
+        [LabeledTrajectory(f"x{i}", [1e308, 1e308], i % 2) for i in range(80)]
+    )
+    path = tmp_path / "data.jsonl"
+    write_dataset(data, path)
+    argv = NAN_STATISTIC_RUNS[command] + [
+        "--data", str(path), "--out", str(tmp_path / "out"),
+    ]
+    fit = lambda *args, **kwargs: overflow_model()  # noqa: E731
+    with mock.patch.object(harness, "fit_ratio_model", fit), mock.patch.object(
+        ratio, "fit_ratio_model", fit
+    ):
+        code = cli_dispatch(argv)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR INVALID_TRAJECTORY"), err
+
+
+def test_monitor_imports_neither_harness_nor_generator(tmp_path, data_file):
+    model_path = tmp_path / "model.json"
+    cli_dispatch(
+        [
+            "calibrate", "--data", str(data_file), "--alpha", "0.5",
+            "--threshold", "ville", "--out", str(model_path),
+        ]
+    )
+    script = (
+        "import io, sys\n"
+        "from seqgate.cli import cli_dispatch\n"
+        "code = cli_dispatch(['monitor', '--model', sys.argv[1]],\n"
+        "                    stdin=io.StringIO('0.7\\n0.2\\n'), stdout=io.StringIO())\n"
+        "print(code, [m for m in ('seqgate.harness', 'seqgate.synthetic')\n"
+        "             if m in sys.modules])\n"
+    )
+    src = str(Path(seqgate.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(model_path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    code, loaded = done.stdout.split(" ", 1)
+    assert code in ("0", "3") and loaded.strip() == "[]", done.stdout
+
+
+def test_every_export_resolves():
+    # the package exports lazily: each name comes from its module on access
+    for name in seqgate.__all__:
+        namespace = {}
+        exec(f"from seqgate import {name}", namespace)
+        assert namespace[name] is getattr(seqgate, name)
+    assert "make_calibrated_rule" not in seqgate.__all__
+    with pytest.raises(AttributeError):
+        seqgate.no_such_name
+
+
 @pytest.fixture(scope="module")
 def artifact_payload(tmp_path_factory):
     d = tmp_path_factory.mktemp("artifact")
@@ -352,6 +433,9 @@ ARTIFACT_FAULTS = {
         l2_lambda=float("-inf")
     ),
     "unknown threshold kind": lambda a: a["threshold"].update(kind="bogus"),
+    "subnormal prob_clamp": lambda a: a["ratio_model"]["fit_config"].update(
+        prob_clamp=1e-320
+    ),
     "bogus kind with alpha 7": lambda a: a["threshold"].update(kind="bogus", alpha=7),
 }
 

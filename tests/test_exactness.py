@@ -11,12 +11,13 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqgate import harness
 from seqgate.harness import ExperimentConfig, _first_steps, _SplitArtifacts
-from seqgate.errors import InsufficientCalibration
+from seqgate.errors import InsufficientCalibration, InvalidTrajectory
 from seqgate.kernels import (
     FitConfig,
     LogisticModel,
@@ -103,6 +104,61 @@ def test_threshold_at_a_batch_value_rejects_at_that_step(drawn):
         assert offline == step and batch.tolist() == [step]
 
 
+def last_score_model(t_max, scale, prob_clamp=1e-6):
+    """Step t's logit is scale * (t-th score): earlier terms are 0 * score."""
+    steps = tuple(
+        LogisticModel((0.0,) * (t - 1) + (scale,), 0.0) for t in range(1, t_max + 1)
+    )
+    return RatioModel(
+        step_models=steps,
+        prior_1=0.3,
+        t_max=t_max,
+        fit_config=FitConfig(prob_clamp=prob_clamp),
+    )
+
+
+def test_streaming_equals_batch_at_the_logit_clamp():
+    # logits exactly +-L, one ulp inside and outside it, and +-inf, in ragged
+    # trajectories given shortest first, so that the longest-first order of
+    # replay's running slice differs from the input order
+    for prob_clamp in (1e-6, 0.2):
+        unit = last_score_model(3, 1.0, prob_clamp)
+        bound = unit.logit_bound
+        inside, outside = math.nextafter(bound, 0.0), math.nextafter(bound, math.inf)
+        clamped = [
+            [bound],
+            [-outside, outside],
+            [inside, -bound, -inside],
+            [0.0, bound, -bound, inside, outside],
+        ]
+        huge = last_score_model(3, 1e308, prob_clamp)
+        infinite = [[10.0], [-10.0, 10.0, 1.0], [1.0, 1.0, -10.0, 10.0]]
+        for model, trajectories in ((unit, clamped), (huge, infinite)):
+            streamed = [streamed_values(model, t) for t in trajectories]
+            assert replay(model, trajectories).tolist() == sum(streamed, [])
+        top = unit.prior_odds * math.exp(bound)
+        bottom = unit.prior_odds * math.exp(-bound)
+        assert streamed_values(unit, [-bound, -outside, bound, outside]) == [
+            top, top, bottom, bottom
+        ]
+        assert streamed_values(huge, [-10.0, 10.0]) == [top, bottom]
+
+
+def test_nan_statistic_fails_closed_on_both_paths():
+    # step 2's logit on 1e308, 1e308 is 2e308 - 2e308 = inf - inf = nan
+    steps = (LogisticModel((1.0,), 0.0), LogisticModel((2.0, -2.0), 0.0))
+    model = RatioModel(step_models=steps, prior_1=0.5, t_max=2, fit_config=FitConfig())
+    for trajectories in ([[1e308, 1e308]], [[0.5], [0.5, 0.5, 0.5], [1e308, 1e308, 0.5]]):
+        for trajectory in trajectories[:-1]:
+            assert streamed_values(model, trajectory) == eval_process(model, trajectory)
+        state = MonitorState(ratio_rule(model, math.inf))
+        assert state.observe(1e308).decision == "active"
+        with pytest.raises(InvalidTrajectory):
+            state.observe(1e308)
+        with pytest.raises(InvalidTrajectory):
+            replay(model, trajectories)
+
+
 def pooled_reference(cal):
     """pooled_isotonic with its inputs gathered score by score."""
     xs = [s for item in cal for s in item.scores]
@@ -181,13 +237,12 @@ def same(a, b):
 
 
 def assert_single_inputs_equal_batch(model, inputs, prob_clamp):
-    """predict_proba on each input of floats is a float equal to its element
-    of predict_proba on the whole batch, one array per feature."""
+    """predict_proba on each input of floats equals its element of
+    predict_proba on the whole batch, one array per feature."""
     columns = [np.array(column) for column in zip(*inputs)]
     batch = predict_proba(model, columns, prob_clamp)
     for x, expected in zip(inputs, batch.tolist()):
-        one = predict_proba(model, x, prob_clamp)
-        assert type(one) is float
+        one = float(predict_proba(model, x, prob_clamp))
         assert same(one, expected), (x, one, expected)
 
 

@@ -78,7 +78,7 @@ def test_always_rejecting_method_scores_one():
 
 def test_evaluate_split_matches_run_offline(synth_data):
     # the harness fast path must agree with literal rule replay
-    from seqgate.monitor import make_calibrated_rule, ratio_rule
+    from seqgate.monitor import calibrated_score_rule, pooled_isotonic, ratio_rule
     from seqgate.thresholds import ville_threshold
     from seqgate.trajectories import SplitConfig, split_calibration
 
@@ -104,7 +104,7 @@ def test_evaluate_split_matches_run_offline(synth_data):
     rules = {
         "evaluator_ville": ratio_rule(model, ville_threshold(0.3).value),
         "raw": raw_score_rule(0.3),
-        "calibrated": make_calibrated_rule(cal, 0.3),
+        "calibrated": calibrated_score_rule(pooled_isotonic(cal), 0.3),
     }
     for method, rule in rules.items():
         nulls = [item for item in test if item.label == 1]

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize
 
-from oracles import central_diff_gradient, exact_binomial_sf, isotonic_bruteforce
+from oracles import (
+    central_diff_gradient,
+    exact_binomial_sf,
+    isotonic_bruteforce,
+    logistic_gradient,
+)
 from fractions import Fraction
 
 from seqgate import kernels
@@ -24,7 +29,6 @@ from seqgate.kernels import (
     binomial_sf,
     fit_isotonic,
     fit_logistic,
-    logistic_gradient,
     logistic_objective,
     predict_proba,
 )
@@ -157,10 +161,11 @@ def newton_without_fixed_point_stop(features, labels, cfg):
     obj = kernels.logistic_objective(theta, Z, y, cfg.l2_lambda)
     accepted = 0
     for _ in range(cfg.max_iters):
-        grad = logistic_gradient(theta, Z, y, cfg.l2_lambda)
+        mu = kernels._sigmoid(Z @ theta)
+        grad = Z.T @ (mu - y)
+        grad[:-1] += 2.0 * cfg.l2_lambda * theta[:-1]
         if float(np.max(np.abs(grad))) <= cfg.tolerance:
             break
-        mu = kernels._sigmoid(Z @ theta)
         w = np.maximum(mu * (1.0 - mu), 1e-12)
         hess = Z.T @ (w[:, None] * Z)
         hess[np.arange(d), np.arange(d)] += 2.0 * cfg.l2_lambda

@@ -9,7 +9,7 @@ from seqgate.monitor import (
     DecisionRule,
     MonitorState,
     calibrated_score_rule,
-    make_calibrated_rule,
+    pooled_isotonic,
     ratio_rule,
     raw_score_rule,
     run_offline,
@@ -164,7 +164,7 @@ def test_make_calibrated_rule_separated_scores():
         LabeledTrajectory(id=f"a{i}", scores=[0.1, 0.12], label=0) for i in range(10)
     ]
     cal = CalibrationSet(items)
-    rule = make_calibrated_rule(cal, alpha=0.2)
+    rule = calibrated_score_rule(pooled_isotonic(cal), 0.2)
     assert rule.value([0.1]) == pytest.approx(0.0, abs=1e-12)
     assert rule.value([0.9]) == pytest.approx(1.0, abs=1e-12)
     for item in items:
@@ -178,7 +178,7 @@ def test_make_calibrated_rule_alpha_zero_never_rejects():
         LabeledTrajectory(id="n", scores=[0.9], label=1),
         LabeledTrajectory(id="a", scores=[0.1], label=0),
     ]
-    rule = make_calibrated_rule(CalibrationSet(items), alpha=0.0)
+    rule = calibrated_score_rule(pooled_isotonic(CalibrationSet(items)), 0.0)
     for item in items:
         status, _ = run_offline(rule, item)
         assert status.decision == "accepted"
@@ -188,7 +188,7 @@ def test_make_calibrated_rule_constant_scores_hit_base_rate():
     items = [
         LabeledTrajectory(id=f"x{i}", scores=[0.5, 0.5], label=i % 2) for i in range(8)
     ]
-    rule = make_calibrated_rule(CalibrationSet(items), alpha=0.1)
+    rule = calibrated_score_rule(pooled_isotonic(CalibrationSet(items)), 0.1)
     assert rule.value([0.02]) == pytest.approx(0.5)
     assert rule.value([0.97]) == pytest.approx(0.5)
 
@@ -196,7 +196,7 @@ def test_make_calibrated_rule_constant_scores_hit_base_rate():
 def test_make_calibrated_rule_single_class():
     items = [LabeledTrajectory(id="n", scores=[0.9], label=1)]
     with pytest.raises(SingleClassData):
-        make_calibrated_rule(CalibrationSet(items), alpha=0.1)
+        calibrated_score_rule(pooled_isotonic(CalibrationSet(items)), 0.1)
 
 
 def test_single_shot_rejection():
@@ -249,7 +249,7 @@ def test_alpha_monotonicity_of_decisions():
         "ville": lambda a: ratio_rule(model, ville_threshold(a).value),
         "pac": lambda a: ratio_rule(model, pac_threshold(maxima, a, 0.05, 9).value),
         "raw": lambda a: raw_score_rule(a),
-        "calibrated": lambda a: make_calibrated_rule(cal, a),
+        "calibrated": lambda a: calibrated_score_rule(pooled_isotonic(cal), a),
     }
     for name, build in families.items():
         sets = [rejected_ids(build(a)) for a in alphas]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from seqgate.errors import EmptyPrefix, NoOverlap, SingleClassData
+from seqgate.errors import EmptyPrefix, InvalidTrajectory, NoOverlap, SingleClassData
 from seqgate.kernels import FitConfig, LogisticModel, fit_logistic, predict_proba
 from seqgate.ratio import (
     RatioModel,
@@ -12,6 +12,7 @@ from seqgate.ratio import (
     eval_process,
     eval_ratio,
     fit_ratio_model,
+    replay,
 )
 from seqgate.synthetic import SyntheticSpec, sample_dataset, true_ratio_process
 from seqgate.trajectories import CalibrationSet, LabeledTrajectory
@@ -144,13 +145,22 @@ def one_step_model(intercept, prior_1):
 
 
 def test_plugin_identity_random():
-    # eval_ratio is exactly the plug-in formula applied to predict_proba
+    # eval_ratio is odds * exp(-z) with the logit z clamped to
+    # +-log((1 - c)/c), bit for bit, and the plug-in form (1 - f)/f * odds
+    # with f = predict_proba up to rounding; 1 - f cancels as f nears 1,
+    # losing about log10(1/(1 - f)) digits of the old form
     rng = np.random.default_rng(8)
+    c = FitConfig().prob_clamp
+    bound = math.log((1.0 - c) / c)
     for _ in range(100):
-        model = one_step_model(float(rng.normal(scale=5.0)), float(rng.uniform(1e-6, 1 - 1e-6)))
-        f = float(predict_proba(model.step_models[0], [0.0]))
+        z = float(rng.normal(scale=5.0))
+        model = one_step_model(z, float(rng.uniform(1e-6, 1 - 1e-6)))
         p1 = model.prior_1
-        assert eval_ratio(model, [0.0]) == (1.0 - f) / f * (p1 / (1.0 - p1))
+        value = eval_ratio(model, [0.0])
+        assert value == p1 / (1.0 - p1) * math.exp(-min(max(z, -bound), bound))
+        f = float(predict_proba(model.step_models[0], [0.0]))
+        plug_in = (1.0 - f) / f * (p1 / (1.0 - p1))
+        assert value == pytest.approx(plug_in, rel=1e-13 / (1.0 - f))
 
 
 def test_monotone_response_in_f_and_prior():
@@ -255,3 +265,26 @@ def test_eval_ratio_always_finite_and_positive():
         prefix = (rng.normal(scale=50.0, size=t)).tolist()
         value = eval_ratio(model, prefix)
         assert math.isfinite(value) and value > 0.0
+
+
+def overflow_model():
+    """Step 2's logit on the finite scores 1e308, 1e308 is
+    2e308 - 2e308 = inf - inf = nan."""
+    steps = (LogisticModel((1.0,), 0.0), LogisticModel((2.0, -2.0), 0.0))
+    return RatioModel(step_models=steps, prior_1=0.5, t_max=2, fit_config=FitConfig())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_replay_nan_statistic_fails_closed():
+    # a nan value never crosses a threshold, so it would accept in silence;
+    # numpy's overflow and invalid warnings stay off stderr
+    model = overflow_model()
+    assert replay(model, [[1e308]]).tolist() == [eval_ratio(model, [1e308])]
+    for trajectories in ([[1e308, 1e308]], [[0.5, 0.5, 0.5], [1e308, 1e308], [0.5]]):
+        with pytest.raises(InvalidTrajectory):
+            replay(model, trajectories)
+
+
+def test_eval_process_nan_statistic_fails_closed():
+    with pytest.raises(InvalidTrajectory):
+        eval_process(overflow_model(), [1e308, 1e308, 0.5])

@@ -6,7 +6,12 @@ import pytest
 
 from oracles import pac_index_oracle
 
-from seqgate.errors import InsufficientCalibration, NoNullTrajectories, OutOfRange
+from seqgate.errors import (
+    InsufficientCalibration,
+    InvalidTrajectory,
+    NoNullTrajectories,
+    OutOfRange,
+)
 from seqgate.kernels import FitConfig, LogisticModel
 from seqgate.ratio import RatioModel
 from seqgate.thresholds import (
@@ -64,6 +69,19 @@ def test_null_maxima_ignores_alternatives():
     ]
     maxima = null_maxima(model, CalibrationSet(nulls))
     assert maxima == pytest.approx([1.0, 3.0], rel=1e-12)
+
+
+def test_null_maxima_nan_statistic_fails_closed():
+    # step 2's logit on 1e308, 1e308 is inf - inf; a nan maximum would rank
+    # as the largest in pac_threshold's sort
+    steps = (LogisticModel((1.0,), 0.0), LogisticModel((2.0, -2.0), 0.0))
+    model = RatioModel(step_models=steps, prior_1=0.5, t_max=2, fit_config=FitConfig())
+    nulls = [
+        LabeledTrajectory(id="a", scores=[0.5, 0.5], label=1),
+        LabeledTrajectory(id="b", scores=[1e308, 1e308], label=1),
+    ]
+    with pytest.raises(InvalidTrajectory):
+        null_maxima(model, CalibrationSet(nulls))
 
 
 def test_null_maxima_requires_nulls():
