@@ -31,11 +31,11 @@ _EXPORTS = {
     ),
     "monitor": (
         "DecisionRule", "MonitorState", "Status", "calibrated_score_rule",
-        "pooled_isotonic", "ratio_rule", "raw_score_rule", "run_offline",
+        "pooled_isotonic", "ratio_rule", "raw_score_rule",
     ),
     "ratio": (
         "RatioModel", "compute_tmax", "estimate_prior", "eval_process", "eval_ratio",
-        "fit_ratio_model",
+        "fit_ratio_model", "ratio_statistic",
     ),
     "synthetic": (
         "SyntheticSpec", "sample_dataset", "sample_trajectory", "toy_marginal_example",

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidTrajectory,
     LengthMismatch,
     OutOfRange,
     SingleClassData,
@@ -105,6 +106,13 @@ def _design_matrix(features):
     return Z
 
 
+def _require_finite(finite: bool, what: str) -> None:
+    # an overflowed Hessian can still solve to a finite step, and a nan
+    # objective rejects every candidate: either way the fit is garbage
+    if not finite:
+        raise InvalidTrajectory(f"the {what} of the logistic fit is not finite")
+
+
 def fit_logistic(features, labels, cfg: FitConfig = FitConfig()) -> LogisticModel:
     """Minimize the L2-penalized logistic loss by damped Newton iterations.
 
@@ -129,34 +137,40 @@ def fit_logistic(features, labels, cfg: FitConfig = FitConfig()) -> LogisticMode
     Z = _design_matrix(features)
     d = Z.shape[1] - 1
     theta = np.zeros(d + 1)
-    obj = logistic_objective(theta, Z, y, cfg.l2_lambda)
-
-    for _ in range(cfg.max_iters):
-        mu = _sigmoid(Z @ theta)
-        grad = Z.T @ (mu - y)
-        grad[:-1] += 2.0 * cfg.l2_lambda * theta[:-1]
-        if float(np.max(np.abs(grad))) <= cfg.tolerance:
-            break
-        w = np.maximum(mu * (1.0 - mu), 1e-12)
-        hess = Z.T @ (w[:, None] * Z)
-        hess[np.arange(d), np.arange(d)] += 2.0 * cfg.l2_lambda
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, grad, rcond=None)[0]
-        # halve the step until the objective actually decreases
-        scale = 1.0
-        while scale > 2.0 ** -40:
-            cand = theta - scale * step
-            cand_obj = logistic_objective(cand, Z, y, cfg.l2_lambda)
-            if cand_obj <= obj:
+    # overflow shows as a non-finite objective, gradient or Hessian, each
+    # checked below; a candidate that overflows is only rejected
+    with np.errstate(over="ignore", invalid="ignore"):
+        obj = logistic_objective(theta, Z, y, cfg.l2_lambda)
+        _require_finite(math.isfinite(obj), "objective")
+        for _ in range(cfg.max_iters):
+            mu = _sigmoid(Z @ theta)
+            grad = Z.T @ (mu - y)
+            grad[:-1] += 2.0 * cfg.l2_lambda * theta[:-1]
+            grad_norm = float(np.max(np.abs(grad)))
+            _require_finite(math.isfinite(grad_norm), "gradient")
+            if grad_norm <= cfg.tolerance:
                 break
-            scale *= 0.5
-        else:
-            break
-        if np.array_equal(cand, theta):
-            break
-        theta, obj = cand, cand_obj
+            w = np.maximum(mu * (1.0 - mu), 1e-12)
+            hess = Z.T @ (w[:, None] * Z)
+            hess[np.arange(d), np.arange(d)] += 2.0 * cfg.l2_lambda
+            _require_finite(np.isfinite(hess).all(), "Hessian")
+            try:
+                step = np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+            # halve the step until the objective actually decreases
+            scale = 1.0
+            while scale > 2.0 ** -40:
+                cand = theta - scale * step
+                cand_obj = logistic_objective(cand, Z, y, cfg.l2_lambda)
+                if cand_obj <= obj:
+                    break
+                scale *= 0.5
+            else:
+                break
+            if np.array_equal(cand, theta):
+                break
+            theta, obj = cand, cand_obj
     return LogisticModel(weights=tuple(theta[:-1].tolist()), intercept=float(theta[-1]))
 
 

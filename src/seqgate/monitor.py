@@ -4,7 +4,9 @@ A DecisionRule holds a per-prefix statistic, a threshold and a direction,
 and writes the first-crossing comparison once, in ``fires``. MonitorState
 applies it to one prefix per observed score; the experiment harness applies
 the same ``fires`` to whole replayed processes at once, so streaming and
-batch decisions agree exactly.
+batch decisions agree exactly. The ratio rule's statistic is
+``ratio.ratio_statistic``, which reads the model once when the rule is built,
+so a streamed step pays only for its own prefix.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import numpy as np
 
 from .errors import InvalidTrajectory, MonitorClosed, SingleClassData
 from .kernels import IsotonicModel, apply_isotonic, fit_isotonic
-from .ratio import RatioModel, eval_ratio
-from .trajectories import CalibrationSet, LabeledTrajectory
+from .ratio import RatioModel, ratio_statistic
+from .trajectories import CalibrationSet
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ KNOWN_METHODS = ("evaluator_pac", "evaluator_ville", "bonferroni", "raw", "calib
 
 
 def ratio_rule(model: RatioModel, threshold: float) -> DecisionRule:
-    return DecisionRule(lambda prefix: eval_ratio(model, prefix), threshold)
+    return DecisionRule(ratio_statistic(model), threshold)
 
 
 def raw_score_rule(alpha: float) -> DecisionRule:
@@ -98,38 +100,30 @@ class MonitorState:
         self.status = ACTIVE
 
     def observe(self, score: float) -> Status:
-        if self.status.terminal:
-            raise MonitorClosed(f"monitor already {self.status.decision}")
+        status = self.status
+        # ACTIVE is the only live status this class sets; a copied state
+        # holds an equal one, which the property still reads as live
+        if status is not ACTIVE and status.terminal:
+            raise MonitorClosed(f"monitor already {status.decision}")
         score = float(score)
         if not math.isfinite(score):
             raise InvalidTrajectory(f"non-finite score {score!r}", field="scores")
-        self.observed.append(score)
-        stat = self.rule.value(self.observed)
+        observed, rule = self.observed, self.rule
+        observed.append(score)
+        stat = rule.value(observed)
         if stat != stat:
             # a nan statistic never crosses, which would accept in silence
-            self.observed.pop()
+            observed.pop()
             raise InvalidTrajectory(
                 f"statistic is nan after score {score!r}", field="scores"
             )
         self.step += 1
-        if self.rule.fires(stat):
-            self.status = Status("rejected", self.step)
-        return self.status
+        if rule.fires(stat):
+            status = self.status = Status("rejected", self.step)
+        return status
 
     def finalize(self) -> Status:
         if not self.status.terminal:
             self.status = Status("accepted", self.step)
         return self.status
 
-
-def run_offline(rule: DecisionRule, traj: LabeledTrajectory):
-    """Batch replay: observe every score in order, then finalize.
-
-    Returns (terminal status, first rejection step or None).
-    """
-    state = MonitorState(rule)
-    for score in traj.scores:
-        if state.observe(score).terminal:
-            break
-    status = state.finalize()
-    return status, status.step if status.decision == "rejected" else None

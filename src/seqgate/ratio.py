@@ -14,12 +14,15 @@ The plug-in ratio (1 - f)/f * prior_1/(1 - prior_1) with f = sigmoid(z) is
 odds * exp(-z), and clamping f to [c, 1 - c] is clamping the logit z to
 [-L, L] with L = log((1 - c)/c); both constants are computed once per model.
 
-Two entry points share one arithmetic. ``eval_ratio`` evaluates one prefix,
-for the streaming monitor; ``replay`` evaluates whole processes of many
-trajectories, for thresholds and the experiment harness. Both sum the logit
-left to right, clamp it and take ``math.exp`` of its negation, so they return
-bit-identical values on any platform: ``eval_ratio`` in plain float
-arithmetic, ``replay`` with numpy arrays for the sums and the clamp.
+Two entry points share one arithmetic. ``ratio_statistic`` turns a model
+into its per-prefix statistic, for the streaming monitor: it reads the step
+table and the constants once, so each call is one length, one index and the
+logit loop; ``eval_ratio`` applies it to one prefix. ``replay`` evaluates
+whole processes of many trajectories, for thresholds and the experiment
+harness. Both sum the logit left to right, clamp it and take ``math.exp`` of
+its negation, so they return bit-identical values on any platform: the
+statistic in plain float arithmetic, ``replay`` with numpy arrays for the
+sums and the clamp.
 """
 
 from __future__ import annotations
@@ -65,6 +68,11 @@ class RatioModel:
         """L = log((1 - c)/c): f = sigmoid(z) in [c, 1 - c] is z in [-L, L]."""
         c = self.fit_config.prob_clamp
         return math.log((1.0 - c) / c)
+
+    @cached_property
+    def step_table(self) -> tuple:
+        """(weights, intercept) of each step model, as plain tuples."""
+        return tuple((step.weights, step.intercept) for step in self.step_models)
 
 
 def estimate_prior(dre: CalibrationSet) -> float:
@@ -118,33 +126,51 @@ def fit_ratio_model(dre: CalibrationSet, cfg: FitConfig = FitConfig()) -> RatioM
     step_models = []
     for t in range(1, t_max + 1):
         keep = lengths >= t
-        step_models.append(fit_logistic(columns[:t, keep].T, labels[keep], cfg))
+        try:
+            step_models.append(fit_logistic(columns[:t, keep].T, labels[keep], cfg))
+        except InvalidTrajectory as exc:
+            raise InvalidTrajectory(f"step {t}: {exc}", field="scores") from None
     return RatioModel(
         step_models=tuple(step_models), prior_1=prior_1, t_max=t_max, fit_config=cfg
     )
 
 
-def eval_ratio(model: RatioModel, prefix) -> float:
-    """Plug-in density ratio at the end of one prefix of scores.
+def ratio_statistic(model: RatioModel):
+    """The plug-in density ratio at the end of a prefix, as a function of the
+    prefix alone.
 
-    Prefixes longer than t_max are truncated to their first t_max scores,
-    freezing the statistic. The arithmetic is replay's, one prefix at a time.
+    The step table, t_max, the logit bound and the prior odds are read once,
+    here. Prefixes longer than t_max are truncated to their first t_max
+    scores, freezing the statistic. The arithmetic is replay's, one prefix at
+    a time.
     """
-    t = len(prefix)
-    if t == 0:
-        raise EmptyPrefix("cannot evaluate the ratio on an empty prefix")
-    step = model.step_models[min(t, model.t_max) - 1]
-    z = 0.0
-    for w, v in zip(step.weights, prefix):
-        z = z + w * v
-    z = z + step.intercept
-    # two comparisons, as np.clip: a nan logit stays nan
-    bound = model.logit_bound
-    if z > bound:
-        z = bound
-    elif z < -bound:
-        z = -bound
-    return model.prior_odds * math.exp(-z)
+    steps, t_max = model.step_table, model.t_max
+    bound, odds, exp = model.logit_bound, model.prior_odds, math.exp
+
+    def value(prefix) -> float:
+        t = len(prefix)
+        if t > t_max:
+            t = t_max
+        elif not t:
+            raise EmptyPrefix("cannot evaluate the ratio on an empty prefix")
+        weights, intercept = steps[t - 1]
+        z = 0.0
+        for w, v in zip(weights, prefix):
+            z = z + w * v
+        z = z + intercept
+        # two comparisons, as np.clip: a nan logit stays nan
+        if z > bound:
+            z = bound
+        elif z < -bound:
+            z = -bound
+        return odds * exp(-z)
+
+    return value
+
+
+def eval_ratio(model: RatioModel, prefix) -> float:
+    """Plug-in density ratio at the end of one prefix of scores."""
+    return ratio_statistic(model)(prefix)
 
 
 def replay(model: RatioModel, trajectories) -> np.ndarray:
@@ -154,10 +180,13 @@ def replay(model: RatioModel, trajectories) -> np.ndarray:
     j-th term from the row of j-th scores, so every value equals eval_ratio
     on that prefix exactly. Columns are padded longest first, so the ones
     still running at step t are a leading slice. Past t_max each process
-    repeats its step-t_max value. A nan value, which never crosses a
-    threshold and so would accept in silence, raises InvalidTrajectory.
+    repeats its step-t_max value. No trajectories give an empty array. A nan
+    value, which never crosses a threshold and so would accept in silence,
+    raises InvalidTrajectory.
     """
     lengths = np.fromiter(map(len, trajectories), int, count=len(trajectories))
+    if not lengths.size:
+        return np.empty(0)
     if lengths.min() == 0:
         raise EmptyPrefix("cannot evaluate the ratio on an empty prefix")
     longest = int(lengths.max())

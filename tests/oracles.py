@@ -2,7 +2,8 @@
 
 These deliberately avoid the code paths they check: binomial tails use
 exact rational arithmetic, isotonic fits enumerate all block partitions,
-and gradients come from central finite differences.
+gradients come from central finite differences, and first crossings come
+from streaming one score at a time through a MonitorState.
 """
 
 from fractions import Fraction
@@ -10,6 +11,8 @@ from itertools import product
 from math import comb
 
 import numpy as np
+
+from seqgate.monitor import MonitorState
 
 
 def exact_binomial_pmf(n: int, p: Fraction) -> list:
@@ -87,3 +90,16 @@ def logistic_gradient(theta, Z, y, l2_lambda):
     grad = Z.T @ (mu - y)
     grad[:-1] += 2.0 * l2_lambda * theta[:-1]
     return grad
+
+
+def run_offline(rule, traj):
+    """Observe every score of a trajectory in order, then finalize.
+
+    Returns (terminal status, first rejection step or None).
+    """
+    state = MonitorState(rule)
+    for score in traj.scores:
+        if state.observe(score).terminal:
+            break
+    status = state.finalize()
+    return status, status.step if status.decision == "rejected" else None

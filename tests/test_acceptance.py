@@ -21,6 +21,7 @@ from oracles import (
     isotonic_bruteforce,
     logistic_gradient,
     pac_index_oracle,
+    run_offline,
 )
 
 from seqgate.cli import cli_dispatch
@@ -39,7 +40,6 @@ from seqgate.monitor import (
     pooled_isotonic,
     ratio_rule,
     raw_score_rule,
-    run_offline,
 )
 from seqgate.ratio import fit_ratio_model
 from seqgate.synthetic import (

@@ -358,6 +358,33 @@ def test_batch_nan_statistic_fails_closed(tmp_path, capsys, command):
     assert len(err) == 1 and err[0].startswith("ERROR INVALID_TRAJECTORY"), err
 
 
+DEGENERATE_FIT_RUNS = {
+    "calibrate pac": ["calibrate", "--alpha", "0.2", "--threshold", "pac"],
+    "calibrate ville": ["calibrate", "--alpha", "0.2", "--threshold", "ville"],
+    # at split seed 3 the first split fits on the degenerate trajectory
+    "evaluate": ["evaluate", "--alphas", "0.1,0.3", "--splits", "2", "--seed", "3"],
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", sorted(DEGENERATE_FIT_RUNS))
+def test_degenerate_fit_fails_closed(tmp_path, capsys, command):
+    # finite scores whose Hessian overflows: the fit would keep all-zero
+    # weights, so it stops with one error line and no numpy warning
+    path = tmp_path / "data.jsonl"
+    assert cli_dispatch(["synth", "--n", "400", "--seed", "1", "--out", str(path)]) == 0
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write('{"id": "bad", "scores": [1e308, -1e308, 1e308], "label": 0}\n')
+    capsys.readouterr()
+    argv = DEGENERATE_FIT_RUNS[command] + [
+        "--data", str(path), "--out", str(tmp_path / "out"),
+    ]
+    assert cli_dispatch(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR INVALID_TRAJECTORY"), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_monitor_imports_neither_harness_nor_generator(tmp_path, data_file):
     model_path = tmp_path / "model.json"
     cli_dispatch(

@@ -7,17 +7,27 @@ kernels beneath them are held to the same standard: the single-input form
 of `predict_proba` equals the element of the array form.
 """
 
+import copy
 import math
+import pickle
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import run_offline
 
 from seqgate import harness
 from seqgate.harness import ExperimentConfig, _first_steps, _SplitArtifacts
-from seqgate.errors import InsufficientCalibration, InvalidTrajectory
+from seqgate.dataio import save_calibration
+from seqgate.errors import (
+    EmptyPrefix,
+    InsufficientCalibration,
+    InvalidTrajectory,
+    MonitorClosed,
+)
 from seqgate.kernels import (
     FitConfig,
     LogisticModel,
@@ -26,14 +36,14 @@ from seqgate.kernels import (
     predict_proba,
 )
 from seqgate.monitor import (
+    ACTIVE,
     DecisionRule,
     MonitorState,
     calibrated_score_rule,
     ratio_rule,
     raw_score_rule,
-    run_offline,
 )
-from seqgate.ratio import RatioModel, eval_process, padded_scores, replay
+from seqgate.ratio import RatioModel, eval_process, eval_ratio, padded_scores, replay
 from seqgate.thresholds import pac_threshold, ville_threshold
 from seqgate.trajectories import CalibrationSet, LabeledTrajectory, offsets
 
@@ -142,6 +152,80 @@ def test_streaming_equals_batch_at_the_logit_clamp():
             top, top, bottom, bottom
         ]
         assert streamed_values(huge, [-10.0, 10.0]) == [top, bottom]
+
+
+def assert_rule_value_equals_eval_ratio_and_replay(model, trajectories):
+    """The rule's statistic, eval_ratio and replay agree on every prefix."""
+    value = ratio_rule(model, math.inf).value
+    batch = replay(model, trajectories).tolist()
+    prefixes = [t[:j] for t in trajectories for j in range(1, len(t) + 1)]
+    assert [value(p) for p in prefixes] == [eval_ratio(model, p) for p in prefixes]
+    assert [value(p) for p in prefixes] == batch
+
+
+@EXACT
+@given(model_and_trajectories())
+def test_rule_value_equals_eval_ratio_and_replay(drawn):
+    # trajectories run to twice t_max, so the frozen prefixes are covered
+    assert_rule_value_equals_eval_ratio_and_replay(*drawn)
+
+
+def test_rule_value_equals_eval_ratio_and_replay_at_the_logit_clamp():
+    for prob_clamp in (1e-6, 0.2):
+        model = last_score_model(3, 1.0, prob_clamp)
+        bound = model.logit_bound
+        outside = math.nextafter(bound, math.inf)
+        trajectories = [[bound, -bound, outside, -outside, 0.0], [-outside], [0.0, bound]]
+        assert_rule_value_equals_eval_ratio_and_replay(model, trajectories)
+        value = ratio_rule(model, math.inf).value
+        # past t_max the third score decides, and one ulp past L clamps to L
+        assert value(trajectories[0]) == model.prior_odds * math.exp(-bound)
+
+
+def test_rule_value_of_an_empty_prefix_raises():
+    model = last_score_model(2, 1.0)
+    with pytest.raises(EmptyPrefix):
+        ratio_rule(model, 1.0).value([])
+    with pytest.raises(EmptyPrefix):
+        eval_ratio(model, [])
+
+
+def test_streamed_model_pickles_with_unchanged_fields_and_artifact(tmp_path):
+    # whatever the statistic reads once is cached as plain data, so a used
+    # model still pickles, and neither asdict nor the artifact sees it
+    model = last_score_model(3, 1.0)
+    spec = ville_threshold(0.1)
+    fields = asdict(model)
+    save_calibration(tmp_path / "before.json", model, spec, {"seed": 0})
+    state = MonitorState(ratio_rule(model, math.inf))
+    for score in (0.5, -0.5, 0.25, 1.0):
+        state.observe(score)
+    assert eval_ratio(model, [0.5]) == state.rule.value([0.5])
+    twin = pickle.loads(pickle.dumps(model))
+    assert twin == model and asdict(twin) == asdict(model) == fields
+    assert eval_ratio(twin, state.observed) == state.rule.value(state.observed)
+    save_calibration(tmp_path / "after.json", model, spec, {"seed": 0})
+    assert (tmp_path / "after.json").read_bytes() == (tmp_path / "before.json").read_bytes()
+
+
+def test_observe_after_a_terminal_status_raises_monitor_closed():
+    model = last_score_model(2, 1.0)
+    rejected = MonitorState(ratio_rule(model, 0.0))
+    assert rejected.observe(0.5).decision == "rejected"
+    accepted = MonitorState(ratio_rule(model, math.inf))
+    accepted.observe(0.5)
+    assert accepted.finalize().decision == "accepted"
+    for state in (rejected, accepted):
+        with pytest.raises(MonitorClosed):
+            state.observe(0.5)
+    # a copied live state holds an equal active status, not the same one,
+    # and keeps observing as the original does
+    live = MonitorState(ratio_rule(model, math.inf))
+    live.observe(0.5)
+    twin = copy.deepcopy(live)
+    assert twin.status == ACTIVE and twin.status is not ACTIVE
+    assert twin.observe(0.25) == live.observe(0.25) == ACTIVE
+    assert twin.observed == live.observed
 
 
 def test_nan_statistic_fails_closed_on_both_paths():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import run_offline
 
 from seqgate.errors import MissingTokens, OutOfRange
 from seqgate.harness import (
@@ -16,7 +17,7 @@ from seqgate.harness import (
     write_tokens_csv,
     NEVER_TERMINATE,
 )
-from seqgate.monitor import raw_score_rule, run_offline
+from seqgate.monitor import raw_score_rule
 from seqgate.synthetic import SyntheticSpec, sample_dataset
 from seqgate.trajectories import CalibrationSet, LabeledTrajectory
 

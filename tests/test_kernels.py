@@ -18,6 +18,7 @@ from fractions import Fraction
 from seqgate import kernels
 from seqgate.errors import (
     DimensionMismatch,
+    InvalidTrajectory,
     LengthMismatch,
     OutOfRange,
     SingleClassData,
@@ -60,6 +61,23 @@ def test_fit_logistic_label_validation():
         fit_logistic([[0.1], [0.2]], np.zeros(2))
     with pytest.raises(SingleClassData):
         fit_logistic([], [])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "features, labels, what",
+    [
+        # inf * 0 makes the first logit nan
+        ([[math.inf], [0.0]], [0, 1], "objective"),
+        # four residuals of 0.5 times 1e308 sum past the largest float
+        ([[1e308]] * 4 + [[0.0]], [0, 0, 0, 0, 1], "gradient"),
+        # the gradient is 1e308 * (0.5 + 0.5 - 0.5), finite; w * 1e308^2 is not
+        ([[1e308], [-1e308], [1e308], [0.0]], [0, 1, 1, 0], "Hessian"),
+    ],
+)
+def test_fit_logistic_non_finite_fit_fails_closed(features, labels, what):
+    with pytest.raises(InvalidTrajectory, match=f"the {what} of the logistic fit"):
+        fit_logistic(features, labels)
 
 
 def test_fit_logistic_zero_features_balanced():

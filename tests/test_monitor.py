@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import run_offline
 
 from seqgate.errors import InvalidTrajectory, MonitorClosed, SingleClassData
 from seqgate.kernels import FitConfig, IsotonicModel, LogisticModel
@@ -12,7 +13,6 @@ from seqgate.monitor import (
     pooled_isotonic,
     ratio_rule,
     raw_score_rule,
-    run_offline,
 )
 from seqgate.ratio import RatioModel
 from seqgate.synthetic import SyntheticSpec, sample_dataset, true_ratio_rule

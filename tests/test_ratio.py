@@ -285,6 +285,24 @@ def test_replay_nan_statistic_fails_closed():
             replay(model, trajectories)
 
 
+def test_replay_of_no_trajectories_is_empty():
+    values = replay(overflow_model(), [])
+    assert values.dtype == float and values.shape == (0,)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_ratio_model_names_the_step_whose_fit_overflows():
+    # step 1 fits on first scores alone, which are ordinary; step 2's
+    # Hessian sums 1e308 squared
+    entries = [[0.2, 0.3], [0.7, 0.6], [0.4, 0.5], [0.6, 1e308]]
+    dre = CalibrationSet(
+        [LabeledTrajectory(f"t{i}", s, i % 2) for i, s in enumerate(entries)]
+    )
+    with pytest.raises(InvalidTrajectory, match="^step 2: .*Hessian") as exc:
+        fit_ratio_model(dre)
+    assert exc.value.field == "scores"
+
+
 def test_eval_process_nan_statistic_fails_closed():
     with pytest.raises(InvalidTrajectory):
         eval_process(overflow_model(), [1e308, 1e308, 0.5])
