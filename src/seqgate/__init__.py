@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "kernels": (
         "FitConfig", "IsotonicModel", "LogisticModel", "apply_isotonic", "binomial_sf",
-        "fit_isotonic", "fit_logistic", "predict_proba",
+        "fit_isotonic", "fit_logistic",
     ),
     "monitor": (
         "DecisionRule", "MonitorState", "Status", "calibrated_score_rule",

@@ -31,7 +31,10 @@ EXIT_INSUFFICIENT_CALIBRATION = 4
 
 
 def _float_list(text: str) -> list:
-    return [float(v) for v in text.split(",") if v.strip()]
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated numbers: {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="repeat evaluate at several calibration sizes")
     _add_experiment_args(p)
-    p.add_argument("--fractions", required=True)
+    p.add_argument("--fractions", type=_float_list, required=True)
     p.add_argument("--splits", type=int, default=50)
     p.add_argument("--out", required=True)
 
@@ -82,7 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
-    p.add_argument("--alphas", required=True, help="comma-separated grid in (0,1)")
+    p.add_argument(
+        "--alphas", type=_float_list, required=True, help="comma-separated grid in (0,1)"
+    )
     p.add_argument("--cal-fraction", type=float, default=0.2)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--dre-fraction", type=float, default=DEFAULT_DRE_FRACTION)
@@ -98,7 +103,7 @@ def _experiment_config(args, n_splits: int):
     from .harness import ExperimentConfig
 
     return ExperimentConfig(
-        alpha_grid=tuple(_float_list(args.alphas)),
+        alpha_grid=args.alphas,
         n_splits=n_splits,
         cal_fraction=args.cal_fraction,
         delta=args.delta,
@@ -172,8 +177,7 @@ def _cmd_evaluate(args) -> int:
     data = dataio.read_dataset(args.data)
     cfg = _experiment_config(args, args.splits)
     points = harness.run_experiment(data, cfg)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        harness.write_curves_csv(points, fh)
+    dataio.write_csv(args.out, harness.CurvePoint, points)
     print(f"wrote {len(points)} curve points -> {args.out}")
     return EXIT_OK
 
@@ -184,8 +188,7 @@ def _cmd_tokens(args) -> int:
     data = dataio.read_dataset(args.data)
     cfg = _experiment_config(args, 1)
     points = harness.token_study(data, cfg)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        harness.write_tokens_csv(points, fh)
+    dataio.write_csv(args.out, harness.TokenCurvePoint, points)
     print(f"wrote {len(points)} token points -> {args.out}")
     return EXIT_OK
 
@@ -195,8 +198,7 @@ def _cmd_ablate(args) -> int:
 
     data = dataio.read_dataset(args.data)
     cfg = _experiment_config(args, args.splits)
-    fractions = _float_list(args.fractions)
-    results = harness.calibration_ablation(data, cfg, fractions)
+    results = harness.calibration_ablation(data, cfg, args.fractions)
     for res in results:
         if res.error is not None:
             print(
@@ -204,12 +206,8 @@ def _cmd_ablate(args) -> int:
                 f"DEGENERATE_SPLIT: {res.error}",
                 file=sys.stderr,
             )
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        harness.write_curves_csv(
-            [(res.cal_fraction, p) for res in results for p in res.curves],
-            fh,
-            prefix_column="cal_fraction",
-        )
+    rows = [(res.cal_fraction, p) for res in results for p in res.curves]
+    dataio.write_csv(args.out, harness.CurvePoint, rows, lead="cal_fraction")
     produced = sum(1 for r in results if r.error is None)
     print(f"wrote curves for {produced}/{len(results)} fractions -> {args.out}")
     return EXIT_OK

@@ -1,12 +1,16 @@
-"""File formats: JSON-lines trajectory datasets, chess game conversion, and
-the versioned calibration artifact bundling a fitted ratio model with its
-decision threshold.
+"""File formats: JSON-lines trajectory datasets, chess game conversion, the
+versioned calibration artifact bundling a fitted ratio model with its
+decision threshold, and the CSV tables of the experiment harness.
+
+Each function takes a path, opened here as UTF-8, or an open text stream,
+which is left open.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -32,10 +36,12 @@ class ChessGameRecord:
     result: str
 
 
-def _open_maybe(path_or_stream, mode):
+def _opened(path_or_stream, mode):
+    """A path opened as UTF-8 text with newlines untranslated, or a stream
+    as given, as a context manager that closes only what it opened."""
     if isinstance(path_or_stream, (str, Path)):
-        return open(path_or_stream, mode, encoding="utf-8"), True
-    return path_or_stream, False
+        return open(path_or_stream, mode, encoding="utf-8", newline="")
+    return nullcontext(path_or_stream)
 
 
 def _require(record: dict, field: str, line: int):
@@ -44,14 +50,10 @@ def _require(record: dict, field: str, line: int):
     return record[field]
 
 
-def read_dataset(path_or_stream) -> CalibrationSet:
-    """Parse one-JSON-object-per-line trajectory records, validating each.
-
-    Errors carry the 1-based line number of the offending record.
-    """
-    fh, owned = _open_maybe(path_or_stream, "r")
-    items = []
-    try:
+def _records(path_or_stream):
+    """(1-based line number, JSON object with a string ``id``) for each
+    non-blank line of a JSON-lines file."""
+    with _opened(path_or_stream, "r") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -61,29 +63,35 @@ def read_dataset(path_or_stream) -> CalibrationSet:
                 raise ParseError(f"malformed JSON ({exc.msg})", line=line_no) from exc
             if not isinstance(record, dict):
                 raise ParseError("record must be a JSON object", line=line_no)
-            ident = _require(record, "id", line_no)
-            scores = _require(record, "scores", line_no)
-            label = _require(record, "label", line_no)
-            tokens = record.get("tokens")
-            if not isinstance(ident, str):
+            if not isinstance(_require(record, "id", line_no), str):
                 raise ParseError("'id' must be a string", line=line_no)
-            # json.loads gives a number as exactly int or float, and bool is
-            # a type of its own, so exact types rule out true and false
-            if not isinstance(scores, list) or not {int, float}.issuperset(
-                map(type, scores)
-            ):
-                raise ParseError("'scores' must be an array of numbers", line=line_no)
-            if not isinstance(label, int) or isinstance(label, bool):
-                raise ParseError("'label' must be an integer 0 or 1", line=line_no)
-            if tokens is not None and (
-                not isinstance(tokens, list) or not {int}.issuperset(map(type, tokens))
-            ):
-                raise ParseError("'tokens' must be an array of integers", line=line_no)
-            traj = LabeledTrajectory(id=ident, scores=scores, label=label, tokens=tokens)
-            items.append(validate(traj, line=line_no))
-    finally:
-        if owned:
-            fh.close()
+            yield line_no, record
+
+
+def read_dataset(path_or_stream) -> CalibrationSet:
+    """Parse one-JSON-object-per-line trajectory records, validating each.
+
+    Errors carry the 1-based line number of the offending record.
+    """
+    items = []
+    for line_no, record in _records(path_or_stream):
+        scores = _require(record, "scores", line_no)
+        label = _require(record, "label", line_no)
+        tokens = record.get("tokens")
+        # json.loads gives a number as exactly int or float, and bool is
+        # a type of its own, so exact types rule out true and false
+        if not isinstance(scores, list) or not {int, float}.issuperset(
+            map(type, scores)
+        ):
+            raise ParseError("'scores' must be an array of numbers", line=line_no)
+        if not isinstance(label, int) or isinstance(label, bool):
+            raise ParseError("'label' must be an integer 0 or 1", line=line_no)
+        if tokens is not None and (
+            not isinstance(tokens, list) or not {int}.issuperset(map(type, tokens))
+        ):
+            raise ParseError("'tokens' must be an array of integers", line=line_no)
+        traj = LabeledTrajectory(record["id"], scores, label, tokens)
+        items.append(validate(traj, line=line_no))
     return CalibrationSet(items)
 
 
@@ -95,13 +103,9 @@ def trajectory_to_record(item: LabeledTrajectory) -> dict:
 
 
 def write_dataset(cal: CalibrationSet, path_or_stream) -> None:
-    fh, owned = _open_maybe(path_or_stream, "w")
-    try:
+    with _opened(path_or_stream, "w") as fh:
         for item in cal:
             fh.write(json.dumps(trajectory_to_record(item)) + "\n")
-    finally:
-        if owned:
-            fh.close()
 
 
 def centipawn_to_prob(s: float) -> float:
@@ -116,43 +120,31 @@ def centipawn_to_prob(s: float) -> float:
 
 def read_chess_games(path_or_stream) -> list:
     """Parse JSONL chess records: id, centipawns (White-positive), result."""
-    fh, owned = _open_maybe(path_or_stream, "r")
     games = []
-    try:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"malformed JSON ({exc.msg})", line=line_no) from exc
-            ident = _require(record, "id", line_no)
-            cps = _require(record, "centipawns", line_no)
-            result = _require(record, "result", line_no)
-            if not isinstance(cps, list) or not cps or any(
-                not isinstance(c, (int, float)) or isinstance(c, bool) for c in cps
-            ):
-                raise ParseError(
-                    "'centipawns' must be a non-empty array of numbers", line=line_no
-                )
-            if any(not math.isfinite(float(c)) for c in cps):
-                raise InvalidTrajectory(
-                    "non-finite centipawn value",
-                    trajectory_id=ident, field="centipawns", line=line_no,
-                )
-            if result not in CHESS_RESULTS:
-                raise ParseError(
-                    f"'result' must be one of {CHESS_RESULTS}, got {result!r}",
-                    line=line_no,
-                )
-            games.append(
-                ChessGameRecord(
-                    id=str(ident), centipawns=tuple(float(c) for c in cps), result=result
-                )
+    for line_no, record in _records(path_or_stream):
+        cps = _require(record, "centipawns", line_no)
+        result = _require(record, "result", line_no)
+        if not isinstance(cps, list) or not cps or any(
+            not isinstance(c, (int, float)) or isinstance(c, bool) for c in cps
+        ):
+            raise ParseError(
+                "'centipawns' must be a non-empty array of numbers", line=line_no
             )
-    finally:
-        if owned:
-            fh.close()
+        if any(not math.isfinite(float(c)) for c in cps):
+            raise InvalidTrajectory(
+                "non-finite centipawn value",
+                trajectory_id=record["id"], field="centipawns", line=line_no,
+            )
+        if result not in CHESS_RESULTS:
+            raise ParseError(
+                f"'result' must be one of {CHESS_RESULTS}, got {result!r}",
+                line=line_no,
+            )
+        games.append(
+            ChessGameRecord(
+                id=record["id"], centipawns=tuple(float(c) for c in cps), result=result
+            )
+        )
     return games
 
 
@@ -192,13 +184,9 @@ def save_calibration(
         "threshold": asdict(threshold),
         "metadata": metadata or {},
     }
-    fh, owned = _open_maybe(path, "w")
-    try:
+    with _opened(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    finally:
-        if owned:
-            fh.close()
 
 
 def _fields_of(cls, payload, where: str) -> dict:
@@ -266,14 +254,11 @@ def _threshold(payload) -> ThresholdSpec:
 def load_calibration(path):
     """(ratio model, threshold, metadata) from an artifact, every field
     validated; anything malformed raises ParseError."""
-    fh, owned = _open_maybe(path, "r")
-    try:
-        payload = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed calibration artifact ({exc.msg})") from exc
-    finally:
-        if owned:
-            fh.close()
+    with _opened(path, "r") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed calibration artifact ({exc.msg})") from exc
     if not isinstance(payload, dict) or payload.get("format") != ARTIFACT_FORMAT:
         raise ParseError(f"not a {ARTIFACT_FORMAT} file")
     if payload.get("version") != ARTIFACT_VERSION:
@@ -281,3 +266,20 @@ def load_calibration(path):
     model = _ratio_model(payload.get("ratio_model"))
     threshold = _threshold(payload.get("threshold"))
     return model, threshold, payload.get("metadata", {})
+
+
+def write_csv(path_or_stream, cls, rows, lead=None) -> None:
+    """One CSV row per ``cls`` instance under a header of cls's field names:
+    str fields verbatim, int fields by ``str`` and float fields by
+    ``repr(float(...))``. With ``lead``, ``rows`` holds (value, instance)
+    pairs and each value leads its row, as a float, under that column."""
+    names = [f.name for f in fields(cls)]
+    floats = {f.name for f in fields(cls) if f.type in ("float", float)}
+    with _opened(path_or_stream, "w") as fh:
+        fh.write(",".join(([lead] if lead else []) + names) + "\n")
+        for row in rows:
+            cells, row = ([repr(float(row[0]))], row[1]) if lead else ([], row)
+            for name in names:
+                value = getattr(row, name)
+                cells.append(repr(float(value)) if name in floats else str(value))
+            fh.write(",".join(cells) + "\n")

@@ -53,6 +53,7 @@ class ExperimentConfig:
             raise OutOfRange(f"cal_fraction must lie in (0, 1), got {self.cal_fraction}")
         if not (0.0 < self.delta < 1.0):
             raise OutOfRange(f"delta must lie in (0, 1), got {self.delta}")
+        SplitConfig(self.dre_fraction)  # raises OutOfRange outside (0, 1)
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise OutOfRange(f"unknown methods {unknown}; choose from {KNOWN_METHODS}")
@@ -286,31 +287,3 @@ def calibration_ablation(data: CalibrationSet, cfg: ExperimentConfig, fractions)
                 AblationResult(cal_fraction=fraction, curves=(), error=str(exc))
             )
     return results
-
-
-CURVE_HEADER = "method,alpha,far_mean,far_lo,far_hi,power_mean,power_lo,power_hi"
-TOKEN_HEADER = "method,alpha,tokens_used,accuracy"
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def write_curves_csv(points, fh, prefix_column=None) -> None:
-    """Curve points as CSV. With ``prefix_column``, ``points`` holds
-    (value, point) pairs and each value leads its row under that column."""
-    header = CURVE_HEADER if prefix_column is None else f"{prefix_column},{CURVE_HEADER}"
-    fh.write(header + "\n")
-    for item in points:
-        lead, p = ([], item) if prefix_column is None else ([_fmt(item[0])], item[1])
-        values = [_fmt(getattr(p, name)) for name in CURVE_HEADER.split(",")[1:]]
-        fh.write(",".join(lead + [p.method] + values) + "\n")
-
-
-def write_tokens_csv(points, fh) -> None:
-    fh.write(TOKEN_HEADER + "\n")
-    for p in points:
-        fh.write(
-            ",".join([p.method, _fmt(p.alpha), str(p.tokens_used), _fmt(p.accuracy)])
-            + "\n"
-        )

@@ -13,7 +13,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -172,28 +171,6 @@ def fit_logistic(features, labels, cfg: FitConfig = FitConfig()) -> LogisticMode
                 break
             theta, obj = cand, cand_obj
     return LogisticModel(weights=tuple(theta[:-1].tolist()), intercept=float(theta[-1]))
-
-
-def predict_proba(
-    model: LogisticModel, x: Sequence, prob_clamp: float = DEFAULT_PROB_CLAMP
-):
-    """Clamped sigmoid(weights . x + intercept); never returns 0 or 1.
-
-    ``x`` holds one entry per weight: a float each for one input, or an
-    equal-length array each for a batch, which gives one probability per
-    array element. The dot product is summed left to right and then the
-    intercept is added, so a batch element equals the single-input result
-    bit for bit.
-    """
-    if len(x) != len(model.weights):
-        raise DimensionMismatch(
-            f"input dimension {len(x)} != model dimension {len(model.weights)}"
-        )
-    z = 0.0
-    for w, v in zip(model.weights, x):
-        z = z + w * v
-    z = z + model.intercept
-    return np.clip(_sigmoid(z), prob_clamp, 1.0 - prob_clamp)
 
 
 def fit_isotonic(xs, ys) -> IsotonicModel:

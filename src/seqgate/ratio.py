@@ -99,8 +99,8 @@ def padded_scores(trajectories, width: int):
     """(width, n) matrix whose column i holds the first ``width`` scores of
     trajectory i, zero past its end, and the (n,) vector of full lengths.
 
-    Row j is then the j-th score of every trajectory, one contiguous feature
-    for a batched predict_proba; the transpose is a fit's feature matrix.
+    Row j is then the j-th score of every trajectory, one contiguous
+    feature; the transpose is a fit's feature matrix.
     The heads are read in one pass and written in one masked assignment to
     the transpose, whose row-major order is trajectory by trajectory.
     """

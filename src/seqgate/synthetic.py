@@ -8,7 +8,8 @@ monitoring guarantee checkable against closed-form truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -33,6 +34,12 @@ class SyntheticSpec:
     prior_1: float = 0.6
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            # False for nan, the infinities and an int too large for a float
+            if not (number and abs(value) <= sys.float_info.max):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         if self.mu_null == self.mu_alt:
             raise ValueError("mu_null and mu_alt must differ")
         if self.sigma <= 0:

@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they check: binomial tails use
 exact rational arithmetic, isotonic fits enumerate all block partitions,
 gradients come from central finite differences, and first crossings come
-from streaming one score at a time through a MonitorState.
+from streaming one score at a time through a MonitorState. Step-model
+probabilities come from the clamped sigmoid of the logit, which the
+package itself never computes: it takes the ratio straight from the logit.
 """
 
 from fractions import Fraction
@@ -12,6 +14,8 @@ from math import comb
 
 import numpy as np
 
+from seqgate.errors import DimensionMismatch
+from seqgate.kernels import DEFAULT_PROB_CLAMP
 from seqgate.monitor import MonitorState
 
 
@@ -90,6 +94,30 @@ def logistic_gradient(theta, Z, y, l2_lambda):
     grad = Z.T @ (mu - y)
     grad[:-1] += 2.0 * l2_lambda * theta[:-1]
     return grad
+
+
+def predict_proba(model, x, prob_clamp=DEFAULT_PROB_CLAMP):
+    """Clamped sigmoid(weights . x + intercept) of a LogisticModel; never
+    returns 0 or 1.
+
+    ``x`` holds one entry per weight: a float each for one input, or an
+    equal-length array each for a batch, which gives one probability per
+    array element. The dot product is summed left to right and then the
+    intercept is added, so a batch element equals the single-input result
+    bit for bit.
+    """
+    if len(x) != len(model.weights):
+        raise DimensionMismatch(
+            f"input dimension {len(x)} != model dimension {len(model.weights)}"
+        )
+    z = 0.0
+    for w, v in zip(model.weights, x):
+        z = z + w * v
+    z = z + model.intercept
+    # exp(-|z|) never overflows; each branch is the exact form for its sign
+    e = np.exp(-np.abs(z))
+    p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.clip(p, prob_clamp, 1.0 - prob_clamp)
 
 
 def run_offline(rule, traj):

@@ -231,6 +231,61 @@ def test_chess_cli(tmp_path):
     assert recs[0]["scores"][0] == pytest.approx(0.5276, abs=1e-4)
 
 
+@pytest.mark.parametrize(
+    "record",
+    ['5', '"identity"', '{"id": 7, "centipawns": [30], "result": "draw"}'],
+)
+def test_chess_cli_bad_record_fails_closed(tmp_path, capsys, record):
+    games = tmp_path / "games.jsonl"
+    games.write_text(record + "\n")
+    out = tmp_path / "chess.jsonl"
+    assert cli_dispatch(["chess", "--games", str(games), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR PARSE_ERROR: line 1:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--alphas", "abc"],
+        ["ablate", "--alphas", "0.3", "--fractions", "x,0.2"],
+    ],
+    ids=["evaluate --alphas", "ablate --fractions"],
+)
+def test_non_numeric_list_flag_is_usage_error(tmp_path, data_file, capsys, argv):
+    out = tmp_path / "o.csv"
+    code = cli_dispatch(argv + ["--data", str(data_file), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage: seqgate" in err and "not comma-separated numbers" in err
+    assert not out.exists()
+
+
+def test_evaluate_dre_fraction_out_of_range(tmp_path, data_file, capsys):
+    # raw splits off no ratio-fitting side, so only the config check sees it
+    out = tmp_path / "o.csv"
+    code = cli_dispatch(
+        [
+            "evaluate", "--data", str(data_file), "--alphas", "0.3",
+            "--methods", "raw", "--dre-fraction", "1.5", "--splits", "1",
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert "ERROR OUT_OF_RANGE: dre_fraction" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ['{"sigma": 1e999}', '{"mu_null": [1, 2]}'])
+def test_synth_spec_value_not_a_finite_number_fails(tmp_path, capsys, spec):
+    out = tmp_path / "x.jsonl"
+    code = cli_dispatch(["synth", "--n", "5", "--spec", spec, "--out", str(out)])
+    assert code == 1
+    assert "ERROR PARSE_ERROR: invalid synthetic spec" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_data_file(tmp_path, capsys):
     code = cli_dispatch(
         [

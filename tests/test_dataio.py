@@ -1,6 +1,7 @@
 import io
 import json
 import math
+from dataclasses import dataclass
 
 import pytest
 
@@ -11,6 +12,7 @@ from seqgate.dataio import (
     read_chess_games,
     read_dataset,
     save_calibration,
+    write_csv,
     write_dataset,
 )
 from seqgate.errors import InvalidTrajectory, ParseError
@@ -155,6 +157,20 @@ def test_chess_bad_result():
         )
 
 
+@pytest.mark.parametrize(
+    "record",
+    ['5', '"identity"', '{"id": 7, "centipawns": [1], "result": "draw"}'],
+)
+def test_chess_rejects_a_non_object_record_or_a_non_string_id(record):
+    # the same record checks as read_dataset: a JSON object with a string id
+    stream = io.StringIO(
+        '{"id":"g1","centipawns":[50],"result":"draw"}\n\n' + record + "\n"
+    )
+    with pytest.raises(ParseError) as err:
+        read_chess_games(stream)
+    assert err.value.line == 3
+
+
 def test_chess_empty_centipawns():
     with pytest.raises(ParseError):
         read_chess_games(io.StringIO('{"id":"g","centipawns":[],"result":"draw"}\n'))
@@ -180,3 +196,26 @@ def test_calibration_artifact_rejects_other_files(tmp_path):
     path.write_text("not json")
     with pytest.raises(ParseError):
         load_calibration(path)
+
+
+
+@dataclass(frozen=True)
+class _Row:
+    name: str
+    count: int
+    share: float
+
+
+def test_write_csv_header_is_the_fields_and_cells_follow_their_types(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(path, _Row, [_Row("a", 7, 1), _Row("b", 0, 0.1 + 0.2)])
+    assert path.read_bytes() == (
+        b"name,count,share\na,7,1.0\nb,0,0.30000000000000004\n"
+    )
+
+
+def test_write_csv_lead_column_leads_each_row_as_a_float():
+    buf = io.StringIO()
+    write_csv(buf, _Row, [(0.25, _Row("a", 7, 0.5)), (1, _Row("b", 0, 0.0))], lead="f")
+    assert buf.getvalue() == "f,name,count,share\n0.25,a,7,0.5\n1.0,b,0,0.0\n"
+    assert not buf.closed  # a stream is left open

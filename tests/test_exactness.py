@@ -3,8 +3,8 @@
 A `>=` tie against a PAC order-statistic threshold is decided the same way
 online and offline only if both paths compute bit-identical statistic
 values, so every comparison here uses `==`, never an approximation. The
-kernels beneath them are held to the same standard: the single-input form
-of `predict_proba` equals the element of the array form.
+oracle `predict_proba` is held to the same standard: its single-input form
+equals the element of its array form.
 """
 
 import copy
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import run_offline
+from oracles import predict_proba, run_offline
 
 from seqgate import harness
 from seqgate.harness import ExperimentConfig, _first_steps, _SplitArtifacts
@@ -33,7 +33,6 @@ from seqgate.kernels import (
     LogisticModel,
     fit_isotonic,
     fit_logistic,
-    predict_proba,
 )
 from seqgate.monitor import (
     ACTIVE,

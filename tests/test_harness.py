@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 from oracles import run_offline
 
+from seqgate.dataio import write_csv
 from seqgate.errors import MissingTokens, OutOfRange
 from seqgate.harness import (
+    CurvePoint,
     ExperimentConfig,
     calibration_ablation,
     derive_seed,
     evaluate_split,
     run_experiment,
     token_study,
-    write_curves_csv,
-    write_tokens_csv,
     NEVER_TERMINATE,
+    TokenCurvePoint,
 )
 from seqgate.monitor import raw_score_rule
 from seqgate.synthetic import SyntheticSpec, sample_dataset
@@ -48,6 +49,13 @@ def test_config_validation():
         ExperimentConfig(alpha_grid=(0.2,), methods=("nope",))
     with pytest.raises(OutOfRange):
         ExperimentConfig(alpha_grid=(0.2,), n_splits=0)
+
+
+@pytest.mark.parametrize("dre_fraction", [0.0, 1.0, 1.5, math.nan])
+def test_config_rejects_dre_fraction_outside_unit_interval(dre_fraction):
+    # checked even when no requested method splits off a ratio-fitting side
+    with pytest.raises(OutOfRange, match="dre_fraction"):
+        ExperimentConfig(alpha_grid=(0.2,), methods=("raw",), dre_fraction=dre_fraction)
 
 
 def test_never_rejecting_method_scores_zero():
@@ -184,7 +192,7 @@ def test_run_experiment_deterministic_csv(synth_data):
     outs = []
     for _ in range(2):
         buf = io.StringIO()
-        write_curves_csv(run_experiment(synth_data, cfg), buf)
+        write_csv(buf, CurvePoint, run_experiment(synth_data, cfg))
         outs.append(buf.getvalue())
     assert outs[0] == outs[1]
     header = outs[0].splitlines()[0]
@@ -279,7 +287,7 @@ def test_token_csv_shape(synth_data):
         alpha_grid=(0.2,), n_splits=1, cal_fraction=0.4, seed=17, methods=("raw",)
     )
     buf = io.StringIO()
-    write_tokens_csv(token_study(data, cfg), buf)
+    write_csv(buf, TokenCurvePoint, token_study(data, cfg))
     lines = buf.getvalue().splitlines()
     assert lines[0] == "method,alpha,tokens_used,accuracy"
     assert len(lines) == 3  # header + baseline + one method/alpha cell

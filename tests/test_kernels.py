@@ -12,6 +12,7 @@ from oracles import (
     exact_binomial_sf,
     isotonic_bruteforce,
     logistic_gradient,
+    predict_proba,
 )
 from fractions import Fraction
 
@@ -31,7 +32,6 @@ from seqgate.kernels import (
     fit_isotonic,
     fit_logistic,
     logistic_objective,
-    predict_proba,
 )
 from seqgate.synthetic import SyntheticSpec, sample_dataset
 

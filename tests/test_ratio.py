@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import predict_proba
 
 from seqgate.errors import EmptyPrefix, InvalidTrajectory, NoOverlap, SingleClassData
-from seqgate.kernels import FitConfig, LogisticModel, fit_logistic, predict_proba
+from seqgate.kernels import FitConfig, LogisticModel, fit_logistic
 from seqgate.ratio import (
     RatioModel,
     compute_tmax,
@@ -85,8 +86,6 @@ def test_fit_ratio_model_separates_first_step():
             )
         )
     model = fit_ratio_model(CalibrationSet(items))
-    from seqgate.kernels import predict_proba
-
     assert predict_proba(model.step_models[0], [0.9]) > 0.5
     assert predict_proba(model.step_models[0], [0.1]) < 0.5
 

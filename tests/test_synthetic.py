@@ -24,6 +24,23 @@ def test_spec_validation():
         SyntheticSpec(prior_1=1.0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sigma", math.inf),
+        ("mu_null", math.nan),
+        ("mu_alt", [1, 2]),
+        ("sigma", True),
+        ("stop_prob", "0.5"),
+        ("sigma", 10**400),
+    ],
+    ids=["inf", "nan", "list", "bool", "str", "int too large for a float"],
+)
+def test_spec_fields_must_be_finite_numbers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        SyntheticSpec(**{field: value})
+
+
 def test_stop_prob_one_gives_single_step():
     spec = SyntheticSpec(stop_prob=1.0)
     for seed in range(20):
