@@ -45,6 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("calibrate", help="fit a ratio model and decision threshold")
+    p.set_defaults(run=_cmd_calibrate)
     p.add_argument("--data", required=True)
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
@@ -54,30 +55,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("monitor", help="stream scores on stdin, decide per line")
+    p.set_defaults(run=_cmd_monitor)
     p.add_argument("--model", required=True)
 
     p = sub.add_parser("evaluate", help="FAR/power curves over repeated splits")
+    p.set_defaults(run=_cmd_evaluate)
     _add_experiment_args(p)
     p.add_argument("--splits", type=int, default=50)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("tokens", help="token-budget study on one split")
+    p.set_defaults(run=_cmd_tokens)
     _add_experiment_args(p)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("ablate", help="repeat evaluate at several calibration sizes")
+    p.set_defaults(run=_cmd_ablate)
     _add_experiment_args(p)
     p.add_argument("--fractions", type=_float_list, required=True)
     p.add_argument("--splits", type=int, default=50)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("synth", help="emit a synthetic dataset with known truth")
+    p.set_defaults(run=_cmd_synth)
     p.add_argument("--spec", default=None, help="JSON object or path to one")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("chess", help="convert centipawn game records to trajectories")
+    p.set_defaults(run=_cmd_chess)
     p.add_argument("--games", required=True)
     p.add_argument("--out", required=True)
     return parser
@@ -113,7 +120,7 @@ def _experiment_config(args, n_splits: int):
     )
 
 
-def _cmd_calibrate(args) -> int:
+def _cmd_calibrate(args, parser, stdin, stdout) -> int:
     from .harness import derive_seed
     from .ratio import fit_ratio_model
     from .thresholds import bonferroni_threshold, null_maxima
@@ -148,7 +155,7 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_monitor(args, stdin, stdout) -> int:
+def _cmd_monitor(args, parser, stdin, stdout) -> int:
     model, spec, _ = dataio.load_calibration(args.model)
     state = MonitorState(ratio_rule(model, spec.value))
     # readline loop: no read-ahead buffering, each answer follows its score
@@ -171,7 +178,7 @@ def _cmd_monitor(args, stdin, stdout) -> int:
     return EXIT_OK
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args, parser, stdin, stdout) -> int:
     from . import harness
 
     data = dataio.read_dataset(args.data)
@@ -182,7 +189,7 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_tokens(args) -> int:
+def _cmd_tokens(args, parser, stdin, stdout) -> int:
     from . import harness
 
     data = dataio.read_dataset(args.data)
@@ -193,7 +200,7 @@ def _cmd_tokens(args) -> int:
     return EXIT_OK
 
 
-def _cmd_ablate(args) -> int:
+def _cmd_ablate(args, parser, stdin, stdout) -> int:
     from . import harness
 
     data = dataio.read_dataset(args.data)
@@ -223,7 +230,7 @@ def _load_synth_spec(text):
     except json.JSONDecodeError:
         try:
             payload = json.loads(Path(text).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
             raise ParseError(f"--spec is neither inline JSON nor a JSON file: {exc}")
     if not isinstance(payload, dict):
         raise ParseError("--spec must be a JSON object")
@@ -233,7 +240,7 @@ def _load_synth_spec(text):
         raise ParseError(f"invalid synthetic spec: {exc}")
 
 
-def _cmd_synth(args, parser) -> int:
+def _cmd_synth(args, parser, stdin, stdout) -> int:
     if args.n < 1:
         parser.error("--n must be a positive integer")
     from .synthetic import sample_dataset
@@ -245,7 +252,7 @@ def _cmd_synth(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_chess(args) -> int:
+def _cmd_chess(args, parser, stdin, stdout) -> int:
     games = dataio.read_chess_games(args.games)
     dataio.write_dataset(dataio.chess_to_dataset(games), args.out)
     print(f"converted {len(games)} games -> {args.out}")
@@ -259,23 +266,10 @@ def cli_dispatch(argv, stdin=None, stdout=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        if args.command == "calibrate":
-            return _cmd_calibrate(args)
-        if args.command == "monitor":
-            return _cmd_monitor(
-                args, stdin if stdin is not None else sys.stdin,
-                stdout if stdout is not None else sys.stdout,
-            )
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        if args.command == "tokens":
-            return _cmd_tokens(args)
-        if args.command == "ablate":
-            return _cmd_ablate(args)
-        if args.command == "synth":
-            return _cmd_synth(args, parser)
-        if args.command == "chess":
-            return _cmd_chess(args)
+        return args.run(
+            args, parser, stdin if stdin is not None else sys.stdin,
+            stdout if stdout is not None else sys.stdout,
+        )
     except SystemExit as exc:  # parser.error inside a subcommand
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except InsufficientCalibration as exc:
@@ -287,7 +281,6 @@ def cli_dispatch(argv, stdin=None, stdout=None) -> int:
     except OSError as exc:
         print(f"ERROR IO_ERROR: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def main() -> None:

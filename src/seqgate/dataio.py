@@ -3,14 +3,14 @@ versioned calibration artifact bundling a fitted ratio model with its
 decision threshold, and the CSV tables of the experiment harness.
 
 Each function takes a path, opened here as UTF-8, or an open text stream,
-which is left open.
+which is left open. Input that is not UTF-8 fails as ParseError.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -36,12 +36,19 @@ class ChessGameRecord:
     result: str
 
 
+@contextmanager
 def _opened(path_or_stream, mode):
     """A path opened as UTF-8 text with newlines untranslated, or a stream
-    as given, as a context manager that closes only what it opened."""
-    if isinstance(path_or_stream, (str, Path)):
-        return open(path_or_stream, mode, encoding="utf-8", newline="")
-    return nullcontext(path_or_stream)
+    as given, closing only what it opened; text that does not decode as
+    UTF-8 raises ParseError."""
+    try:
+        if isinstance(path_or_stream, (str, Path)):
+            with open(path_or_stream, mode, encoding="utf-8", newline="") as fh:
+                yield fh
+        else:
+            yield path_or_stream
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text") from exc
 
 
 def _require(record: dict, field: str, line: int):

@@ -57,6 +57,8 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise OutOfRange(f"unknown methods {unknown}; choose from {KNOWN_METHODS}")
+        if not self.methods or len(set(self.methods)) < len(self.methods):
+            raise OutOfRange(f"methods must be distinct and non-empty: {self.methods}")
 
 
 @dataclass(frozen=True)
@@ -147,10 +149,24 @@ class _SplitArtifacts:
             rule, process = ratio_rule(self.ratio_model, thr), self.ratio
         return _first_steps(rule.fires(process), self.starts)
 
+    def cells(self, cfg: ExperimentConfig):
+        """(method, alpha, first rejection steps) for each requested cell in
+        order; the steps are None where the PAC threshold is infeasible."""
+        for method in cfg.methods:
+            for alpha in cfg.alpha_grid:
+                try:
+                    steps = self.decide(method, alpha, cfg.delta)
+                except InsufficientCalibration:
+                    steps = None
+                yield method, alpha, steps
+
 
 def _far_power(null, rejections):
     """Rejected shares of the null and the alternative trajectories, each an
-    int over an int, the division of ``sum(flags) / len(flags)``."""
+    int over an int, the division of ``sum(flags) / len(flags)``; (nan, nan)
+    for an infeasible cell."""
+    if rejections is None:
+        return math.nan, math.nan
     rejected = rejections > 0
     n_null = int(np.count_nonzero(null))
     n_alt = null.size - n_null
@@ -165,16 +181,7 @@ def evaluate_split(data: CalibrationSet, cfg: ExperimentConfig, split_seed: int)
     infeasible for the available nulls come back as (nan, nan).
     """
     arts = _SplitArtifacts(data, cfg, split_seed)
-    out = {}
-    for method in cfg.methods:
-        for alpha in cfg.alpha_grid:
-            try:
-                rejections = arts.decide(method, alpha, cfg.delta)
-            except InsufficientCalibration:
-                out[(method, alpha)] = (math.nan, math.nan)
-                continue
-            out[(method, alpha)] = _far_power(arts.null, rejections)
-    return out
+    return {(m, a): _far_power(arts.null, steps) for m, a, steps in arts.cells(cfg)}
 
 
 def _summary(values):
@@ -192,34 +199,15 @@ def _summary(values):
 
 def run_experiment(data: CalibrationSet, cfg: ExperimentConfig) -> list:
     """Mean and 95% percentile interval of FAR and power across splits."""
-    cells = {
-        (m, a): {"far": [], "power": []}
-        for m in cfg.methods
-        for a in cfg.alpha_grid
-    }
+    cells = {}
     for i in range(cfg.n_splits):
         result = evaluate_split(data, cfg, derive_seed(cfg.seed, i))
-        for key, (far, power) in result.items():
-            cells[key]["far"].append(far)
-            cells[key]["power"].append(power)
-
+        for key, pair in result.items():
+            cells.setdefault(key, []).append(pair)
     points = []
-    for method in cfg.methods:
-        for alpha in cfg.alpha_grid:
-            far_mean, far_lo, far_hi = _summary(cells[(method, alpha)]["far"])
-            pow_mean, pow_lo, pow_hi = _summary(cells[(method, alpha)]["power"])
-            points.append(
-                CurvePoint(
-                    method=method,
-                    alpha=alpha,
-                    far_mean=far_mean,
-                    far_lo=far_lo,
-                    far_hi=far_hi,
-                    power_mean=pow_mean,
-                    power_lo=pow_lo,
-                    power_hi=pow_hi,
-                )
-            )
+    for (method, alpha), pairs in cells.items():
+        fars, powers = zip(*pairs)
+        points.append(CurvePoint(method, alpha, *_summary(fars), *_summary(powers)))
     return points
 
 
@@ -229,53 +217,37 @@ def token_study(data: CalibrationSet, cfg: ExperimentConfig) -> list:
 
     Uses the first derived split of the experiment protocol. Accuracy counts
     a terminated successful trajectory as wrong. The never-terminate
-    baseline point is emitted first.
+    baseline point is emitted first; infeasible PAC cells are skipped.
     """
     for item in data:
         if item.tokens is None:
             raise MissingTokens(f"trajectory {item.id!r} carries no token counts")
 
     arts = _SplitArtifacts(data, cfg, derive_seed(cfg.seed, 0))
+    # cumulative counts: rejected at step r spends t[r - 1], and a trajectory
+    # never rejected (r = 0) spends its last count t[-1]
     tokens = [item.tokens for item in arts.test]
-    # token counts stay Python ints, picked by index from one flat list
-    flat = list(chain.from_iterable(tokens))
-    starts = offsets(tokens)
-    last = starts + np.fromiter(map(len, tokens), int, count=len(tokens)) - 1
     n_test = len(arts.test)
-    full_tokens = sum(map(flat.__getitem__, last.tolist()))
-    base_accuracy = int(np.count_nonzero(arts.null)) / n_test
-
     points = [
         TokenCurvePoint(
-            method=NEVER_TERMINATE,
-            alpha=0.0,
-            tokens_used=int(full_tokens),
-            accuracy=base_accuracy,
+            NEVER_TERMINATE, 0.0, sum(t[-1] for t in tokens),
+            int(np.count_nonzero(arts.null)) / n_test,
         )
     ]
-    for method in cfg.methods:
-        for alpha in cfg.alpha_grid:
-            try:
-                rejections = arts.decide(method, alpha, cfg.delta)
-            except InsufficientCalibration:
-                continue
-            spent = np.where(rejections > 0, starts + rejections - 1, last)
-            used = sum(map(flat.__getitem__, spent.tolist()))
-            kept = int(np.count_nonzero(arts.null & (rejections == 0)))
-            points.append(
-                TokenCurvePoint(
-                    method=method,
-                    alpha=alpha,
-                    tokens_used=int(used),
-                    accuracy=kept / n_test,
-                )
-            )
+    for method, alpha, steps in arts.cells(cfg):
+        if steps is None:
+            continue
+        used = sum(t[r - 1] for t, r in zip(tokens, steps.tolist()))
+        kept = int(np.count_nonzero(arts.null & (steps == 0)))
+        points.append(TokenCurvePoint(method, alpha, used, kept / n_test))
     return points
 
 
 def calibration_ablation(data: CalibrationSet, cfg: ExperimentConfig, fractions) -> list:
     """run_experiment at each calibration fraction; a fraction whose splits
     degenerate is reported as failed without aborting the others."""
+    if not fractions:
+        raise OutOfRange("fractions must name at least one calibration fraction")
     results = []
     for fraction in fractions:
         sub = replace(cfg, cal_fraction=fraction)

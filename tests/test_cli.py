@@ -262,6 +262,59 @@ def test_non_numeric_list_flag_is_usage_error(tmp_path, data_file, capsys, argv)
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--methods", "raw,raw"],
+        ["evaluate", "--methods", ","],
+        ["tokens", "--methods", ","],
+        ["ablate", "--fractions", ","],
+    ],
+    ids=["evaluate repeated", "evaluate empty", "tokens empty", "ablate empty"],
+)
+def test_empty_or_repeated_list_fails_closed(tmp_path, capsys, argv):
+    # with token counts, so that tokens has nothing else to fail on
+    data = tmp_path / "tok.jsonl"
+    base = sample_dataset(SyntheticSpec(), 120, seed=9)
+    write_dataset(
+        CalibrationSet(
+            LabeledTrajectory(item.id, item.scores, item.label, range(1, len(item) + 1))
+            for item in base
+        ),
+        data,
+    )
+    out = tmp_path / "o.csv"
+    argv = argv + ["--data", str(data), "--alphas", "0.3", "--out", str(out)]
+    code = cli_dispatch(argv)
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR OUT_OF_RANGE:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--alphas", "0.3", "--out", "o.csv", "--data"],
+        ["calibrate", "--alpha", "0.3", "--out", "m.json", "--data"],
+        ["chess", "--out", "c.jsonl", "--games"],
+        ["monitor", "--model"],
+        ["synth", "--n", "3", "--out", "s.jsonl", "--spec"],
+    ],
+    ids=lambda argv: argv[0] + " " + argv[-1],
+)
+def test_non_utf8_input_fails_closed(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b'\xff\xfe{\x00"\x00i\x00d\x00"\x00}\x00\n\x00')
+    code = cli_dispatch(argv + [str(bad)], stdin=io.StringIO("0.5\n"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("ERROR PARSE_ERROR:")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+
 def test_evaluate_dre_fraction_out_of_range(tmp_path, data_file, capsys):
     # raw splits off no ratio-fitting side, so only the config check sees it
     out = tmp_path / "o.csv"

@@ -11,6 +11,7 @@ import copy
 import math
 import pickle
 from dataclasses import asdict
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 from oracles import predict_proba, run_offline
 
 from seqgate import harness
-from seqgate.harness import ExperimentConfig, _first_steps, _SplitArtifacts
+from seqgate.harness import NEVER_TERMINATE, ExperimentConfig, TokenCurvePoint
+from seqgate.harness import _first_steps, _SplitArtifacts
 from seqgate.dataio import save_calibration
 from seqgate.errors import (
     EmptyPrefix,
@@ -287,6 +289,56 @@ def test_harness_first_crossing_equals_run_offline(drawn):
             far = sum(flags[1]) / len(flags[1])
             power = sum(flags[0]) / len(flags[0])
             assert cells[(method, alpha)] == (far, power), method
+
+
+@EXACT
+@given(model_and_trajectories(min_n=16, max_n=30), st.data())
+def test_token_study_equals_run_offline(drawn, draws):
+    model, trajectories = drawn
+    items = []
+    for i, t in enumerate(trajectories):
+        spent = draws.draw(st.lists(st.integers(0, 99), min_size=len(t), max_size=len(t)))
+        # scores of at least 0.05 are never strictly below raw's alpha 0.05
+        scores = [abs(s) + 0.05 for s in t]
+        items.append(LabeledTrajectory(f"x{i}", scores, i % 2, list(accumulate(spent))))
+    data = CalibrationSet(items)
+    cfg = ExperimentConfig(
+        alpha_grid=(0.05, 0.5), n_splits=1, cal_fraction=0.5, delta=0.5
+    )
+    with mock.patch.object(harness, "fit_ratio_model", lambda dre, fit_config: model):
+        arts = _SplitArtifacts(data, cfg, harness.derive_seed(cfg.seed, 0))
+        points = harness.token_study(data, cfg)
+    test = arts.test.items
+    n_test = len(test)
+    cells, never = {}, 0
+    for alpha in cfg.alpha_grid:
+        rules = {
+            "evaluator_ville": ratio_rule(model, ville_threshold(alpha).value),
+            "bonferroni": ratio_rule(model, arts.t_cal_max / alpha),
+            "raw": raw_score_rule(alpha),
+            "calibrated": calibrated_score_rule(pooled_reference(arts.cal), alpha),
+        }
+        try:
+            pac = pac_threshold(arts.null_maxima, alpha, cfg.delta, arts.pac_seed)
+            rules["evaluator_pac"] = ratio_rule(model, pac.value)
+        except InsufficientCalibration:
+            pass  # the study skips the cell
+        for method, rule in rules.items():
+            stops = [run_offline(rule, item)[1] for item in test]
+            never += stops.count(None)
+            used = sum(item.tokens[(r or len(item)) - 1] for r, item in zip(stops, test))
+            kept = sum(r is None and item.label == 1 for r, item in zip(stops, test))
+            cells[(method, alpha)] = TokenCurvePoint(method, alpha, used, kept / n_test)
+    # at most 4 nulls reach the threshold side: alpha 0.05 needs 14 at delta 0.5
+    assert ("evaluator_pac", 0.05) not in cells
+    assert never >= n_test  # raw at alpha 0.05 rejects no trajectory
+    baseline = TokenCurvePoint(
+        NEVER_TERMINATE, 0.0, sum(item.tokens[-1] for item in test),
+        sum(item.label for item in test) / n_test,
+    )
+    assert points == [baseline] + [
+        cells[(m, a)] for m in cfg.methods for a in cfg.alpha_grid if (m, a) in cells
+    ]
 
 
 def padded_reference(trajectories, width):

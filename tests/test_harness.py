@@ -58,6 +58,16 @@ def test_config_rejects_dre_fraction_outside_unit_interval(dre_fraction):
         ExperimentConfig(alpha_grid=(0.2,), methods=("raw",), dre_fraction=dre_fraction)
 
 
+@pytest.mark.parametrize(
+    "methods", [(), ("raw", "raw"), ("raw", "calibrated", "raw")],
+    ids=["empty", "repeated", "repeated-apart"],
+)
+def test_config_rejects_empty_or_repeated_methods(methods):
+    # a repeated method would be one (method, alpha) cell written twice
+    with pytest.raises(OutOfRange, match="methods"):
+        ExperimentConfig(alpha_grid=(0.2,), methods=methods)
+
+
 def test_never_rejecting_method_scores_zero():
     # all scores sit well above alpha, so the raw rule can never fire
     items = [
@@ -310,6 +320,12 @@ def test_ablation_reports_failures_without_aborting(synth_data):
     results = calibration_ablation(synth_data, cfg, [0.003, 0.3])
     assert results[0].error is not None and results[0].curves == ()
     assert results[1].error is None and len(results[1].curves) == 1
+
+
+def test_ablation_without_fractions_is_out_of_range(synth_data):
+    cfg = ExperimentConfig(alpha_grid=(0.3,), n_splits=1, methods=("raw",))
+    with pytest.raises(OutOfRange, match="fractions"):
+        calibration_ablation(synth_data, cfg, [])
 
 
 def test_true_ratio_rule_controls_far_through_monitor():
