@@ -246,6 +246,7 @@ def token_study(data: CalibrationSet, cfg: ExperimentConfig) -> list:
 def calibration_ablation(data: CalibrationSet, cfg: ExperimentConfig, fractions) -> list:
     """run_experiment at each calibration fraction; a fraction whose splits
     degenerate is reported as failed without aborting the others."""
+    fractions = tuple(fractions)
     if not fractions:
         raise OutOfRange("fractions must name at least one calibration fraction")
     results = []

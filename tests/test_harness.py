@@ -328,6 +328,20 @@ def test_ablation_without_fractions_is_out_of_range(synth_data):
         calibration_ablation(synth_data, cfg, [])
 
 
+def test_ablation_without_fractions_from_an_iterator_is_out_of_range(synth_data):
+    cfg = ExperimentConfig(alpha_grid=(0.3,), n_splits=1, methods=("raw",))
+    with pytest.raises(OutOfRange, match="fractions"):
+        calibration_ablation(synth_data, cfg, iter(()))
+
+
+def test_ablation_takes_a_numpy_array_of_fractions(synth_data):
+    cfg = ExperimentConfig(alpha_grid=(0.3,), n_splits=1, methods=("raw",))
+    results = calibration_ablation(synth_data, cfg, np.array([0.2, 0.3]))
+    expected = calibration_ablation(synth_data, cfg, [0.2, 0.3])
+    assert [r.cal_fraction for r in results] == [0.2, 0.3]
+    assert results == expected
+
+
 def test_true_ratio_rule_controls_far_through_monitor():
     # the exact ratio process with the 1/alpha threshold, replayed through
     # the monitor over a split's test side, keeps FAR within binomial noise
