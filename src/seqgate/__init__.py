@@ -15,6 +15,10 @@ modules it uses.
 import importlib
 
 _EXPORTS = {
+    "artifact": (
+        "FitConfig", "LogisticModel", "RatioModel", "ThresholdSpec", "eval_ratio",
+        "load_calibration", "ratio_statistic", "save_calibration",
+    ),
     "errors": (
         "DegenerateSplit", "DimensionMismatch", "EmptyPrefix",
         "InsufficientCalibration", "InvalidTrajectory", "LengthMismatch",
@@ -26,32 +30,31 @@ _EXPORTS = {
         "calibration_ablation", "evaluate_split", "run_experiment", "token_study",
     ),
     "kernels": (
-        "FitConfig", "IsotonicModel", "LogisticModel", "apply_isotonic", "binomial_sf",
-        "fit_isotonic", "fit_logistic",
+        "IsotonicModel", "apply_isotonic", "binomial_sf", "fit_isotonic",
+        "fit_logistic",
     ),
     "monitor": (
         "DecisionRule", "MonitorState", "Status", "calibrated_score_rule",
         "pooled_isotonic", "ratio_rule", "raw_score_rule",
     ),
     "ratio": (
-        "RatioModel", "compute_tmax", "estimate_prior", "eval_process", "eval_ratio",
-        "fit_ratio_model", "ratio_statistic",
+        "compute_tmax", "estimate_prior", "eval_process", "fit_ratio_model",
     ),
     "synthetic": (
         "SyntheticSpec", "sample_dataset", "sample_trajectory", "toy_marginal_example",
         "true_ratio_process", "true_ratio_rule",
     ),
     "thresholds": (
-        "ThresholdSpec", "bonferroni_threshold", "min_null_samples", "null_maxima",
-        "pac_index", "pac_threshold", "ville_threshold",
+        "bonferroni_threshold", "min_null_samples", "null_maxima", "pac_index",
+        "pac_threshold", "ville_threshold",
     ),
     "trajectories": (
         "CalibrationSet", "LabeledTrajectory", "SplitConfig", "split_calibration",
         "validate",
     ),
     "dataio": (
-        "centipawn_to_prob", "chess_to_dataset", "load_calibration", "read_chess_games",
-        "read_dataset", "save_calibration", "write_dataset",
+        "centipawn_to_prob", "chess_to_dataset", "read_chess_games", "read_dataset",
+        "write_dataset",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

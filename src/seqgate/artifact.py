@@ -1,0 +1,265 @@
+"""The calibration artifact without numpy: the model and threshold types
+``seqgate calibrate`` writes, the scalar statistic ``seqgate monitor``
+streams, and the versioned JSON format that bundles them. ``kernels``,
+``ratio``, ``thresholds`` and ``dataio`` import these names from here, so a
+monitor process loads this module, ``monitor`` and ``cli`` alone.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property
+from pathlib import Path
+from typing import Optional
+
+from .errors import EmptyPrefix, OutOfRange, ParseError
+
+DEFAULT_PROB_CLAMP = 1e-6
+# calibrate's flag defaults, here so that the CLI parser needs no numpy
+DEFAULT_DELTA = 0.05
+DEFAULT_DRE_FRACTION = 0.5
+THRESHOLD_KINDS = ("pac", "ville", "bonferroni")
+ARTIFACT_FORMAT = "seqgate-calibration"
+ARTIFACT_VERSION = 1
+
+
+@dataclass(frozen=True)
+class FitConfig:
+    """Hyperparameters for the logistic kernel.
+
+    l2_lambda penalizes squared weight norm (the intercept is never
+    penalized); prob_clamp bounds predicted probabilities away from 0 and 1
+    so downstream ratios stay finite. The default penalty is a light floor:
+    informative verifiers induce large true weights, and heavy shrinkage
+    biases the estimated ratio process downward at every step.
+    """
+
+    l2_lambda: float = 0.02
+    max_iters: int = 100
+    tolerance: float = 1e-8
+    prob_clamp: float = DEFAULT_PROB_CLAMP
+
+    def __post_init__(self):
+        if self.l2_lambda < 0:
+            raise OutOfRange(f"l2_lambda must be >= 0, got {self.l2_lambda}")
+        if self.max_iters < 1:
+            raise OutOfRange(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.tolerance <= 0:
+            raise OutOfRange(f"tolerance must be > 0, got {self.tolerance}")
+        # the ratio takes math.exp of logits up to log((1 - c)/c), which
+        # raises OverflowError unless (1 - c)/c is a finite float
+        if not (sys.float_info.min <= self.prob_clamp < 0.5):
+            raise OutOfRange(
+                f"prob_clamp must lie in [{sys.float_info.min!r}, 0.5), "
+                f"got {self.prob_clamp}"
+            )
+
+
+@dataclass(frozen=True)
+class LogisticModel:
+    weights: tuple
+    intercept: float
+
+
+@dataclass(frozen=True)
+class RatioModel:
+    """Per-step classifiers plus the class-prior estimate they plug into."""
+
+    step_models: tuple
+    prior_1: float
+    t_max: int
+    fit_config: FitConfig
+
+    def __post_init__(self):
+        if len(self.step_models) != self.t_max:
+            raise ValueError(
+                f"expected {self.t_max} step models, got {len(self.step_models)}"
+            )
+        if not (0.0 < self.prior_1 < 1.0):
+            raise ValueError(f"prior_1 must lie strictly in (0, 1), got {self.prior_1}")
+
+    # cached beside the fields: asdict, == and the artifact bytes ignore them
+    @cached_property
+    def prior_odds(self) -> float:
+        """prior_1 / (1 - prior_1), the factor every ratio value carries."""
+        return self.prior_1 / (1.0 - self.prior_1)
+
+    @cached_property
+    def logit_bound(self) -> float:
+        """L = log((1 - c)/c): f = sigmoid(z) in [c, 1 - c] is z in [-L, L]."""
+        c = self.fit_config.prob_clamp
+        return math.log((1.0 - c) / c)
+
+    @cached_property
+    def step_table(self) -> tuple:
+        """(weights, intercept) of each step model, as plain tuples."""
+        return tuple((step.weights, step.intercept) for step in self.step_models)
+
+
+def ratio_statistic(model: RatioModel):
+    """The plug-in density ratio at the end of a prefix, as a function of the
+    prefix alone.
+
+    The step table, t_max, the logit bound and the prior odds are read once,
+    here. Prefixes longer than t_max are truncated to their first t_max
+    scores, freezing the statistic. The arithmetic is replay's, one prefix at
+    a time.
+    """
+    steps, t_max = model.step_table, model.t_max
+    bound, odds, exp = model.logit_bound, model.prior_odds, math.exp
+
+    def value(prefix) -> float:
+        t = len(prefix)
+        if t > t_max:
+            t = t_max
+        elif not t:
+            raise EmptyPrefix("cannot evaluate the ratio on an empty prefix")
+        weights, intercept = steps[t - 1]
+        z = 0.0
+        for w, v in zip(weights, prefix):
+            z = z + w * v
+        z = z + intercept
+        # two comparisons, as np.clip: a nan logit stays nan
+        if z > bound:
+            z = bound
+        elif z < -bound:
+            z = -bound
+        return odds * exp(-z)
+
+    return value
+
+
+def eval_ratio(model: RatioModel, prefix) -> float:
+    """Plug-in density ratio at the end of one prefix of scores."""
+    return ratio_statistic(model)(prefix)
+
+
+@dataclass(frozen=True)
+class ThresholdSpec:
+    """A resolved decision threshold plus how it was derived."""
+
+    kind: str  # one of THRESHOLD_KINDS
+    alpha: float
+    value: float
+    delta: Optional[float] = None   # pac only
+    n_null: Optional[int] = None    # pac only
+    k_index: Optional[int] = None   # pac only
+    t_cal_max: Optional[int] = None  # bonferroni only
+
+
+@contextmanager
+def _opened(path_or_stream, mode):
+    """A path opened as UTF-8 text with newlines untranslated, or a stream
+    as given, closing only what it opened; text that does not decode as
+    UTF-8 raises ParseError."""
+    try:
+        if isinstance(path_or_stream, (str, Path)):
+            with open(path_or_stream, mode, encoding="utf-8", newline="") as fh:
+                yield fh
+        else:
+            yield path_or_stream
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text") from exc
+
+
+def save_calibration(
+    path,
+    model: RatioModel,
+    threshold: ThresholdSpec,
+    metadata: Optional[dict] = None,
+) -> None:
+    payload = {
+        "format": ARTIFACT_FORMAT,
+        "version": ARTIFACT_VERSION,
+        "ratio_model": asdict(model),
+        "threshold": asdict(threshold),
+        "metadata": metadata or {},
+    }
+    with _opened(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _fields_of(cls, payload, where: str) -> dict:
+    """``payload`` checked to be a JSON object holding exactly cls's fields."""
+    if not isinstance(payload, dict):
+        raise ParseError(f"{where} must be a JSON object")
+    names = {f.name for f in fields(cls)}
+    missing = sorted(names - payload.keys())
+    unknown = sorted(payload.keys() - names)
+    if missing or unknown:
+        raise ParseError(f"{where}: missing keys {missing}, unknown keys {unknown}")
+    return payload
+
+
+def _number(value, where: str, kind=(int, float)):
+    finite = isinstance(value, kind) and not isinstance(value, bool)
+    if not (finite and math.isfinite(value)):
+        raise ParseError(f"{where} must be a finite number, got {value!r}")
+    return value
+
+
+def _probability(value, where: str) -> float:
+    if not 0.0 < _number(value, where) < 1.0:
+        raise ParseError(f"{where} must lie strictly in (0, 1), got {value!r}")
+    return value
+
+
+def _ratio_model(payload) -> RatioModel:
+    p = _fields_of(RatioModel, payload, "ratio_model")
+    cfg = _fields_of(FitConfig, p["fit_config"], "ratio_model.fit_config")
+    t_max, steps = _number(p["t_max"], "ratio_model.t_max", int), p["step_models"]
+    if not isinstance(steps, list) or len(steps) != t_max:
+        raise ParseError(f"ratio_model.t_max={t_max} != the number of step models")
+    models = []
+    for t, step in enumerate(steps, start=1):
+        where = f"ratio_model.step_models[{t - 1}]"
+        step = _fields_of(LogisticModel, step, where)
+        if not isinstance(step["weights"], list) or len(step["weights"]) != t:
+            raise ParseError(f"{where}.weights must hold {t} numbers")
+        weights = tuple(_number(w, f"{where}.weights") for w in step["weights"])
+        intercept = _number(step["intercept"], f"{where}.intercept")
+        models.append(LogisticModel(weights, intercept))
+    try:
+        fit_config = FitConfig(
+            **{k: _number(v, f"ratio_model.fit_config.{k}") for k, v in cfg.items()}
+        )
+    except OutOfRange as exc:
+        raise ParseError(f"ratio_model.fit_config: {exc}") from exc
+    prior_1 = _probability(p["prior_1"], "ratio_model.prior_1")
+    return RatioModel(tuple(models), prior_1, t_max, fit_config)
+
+
+def _threshold(payload) -> ThresholdSpec:
+    p = _fields_of(ThresholdSpec, payload, "threshold")
+    if p["kind"] not in THRESHOLD_KINDS:
+        raise ParseError(f"threshold.kind {p['kind']!r} is not one of {THRESHOLD_KINDS}")
+    _probability(p["alpha"], "threshold.alpha")
+    _number(p["value"], "threshold.value")
+    for key in ("delta", "n_null", "k_index", "t_cal_max"):
+        if p[key] is not None:
+            _number(p[key], f"threshold.{key}", float if key == "delta" else int)
+    return ThresholdSpec(**p)
+
+
+def load_calibration(path):
+    """(ratio model, threshold, metadata) from an artifact, every field
+    validated; anything malformed raises ParseError."""
+    with _opened(path, "r") as fh:
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed calibration artifact ({exc.msg})") from exc
+    if not isinstance(payload, dict) or payload.get("format") != ARTIFACT_FORMAT:
+        raise ParseError(f"not a {ARTIFACT_FORMAT} file")
+    # the int 1 only: true and 1.0 compare equal to it
+    version = payload.get("version")
+    if type(version) is not int or version != ARTIFACT_VERSION:
+        raise ParseError(f"unsupported artifact version {version!r}")
+    model = _ratio_model(payload.get("ratio_model"))
+    threshold = _threshold(payload.get("threshold"))
+    return model, threshold, payload.get("metadata", {})

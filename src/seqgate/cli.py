@@ -14,14 +14,12 @@ import json
 import sys
 from pathlib import Path
 
-from . import dataio
+from .artifact import DEFAULT_DELTA, DEFAULT_DRE_FRACTION, THRESHOLD_KINDS, load_calibration
 from .errors import InsufficientCalibration, ParseError, SeqgateError
 from .monitor import KNOWN_METHODS, MonitorState, ratio_rule
-from .thresholds import DEFAULT_DELTA, THRESHOLD_KINDS
-from .trajectories import DEFAULT_DRE_FRACTION, SplitConfig, split_calibration
 
-# The harness, the generator, the fit and the threshold builders are imported
-# by the subcommands that run them: `monitor` loads only what it runs.
+# Every batch module is imported by the subcommands that run it: `monitor`
+# loads only the artifact, the state machine and this module, and no numpy.
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -121,10 +119,11 @@ def _experiment_config(args, n_splits: int):
 
 
 def _cmd_calibrate(args, parser, stdin, stdout) -> int:
-    from .harness import derive_seed
+    from . import dataio
     from .ratio import fit_ratio_model
     from .thresholds import bonferroni_threshold, null_maxima
     from .thresholds import pac_threshold, ville_threshold
+    from .trajectories import SplitConfig, derive_seed, split_calibration
 
     data = dataio.read_dataset(args.data)
     dre, thresh_set = split_calibration(
@@ -156,7 +155,7 @@ def _cmd_calibrate(args, parser, stdin, stdout) -> int:
 
 
 def _cmd_monitor(args, parser, stdin, stdout) -> int:
-    model, spec, _ = dataio.load_calibration(args.model)
+    model, spec, _ = load_calibration(args.model)
     state = MonitorState(ratio_rule(model, spec.value))
     # readline loop: no read-ahead buffering, each answer follows its score
     for line in iter(stdin.readline, ""):
@@ -179,7 +178,7 @@ def _cmd_monitor(args, parser, stdin, stdout) -> int:
 
 
 def _cmd_evaluate(args, parser, stdin, stdout) -> int:
-    from . import harness
+    from . import dataio, harness
 
     data = dataio.read_dataset(args.data)
     cfg = _experiment_config(args, args.splits)
@@ -190,7 +189,7 @@ def _cmd_evaluate(args, parser, stdin, stdout) -> int:
 
 
 def _cmd_tokens(args, parser, stdin, stdout) -> int:
-    from . import harness
+    from . import dataio, harness
 
     data = dataio.read_dataset(args.data)
     cfg = _experiment_config(args, 1)
@@ -201,7 +200,7 @@ def _cmd_tokens(args, parser, stdin, stdout) -> int:
 
 
 def _cmd_ablate(args, parser, stdin, stdout) -> int:
-    from . import harness
+    from . import dataio, harness
 
     data = dataio.read_dataset(args.data)
     cfg = _experiment_config(args, args.splits)
@@ -243,6 +242,7 @@ def _load_synth_spec(text):
 def _cmd_synth(args, parser, stdin, stdout) -> int:
     if args.n < 1:
         parser.error("--n must be a positive integer")
+    from . import dataio
     from .synthetic import sample_dataset
 
     spec = _load_synth_spec(args.spec)
@@ -253,6 +253,8 @@ def _cmd_synth(args, parser, stdin, stdout) -> int:
 
 
 def _cmd_chess(args, parser, stdin, stdout) -> int:
+    from . import dataio
+
     games = dataio.read_chess_games(args.games)
     dataio.write_dataset(dataio.chess_to_dataset(games), args.out)
     print(f"converted {len(games)} games -> {args.out}")

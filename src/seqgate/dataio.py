@@ -3,26 +3,20 @@ versioned calibration artifact bundling a fitted ratio model with its
 decision threshold, and the CSV tables of the experiment harness.
 
 Each function takes a path, opened here as UTF-8, or an open text stream,
-which is left open. Input that is not UTF-8 fails as ParseError.
+which is left open. Input that is not UTF-8 fails as ParseError. The
+artifact's ``save_calibration`` and ``load_calibration`` live in ``artifact``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
 
-from .errors import InvalidTrajectory, OutOfRange, ParseError
-from .kernels import FitConfig, LogisticModel
-from .ratio import RatioModel
-from .thresholds import THRESHOLD_KINDS, ThresholdSpec
+from .artifact import _opened, load_calibration, save_calibration
+from .errors import InvalidTrajectory, ParseError
 from .trajectories import CalibrationSet, LabeledTrajectory, validate
-
-ARTIFACT_FORMAT = "seqgate-calibration"
-ARTIFACT_VERSION = 1
 
 CHESS_RESULTS = ("white_win", "black_win", "draw")
 # published logistic slope for converting engine centipawns to a win chance
@@ -34,21 +28,6 @@ class ChessGameRecord:
     id: str
     centipawns: tuple
     result: str
-
-
-@contextmanager
-def _opened(path_or_stream, mode):
-    """A path opened as UTF-8 text with newlines untranslated, or a stream
-    as given, closing only what it opened; text that does not decode as
-    UTF-8 raises ParseError."""
-    try:
-        if isinstance(path_or_stream, (str, Path)):
-            with open(path_or_stream, mode, encoding="utf-8", newline="") as fh:
-                yield fh
-        else:
-            yield path_or_stream
-    except UnicodeDecodeError as exc:
-        raise ParseError("not UTF-8 text") from exc
 
 
 def _require(record: dict, field: str, line: int):
@@ -176,103 +155,6 @@ def data_digest(path) -> str:
     import hashlib
 
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def save_calibration(
-    path,
-    model: RatioModel,
-    threshold: ThresholdSpec,
-    metadata: Optional[dict] = None,
-) -> None:
-    payload = {
-        "format": ARTIFACT_FORMAT,
-        "version": ARTIFACT_VERSION,
-        "ratio_model": asdict(model),
-        "threshold": asdict(threshold),
-        "metadata": metadata or {},
-    }
-    with _opened(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _fields_of(cls, payload, where: str) -> dict:
-    """``payload`` checked to be a JSON object holding exactly cls's fields."""
-    if not isinstance(payload, dict):
-        raise ParseError(f"{where} must be a JSON object")
-    names = {f.name for f in fields(cls)}
-    missing = sorted(names - payload.keys())
-    unknown = sorted(payload.keys() - names)
-    if missing or unknown:
-        raise ParseError(f"{where}: missing keys {missing}, unknown keys {unknown}")
-    return payload
-
-
-def _number(value, where: str, kind=(int, float)):
-    finite = isinstance(value, kind) and not isinstance(value, bool)
-    if not (finite and math.isfinite(value)):
-        raise ParseError(f"{where} must be a finite number, got {value!r}")
-    return value
-
-
-def _probability(value, where: str) -> float:
-    if not 0.0 < _number(value, where) < 1.0:
-        raise ParseError(f"{where} must lie strictly in (0, 1), got {value!r}")
-    return value
-
-
-def _ratio_model(payload) -> RatioModel:
-    p = _fields_of(RatioModel, payload, "ratio_model")
-    cfg = _fields_of(FitConfig, p["fit_config"], "ratio_model.fit_config")
-    t_max, steps = _number(p["t_max"], "ratio_model.t_max", int), p["step_models"]
-    if not isinstance(steps, list) or len(steps) != t_max:
-        raise ParseError(f"ratio_model.t_max={t_max} != the number of step models")
-    models = []
-    for t, step in enumerate(steps, start=1):
-        where = f"ratio_model.step_models[{t - 1}]"
-        step = _fields_of(LogisticModel, step, where)
-        if not isinstance(step["weights"], list) or len(step["weights"]) != t:
-            raise ParseError(f"{where}.weights must hold {t} numbers")
-        weights = tuple(_number(w, f"{where}.weights") for w in step["weights"])
-        intercept = _number(step["intercept"], f"{where}.intercept")
-        models.append(LogisticModel(weights, intercept))
-    try:
-        fit_config = FitConfig(
-            **{k: _number(v, f"ratio_model.fit_config.{k}") for k, v in cfg.items()}
-        )
-    except OutOfRange as exc:
-        raise ParseError(f"ratio_model.fit_config: {exc}") from exc
-    prior_1 = _probability(p["prior_1"], "ratio_model.prior_1")
-    return RatioModel(tuple(models), prior_1, t_max, fit_config)
-
-
-def _threshold(payload) -> ThresholdSpec:
-    p = _fields_of(ThresholdSpec, payload, "threshold")
-    if p["kind"] not in THRESHOLD_KINDS:
-        raise ParseError(f"threshold.kind {p['kind']!r} is not one of {THRESHOLD_KINDS}")
-    _probability(p["alpha"], "threshold.alpha")
-    _number(p["value"], "threshold.value")
-    for key in ("delta", "n_null", "k_index", "t_cal_max"):
-        if p[key] is not None:
-            _number(p[key], f"threshold.{key}", float if key == "delta" else int)
-    return ThresholdSpec(**p)
-
-
-def load_calibration(path):
-    """(ratio model, threshold, metadata) from an artifact, every field
-    validated; anything malformed raises ParseError."""
-    with _opened(path, "r") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed calibration artifact ({exc.msg})") from exc
-    if not isinstance(payload, dict) or payload.get("format") != ARTIFACT_FORMAT:
-        raise ParseError(f"not a {ARTIFACT_FORMAT} file")
-    if payload.get("version") != ARTIFACT_VERSION:
-        raise ParseError(f"unsupported artifact version {payload.get('version')!r}")
-    model = _ratio_model(payload.get("ratio_model"))
-    threshold = _threshold(payload.get("threshold"))
-    return model, threshold, payload.get("metadata", {})
 
 
 def write_csv(path_or_stream, cls, rows, lead=None) -> None:

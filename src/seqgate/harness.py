@@ -22,7 +22,8 @@ from .monitor import KNOWN_METHODS, calibrated_score_rule, pooled_isotonic
 from .monitor import ratio_rule, raw_score_rule
 from .ratio import fit_ratio_model, replay
 from .thresholds import null_maxima, pac_threshold, ville_threshold
-from .trajectories import CalibrationSet, SplitConfig, offsets, split_calibration
+from .trajectories import CalibrationSet, SplitConfig, derive_seed, offsets
+from .trajectories import split_calibration
 
 _RATIO_METHODS = {"evaluator_pac", "evaluator_ville", "bonferroni"}
 NEVER_TERMINATE = "never_terminate"
@@ -86,11 +87,6 @@ class AblationResult:
     cal_fraction: float
     curves: tuple
     error: Optional[str] = None
-
-
-def derive_seed(master: int, *key) -> int:
-    """Stable indexed sub-seed derivation."""
-    return int(np.random.SeedSequence((master,) + tuple(key)).generate_state(1)[0])
 
 
 def _first_steps(fired, starts) -> np.ndarray:
@@ -247,8 +243,8 @@ def calibration_ablation(data: CalibrationSet, cfg: ExperimentConfig, fractions)
     """run_experiment at each calibration fraction; a fraction whose splits
     degenerate is reported as failed without aborting the others."""
     fractions = tuple(fractions)
-    if not fractions:
-        raise OutOfRange("fractions must name at least one calibration fraction")
+    if not fractions or len(set(fractions)) < len(fractions):
+        raise OutOfRange(f"fractions must be distinct and non-empty: {fractions}")
     results = []
     for fraction in fractions:
         sub = replace(cfg, cal_fraction=fraction)

@@ -4,18 +4,18 @@ Three kernels back the rest of the pipeline: L2-regularized logistic
 regression (damped Newton with step halving), pool-adjacent-violators
 isotonic regression, and exact binomial upper tails in log space. No
 external solver is used; tests verify each kernel against an independent
-brute-force oracle.
+brute-force oracle. ``FitConfig`` and ``LogisticModel`` live in ``artifact``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import DEFAULT_PROB_CLAMP, FitConfig, LogisticModel
 from .errors import (
     DimensionMismatch,
     InvalidTrajectory,
@@ -23,46 +23,6 @@ from .errors import (
     OutOfRange,
     SingleClassData,
 )
-
-DEFAULT_PROB_CLAMP = 1e-6
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Hyperparameters for the logistic kernel.
-
-    l2_lambda penalizes squared weight norm (the intercept is never
-    penalized); prob_clamp bounds predicted probabilities away from 0 and 1
-    so downstream ratios stay finite. The default penalty is a light floor:
-    informative verifiers induce large true weights, and heavy shrinkage
-    biases the estimated ratio process downward at every step.
-    """
-
-    l2_lambda: float = 0.02
-    max_iters: int = 100
-    tolerance: float = 1e-8
-    prob_clamp: float = DEFAULT_PROB_CLAMP
-
-    def __post_init__(self):
-        if self.l2_lambda < 0:
-            raise OutOfRange(f"l2_lambda must be >= 0, got {self.l2_lambda}")
-        if self.max_iters < 1:
-            raise OutOfRange(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tolerance <= 0:
-            raise OutOfRange(f"tolerance must be > 0, got {self.tolerance}")
-        # the ratio takes math.exp of logits up to log((1 - c)/c), which
-        # raises OverflowError unless (1 - c)/c is a finite float
-        if not (sys.float_info.min <= self.prob_clamp < 0.5):
-            raise OutOfRange(
-                f"prob_clamp must lie in [{sys.float_info.min!r}, 0.5), "
-                f"got {self.prob_clamp}"
-            )
-
-
-@dataclass(frozen=True)
-class LogisticModel:
-    weights: tuple
-    intercept: float
 
 
 @dataclass(frozen=True)

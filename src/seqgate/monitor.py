@@ -5,8 +5,9 @@ and writes the first-crossing comparison once, in ``fires``. MonitorState
 applies it to one prefix per observed score; the experiment harness applies
 the same ``fires`` to whole replayed processes at once, so streaming and
 batch decisions agree exactly. The ratio rule's statistic is
-``ratio.ratio_statistic``, which reads the model once when the rule is built,
-so a streamed step pays only for its own prefix.
+``artifact.ratio_statistic``, which reads the model once when the rule is
+built, so a streamed step pays only for its own prefix. numpy and
+``kernels`` load only in ``pooled_isotonic`` and ``calibrated_score_rule``.
 """
 
 from __future__ import annotations
@@ -15,14 +16,14 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
-
+from .artifact import RatioModel, ratio_statistic
 from .errors import InvalidTrajectory, MonitorClosed, SingleClassData
-from .kernels import IsotonicModel, apply_isotonic, fit_isotonic
-from .ratio import RatioModel, ratio_statistic
-from .trajectories import CalibrationSet
+
+if TYPE_CHECKING:
+    from .kernels import IsotonicModel
+    from .trajectories import CalibrationSet
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,8 @@ def raw_score_rule(alpha: float) -> DecisionRule:
 
 
 def calibrated_score_rule(model: IsotonicModel, alpha: float) -> DecisionRule:
+    from .kernels import apply_isotonic
+
     return DecisionRule(
         lambda prefix: apply_isotonic(model, prefix[-1]), alpha, reject_below=True
     )
@@ -68,6 +71,10 @@ def calibrated_score_rule(model: IsotonicModel, alpha: float) -> DecisionRule:
 def pooled_isotonic(cal: CalibrationSet) -> IsotonicModel:
     """Isotonic recalibration map fit on the pooled (score, label) pairs of
     every step of every trajectory."""
+    import numpy as np
+
+    from .kernels import fit_isotonic
+
     scores = [item.scores for item in cal]
     lengths = np.fromiter(map(len, scores), int, count=len(scores))
     xs = np.fromiter(chain.from_iterable(scores), float, count=int(lengths.sum()))

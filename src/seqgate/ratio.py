@@ -17,7 +17,8 @@ odds * exp(-z), and clamping f to [c, 1 - c] is clamping the logit z to
 Two entry points share one arithmetic. ``ratio_statistic`` turns a model
 into its per-prefix statistic, for the streaming monitor: it reads the step
 table and the constants once, so each call is one length, one index and the
-logit loop; ``eval_ratio`` applies it to one prefix. ``replay`` evaluates
+logit loop; ``eval_ratio`` applies it to one prefix. Both live in
+``artifact``, with ``RatioModel``. ``replay`` evaluates
 whole processes of many trajectories, for thresholds and the experiment
 harness. Both sum the logit left to right, clamp it and take ``math.exp`` of
 its negation, so they return bit-identical values on any platform: the
@@ -28,51 +29,15 @@ sums and the clamp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 
 import numpy as np
 
+from .artifact import FitConfig, RatioModel, eval_ratio, ratio_statistic
 from .errors import EmptyPrefix, InvalidTrajectory, NoOverlap, SingleClassData
-from .kernels import FitConfig, fit_logistic
+from .kernels import fit_logistic
 from .trajectories import CalibrationSet
-
-
-@dataclass(frozen=True)
-class RatioModel:
-    """Per-step classifiers plus the class-prior estimate they plug into."""
-
-    step_models: tuple
-    prior_1: float
-    t_max: int
-    fit_config: FitConfig
-
-    def __post_init__(self):
-        if len(self.step_models) != self.t_max:
-            raise ValueError(
-                f"expected {self.t_max} step models, got {len(self.step_models)}"
-            )
-        if not (0.0 < self.prior_1 < 1.0):
-            raise ValueError(f"prior_1 must lie strictly in (0, 1), got {self.prior_1}")
-
-    # cached beside the fields: asdict, == and the artifact bytes ignore them
-    @cached_property
-    def prior_odds(self) -> float:
-        """prior_1 / (1 - prior_1), the factor every ratio value carries."""
-        return self.prior_1 / (1.0 - self.prior_1)
-
-    @cached_property
-    def logit_bound(self) -> float:
-        """L = log((1 - c)/c): f = sigmoid(z) in [c, 1 - c] is z in [-L, L]."""
-        c = self.fit_config.prob_clamp
-        return math.log((1.0 - c) / c)
-
-    @cached_property
-    def step_table(self) -> tuple:
-        """(weights, intercept) of each step model, as plain tuples."""
-        return tuple((step.weights, step.intercept) for step in self.step_models)
 
 
 def estimate_prior(dre: CalibrationSet) -> float:
@@ -133,44 +98,6 @@ def fit_ratio_model(dre: CalibrationSet, cfg: FitConfig = FitConfig()) -> RatioM
     return RatioModel(
         step_models=tuple(step_models), prior_1=prior_1, t_max=t_max, fit_config=cfg
     )
-
-
-def ratio_statistic(model: RatioModel):
-    """The plug-in density ratio at the end of a prefix, as a function of the
-    prefix alone.
-
-    The step table, t_max, the logit bound and the prior odds are read once,
-    here. Prefixes longer than t_max are truncated to their first t_max
-    scores, freezing the statistic. The arithmetic is replay's, one prefix at
-    a time.
-    """
-    steps, t_max = model.step_table, model.t_max
-    bound, odds, exp = model.logit_bound, model.prior_odds, math.exp
-
-    def value(prefix) -> float:
-        t = len(prefix)
-        if t > t_max:
-            t = t_max
-        elif not t:
-            raise EmptyPrefix("cannot evaluate the ratio on an empty prefix")
-        weights, intercept = steps[t - 1]
-        z = 0.0
-        for w, v in zip(weights, prefix):
-            z = z + w * v
-        z = z + intercept
-        # two comparisons, as np.clip: a nan logit stays nan
-        if z > bound:
-            z = bound
-        elif z < -bound:
-            z = -bound
-        return odds * exp(-z)
-
-    return value
-
-
-def eval_ratio(model: RatioModel, prefix) -> float:
-    """Plug-in density ratio at the end of one prefix of scores."""
-    return ratio_statistic(model)(prefix)
 
 
 def replay(model: RatioModel, trajectories) -> np.ndarray:

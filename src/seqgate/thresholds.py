@@ -2,37 +2,21 @@
 
 Three kinds: the universal 1/alpha threshold valid for any e-process, a
 calibrated order-statistic threshold with a PAC-style guarantee, and the
-Bonferroni baseline T/alpha.
+Bonferroni baseline T/alpha. ``ThresholdSpec``, ``THRESHOLD_KINDS`` and
+``DEFAULT_DELTA`` live in ``artifact``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
+from .artifact import RatioModel, ThresholdSpec
 from .errors import InsufficientCalibration, NoNullTrajectories, OutOfRange
 from .kernels import binomial_sf
-from .ratio import RatioModel, replay
+from .ratio import replay
 from .trajectories import CalibrationSet, offsets
-
-DEFAULT_DELTA = 0.05
-THRESHOLD_KINDS = ("pac", "ville", "bonferroni")
-
-
-@dataclass(frozen=True)
-class ThresholdSpec:
-    """A resolved decision threshold plus how it was derived."""
-
-    kind: str  # one of THRESHOLD_KINDS
-    alpha: float
-    value: float
-    delta: Optional[float] = None   # pac only
-    n_null: Optional[int] = None    # pac only
-    k_index: Optional[int] = None   # pac only
-    t_cal_max: Optional[int] = None  # bonferroni only
 
 
 def _check_alpha(alpha: float):

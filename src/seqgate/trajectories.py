@@ -13,9 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .artifact import DEFAULT_DRE_FRACTION
 from .errors import DegenerateSplit, InvalidTrajectory, OutOfRange
-
-DEFAULT_DRE_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -114,6 +113,11 @@ def validate(raw: LabeledTrajectory, line: Optional[int] = None) -> LabeledTraje
                 )
             prev = tok
     return raw
+
+
+def derive_seed(master: int, *key) -> int:
+    """Stable indexed sub-seed derivation."""
+    return int(np.random.SeedSequence((master,) + tuple(key)).generate_state(1)[0])
 
 
 def offsets(sequences) -> np.ndarray:

@@ -269,8 +269,12 @@ def test_non_numeric_list_flag_is_usage_error(tmp_path, data_file, capsys, argv)
         ["evaluate", "--methods", ","],
         ["tokens", "--methods", ","],
         ["ablate", "--fractions", ","],
+        ["ablate", "--fractions", "0.2,0.2"],
     ],
-    ids=["evaluate repeated", "evaluate empty", "tokens empty", "ablate empty"],
+    ids=[
+        "evaluate repeated", "evaluate empty", "tokens empty", "ablate empty",
+        "ablate repeated",
+    ],
 )
 def test_empty_or_repeated_list_fails_closed(tmp_path, capsys, argv):
     # with token counts, so that tokens has nothing else to fail on
@@ -493,7 +497,18 @@ def test_degenerate_fit_fails_closed(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+BATCH_MODULES = ("numpy",) + tuple(
+    f"seqgate.{name}"
+    for name in (
+        "kernels", "ratio", "thresholds", "trajectories", "dataio", "harness",
+        "synthetic",
+    )
+)
+
+
 def test_monitor_imports_neither_harness_nor_generator(tmp_path, data_file):
+    # nor numpy nor any batch module; with numpy's import blocked, a session
+    # gives the same transcript and exit code
     model_path = tmp_path / "model.json"
     cli_dispatch(
         [
@@ -502,23 +517,30 @@ def test_monitor_imports_neither_harness_nor_generator(tmp_path, data_file):
         ]
     )
     script = (
-        "import io, sys\n"
+        "import io, json, sys\n"
+        "if sys.argv[2] == 'blocked':\n"
+        "    sys.modules['numpy'] = None\n"
         "from seqgate.cli import cli_dispatch\n"
+        "out = io.StringIO()\n"
         "code = cli_dispatch(['monitor', '--model', sys.argv[1]],\n"
-        "                    stdin=io.StringIO('0.7\\n0.2\\n'), stdout=io.StringIO())\n"
-        "print(code, [m for m in ('seqgate.harness', 'seqgate.synthetic')\n"
-        "             if m in sys.modules])\n"
+        "                    stdin=io.StringIO('0.7\\n0.2\\n0.9\\n'), stdout=out)\n"
+        f"loaded = [m for m in {BATCH_MODULES!r} if sys.modules.get(m) is not None]\n"
+        "print(json.dumps([code, out.getvalue(), loaded]))\n"
     )
     src = str(Path(seqgate.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run(
-        [sys.executable, "-c", script, str(model_path)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    code, loaded = done.stdout.split(" ", 1)
-    assert code in ("0", "3") and loaded.strip() == "[]", done.stdout
+    sessions = []
+    for mode in ("normal", "blocked"):
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(model_path), mode],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        sessions.append(json.loads(done.stdout))
+    code, transcript, loaded = sessions[0]
+    assert code in (0, 3) and transcript and loaded == [], sessions[0]
+    assert sessions[1] == sessions[0]
 
 
 def test_every_export_resolves():
@@ -572,6 +594,9 @@ ARTIFACT_FAULTS = {
         prob_clamp=1e-320
     ),
     "bogus kind with alpha 7": lambda a: a["threshold"].update(kind="bogus", alpha=7),
+    # true == 1 == 1.0 in Python, so only the int 1 names version 1
+    "version true": lambda a: a.update(version=True),
+    "version 1.0": lambda a: a.update(version=1.0),
 }
 
 

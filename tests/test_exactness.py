@@ -8,8 +8,10 @@ equals the element of its array form.
 """
 
 import copy
+import io
 import math
 import pickle
+from contextlib import redirect_stderr
 from dataclasses import asdict
 from itertools import accumulate
 from unittest import mock
@@ -21,6 +23,8 @@ from hypothesis import strategies as st
 from oracles import predict_proba, run_offline
 
 from seqgate import harness
+from seqgate.artifact import ThresholdSpec, load_calibration, ratio_statistic
+from seqgate.cli import cli_dispatch
 from seqgate.harness import NEVER_TERMINATE, ExperimentConfig, TokenCurvePoint
 from seqgate.harness import _first_steps, _SplitArtifacts
 from seqgate.dataio import save_calibration
@@ -29,6 +33,7 @@ from seqgate.errors import (
     InsufficientCalibration,
     InvalidTrajectory,
     MonitorClosed,
+    SeqgateError,
 )
 from seqgate.kernels import (
     FitConfig,
@@ -46,7 +51,7 @@ from seqgate.monitor import (
 )
 from seqgate.ratio import RatioModel, eval_process, eval_ratio, padded_scores, replay
 from seqgate.thresholds import pac_threshold, ville_threshold
-from seqgate.trajectories import CalibrationSet, LabeledTrajectory, offsets
+from seqgate.trajectories import CalibrationSet, LabeledTrajectory, offsets, validate
 
 EXACT = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -242,6 +247,95 @@ def test_nan_statistic_fails_closed_on_both_paths():
             state.observe(1e308)
         with pytest.raises(InvalidTrajectory):
             replay(model, trajectories)
+
+
+# a non-finite score, or two huge ones whose logit terms can overflow to
+# opposite infinities and sum to a nan statistic
+SPECIAL_SCORES = ([], [math.nan], [math.inf], [-math.inf], [1e308, 1e308], [1e308, -1e308])
+OVERFLOW_MODEL = RatioModel(
+    step_models=(LogisticModel((1.0,), 0.0), LogisticModel((2.0, -2.0), 0.0)),
+    prior_1=0.5,
+    t_max=2,
+    fit_config=FitConfig(),
+)
+
+
+@st.composite
+def monitor_sessions(draw):
+    """(model, threshold, score stream); the threshold is, half the time, the
+    statistic at a drawn step, so that ties are met."""
+    model = draw(ratio_models())
+    stream = draw(st.lists(scores, max_size=2 * model.t_max))
+    at = draw(st.integers(0, len(stream)))
+    stream[at:at] = draw(st.sampled_from(SPECIAL_SCORES))
+    threshold = draw(st.floats(0.01, 100.0))
+    if stream and draw(st.booleans()):
+        value = ratio_statistic(model)(stream[: draw(st.integers(1, len(stream)))])
+        threshold = value if math.isfinite(value) else threshold
+    return model, threshold, stream
+
+
+def cli_outcome(model_path, stream):
+    """(verdict, step) or ("ERROR", code, step) of a `seqgate monitor` run."""
+    stdin = io.StringIO("".join(f"{score!r}\n" for score in stream))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stderr(stderr):
+        code = cli_dispatch(["monitor", "--model", str(model_path)], stdin, stdout)
+    lines = stdout.getvalue().splitlines()
+    if code == 1:
+        assert lines == ["CONTINUE"] * len(lines)
+        return "ERROR", stderr.getvalue().split()[1].rstrip(":"), len(lines) + 1
+    verdict, step = lines[-1].split(" t=")
+    assert lines[:-1] == ["CONTINUE"] * (len(lines) - 1)
+    assert code == {"ACCEPT": 0, "REJECT": 3}[verdict]
+    return verdict, int(step)
+
+
+def library_outcome(model, threshold, stream):
+    state = MonitorState(ratio_rule(model, threshold))
+    for t, score in enumerate(stream, start=1):
+        try:
+            status = state.observe(score)
+        except SeqgateError as exc:
+            return "ERROR", exc.code, t
+        if status.decision == "rejected":
+            return "REJECT", status.step
+    return "ACCEPT", state.finalize().step
+
+
+def replay_outcome(model, threshold, stream):
+    """The batch path on each prefix in turn: validated as read_dataset
+    validates, replayed, and rejected at the first value >= the threshold."""
+    for t in range(1, len(stream) + 1):
+        try:
+            prefix = validate(LabeledTrajectory("x", stream[:t], 1)).scores
+            value = replay(model, [prefix])[-1]
+        except SeqgateError as exc:
+            return "ERROR", exc.code, t
+        if value >= threshold:
+            return "REJECT", t
+    return "ACCEPT", len(stream)
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential") / "model.json"
+
+
+@EXACT
+@given(monitor_sessions())
+@example((OVERFLOW_MODEL, 1.0, [0.5, 1e308, 1e308]))
+@example((OVERFLOW_MODEL, 1.0, [0.5, math.nan]))
+def test_monitor_cli_library_and_replay_agree(model_path, drawn):
+    # the artifact round trip, then the same first crossing or the same
+    # error at the same step on all three paths
+    model, threshold, stream = drawn
+    save_calibration(model_path, model, ThresholdSpec("pac", 0.1, threshold))
+    loaded, spec, _ = load_calibration(model_path)
+    assert loaded == model and spec.value == threshold
+    expected = library_outcome(loaded, threshold, stream)
+    assert cli_outcome(model_path, stream) == expected
+    assert replay_outcome(loaded, threshold, stream) == expected
 
 
 def pooled_reference(cal):

@@ -334,6 +334,13 @@ def test_ablation_without_fractions_from_an_iterator_is_out_of_range(synth_data)
         calibration_ablation(synth_data, cfg, iter(()))
 
 
+def test_ablation_with_a_repeated_fraction_is_out_of_range(synth_data):
+    # the same fraction twice would write its rows twice
+    cfg = ExperimentConfig(alpha_grid=(0.3,), n_splits=1, methods=("raw",))
+    with pytest.raises(OutOfRange, match="distinct"):
+        calibration_ablation(synth_data, cfg, [0.2, 0.3, 0.2])
+
+
 def test_ablation_takes_a_numpy_array_of_fractions(synth_data):
     cfg = ExperimentConfig(alpha_grid=(0.3,), n_splits=1, methods=("raw",))
     results = calibration_ablation(synth_data, cfg, np.array([0.2, 0.3]))
