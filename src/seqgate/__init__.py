@@ -16,8 +16,9 @@ import importlib
 
 _EXPORTS = {
     "artifact": (
-        "FitConfig", "LogisticModel", "RatioModel", "ThresholdSpec", "eval_ratio",
-        "load_calibration", "ratio_statistic", "save_calibration",
+        "FitConfig", "LogisticModel", "RatioModel", "ThresholdSpec", "binomial_sf",
+        "bonferroni_threshold", "eval_ratio", "load_calibration", "min_null_samples",
+        "pac_index", "ratio_statistic", "save_calibration", "ville_threshold",
     ),
     "errors": (
         "DegenerateSplit", "DimensionMismatch", "EmptyPrefix",
@@ -29,10 +30,7 @@ _EXPORTS = {
         "AblationResult", "CurvePoint", "ExperimentConfig", "TokenCurvePoint",
         "calibration_ablation", "evaluate_split", "run_experiment", "token_study",
     ),
-    "kernels": (
-        "IsotonicModel", "apply_isotonic", "binomial_sf", "fit_isotonic",
-        "fit_logistic",
-    ),
+    "kernels": ("IsotonicModel", "apply_isotonic", "fit_isotonic", "fit_logistic"),
     "monitor": (
         "DecisionRule", "MonitorState", "Status", "calibrated_score_rule",
         "pooled_isotonic", "ratio_rule", "raw_score_rule",
@@ -44,10 +42,7 @@ _EXPORTS = {
         "SyntheticSpec", "sample_dataset", "sample_trajectory", "toy_marginal_example",
         "true_ratio_process", "true_ratio_rule",
     ),
-    "thresholds": (
-        "bonferroni_threshold", "min_null_samples", "null_maxima", "pac_index",
-        "pac_threshold", "ville_threshold",
-    ),
+    "thresholds": ("null_maxima", "pac_threshold"),
     "trajectories": (
         "CalibrationSet", "LabeledTrajectory", "SplitConfig", "split_calibration",
         "validate",

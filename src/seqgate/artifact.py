@@ -1,22 +1,24 @@
 """The calibration artifact without numpy: the model and threshold types
-``seqgate calibrate`` writes, the scalar statistic ``seqgate monitor``
-streams, and the versioned JSON format that bundles them. ``kernels``,
-``ratio``, ``thresholds`` and ``dataio`` import these names from here, so a
-monitor process loads this module, ``monitor`` and ``cli`` alone.
+``seqgate calibrate`` writes, the threshold formulas of each kind, the scalar
+statistic ``seqgate monitor`` streams, and the versioned JSON format that
+bundles them. ``kernels``, ``ratio``, ``thresholds`` and ``dataio`` import
+these names from here, so a monitor process loads this module, ``monitor``
+and ``cli`` alone, and can still re-derive the threshold it loads.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
-from .errors import EmptyPrefix, OutOfRange, ParseError
+from .errors import EmptyPrefix, InsufficientCalibration, OutOfRange, ParseError
 
 DEFAULT_PROB_CLAMP = 1e-6
 # calibrate's flag defaults, here so that the CLI parser needs no numpy
@@ -151,6 +153,95 @@ class ThresholdSpec:
     t_cal_max: Optional[int] = None  # bonferroni only
 
 
+def _probability(value, name: str):
+    """``value`` if it lies strictly in (0, 1); OutOfRange otherwise."""
+    if not 0.0 < value < 1.0:
+        raise OutOfRange(f"{name} must lie strictly in (0, 1), got {value}")
+    return value
+
+
+def ville_threshold(alpha: float) -> ThresholdSpec:
+    """Universal threshold 1/alpha."""
+    _probability(alpha, "alpha")
+    return ThresholdSpec(kind="ville", alpha=alpha, value=1.0 / alpha)
+
+
+def bonferroni_threshold(alpha: float, t_cal_max: int) -> ThresholdSpec:
+    """Per-step rejection at level alpha/T, i.e. statistic threshold T/alpha."""
+    _probability(alpha, "alpha")
+    try:
+        t = operator.index(t_cal_max)
+    except TypeError:
+        t = 0
+    # operator.index reads True as 1
+    if t < 1 or isinstance(t_cal_max, bool):
+        raise OutOfRange(f"t_cal_max must be a positive integer, got {t_cal_max!r}")
+    return ThresholdSpec(kind="bonferroni", alpha=alpha, value=t / alpha, t_cal_max=t)
+
+
+def binomial_sf(n: int, p: float, k: int) -> float:
+    """Exact Pr[Binomial(n, p) >= k] via log-gamma summation.
+
+    Valid for 0 <= k <= n + 1; relative error is a few ulps per term, far
+    inside the 1e-10 contract against exact rational arithmetic.
+    """
+    try:
+        n = operator.index(n)
+        k = operator.index(k)
+    except TypeError as exc:
+        raise OutOfRange(f"n and k must be integers, got n={n!r}, k={k!r}") from exc
+    if n < 1:
+        raise OutOfRange(f"n must be a positive integer, got {n!r}")
+    if not (0.0 <= p <= 1.0):
+        raise OutOfRange(f"p must lie in [0, 1], got {p}")
+    if not (0 <= k <= n + 1):
+        raise OutOfRange(f"k must be an integer in [0, {n + 1}], got {k!r}")
+    if k == 0:
+        return 1.0
+    if k == n + 1:
+        return 0.0
+    if p == 0.0:
+        return 0.0
+    if p == 1.0:
+        return 1.0
+    log_p, log_q = math.log(p), math.log1p(-p)
+    log_cn = math.lgamma(n + 1)
+    terms = [
+        log_cn - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * log_p + (n - i) * log_q
+        for i in range(k, n + 1)
+    ]
+    top = max(terms)
+    if top == -math.inf:
+        return 0.0
+    total = top + math.log(sum(math.exp(t - top) for t in terms))
+    return min(1.0, math.exp(total))
+
+
+def min_null_samples(alpha: float, delta: float) -> int:
+    """Smallest n for which Pr[Bin(n, 1-alpha) >= n] <= delta is satisfiable."""
+    return math.ceil(math.log(delta) / math.log1p(-alpha))
+
+
+def pac_index(n: int, alpha: float, delta: float) -> int:
+    """Smallest i in 1..n with Pr[Bin(n, 1-alpha) >= i] <= delta."""
+    _probability(alpha, "alpha")
+    _probability(delta, "delta")
+    if n < 1:
+        raise OutOfRange(f"n must be a positive integer, got {n}")
+    p = 1.0 - alpha
+    if binomial_sf(n, p, n) > delta:
+        raise InsufficientCalibration(n, alpha, delta, min_null_samples(alpha, delta))
+    # binomial_sf is non-increasing in k, so binary-search the crossing
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if binomial_sf(n, p, mid) <= delta:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 @contextmanager
 def _opened(path_or_stream, mode):
     """A path opened as UTF-8 text with newlines untranslated, or a stream
@@ -203,12 +294,6 @@ def _number(value, where: str, kind=(int, float)):
     return value
 
 
-def _probability(value, where: str) -> float:
-    if not 0.0 < _number(value, where) < 1.0:
-        raise ParseError(f"{where} must lie strictly in (0, 1), got {value!r}")
-    return value
-
-
 def _ratio_model(payload) -> RatioModel:
     p = _fields_of(RatioModel, payload, "ratio_model")
     cfg = _fields_of(FitConfig, p["fit_config"], "ratio_model.fit_config")
@@ -224,31 +309,44 @@ def _ratio_model(payload) -> RatioModel:
         weights = tuple(_number(w, f"{where}.weights") for w in step["weights"])
         intercept = _number(step["intercept"], f"{where}.intercept")
         models.append(LogisticModel(weights, intercept))
-    try:
-        fit_config = FitConfig(
-            **{k: _number(v, f"ratio_model.fit_config.{k}") for k, v in cfg.items()}
-        )
-    except OutOfRange as exc:
-        raise ParseError(f"ratio_model.fit_config: {exc}") from exc
-    prior_1 = _probability(p["prior_1"], "ratio_model.prior_1")
+    fit_config = FitConfig(
+        **{k: _number(v, f"ratio_model.fit_config.{k}") for k, v in cfg.items()}
+    )
+    where = "ratio_model.prior_1"
+    prior_1 = _probability(_number(p["prior_1"], where), where)
     return RatioModel(tuple(models), prior_1, t_max, fit_config)
 
 
 def _threshold(payload) -> ThresholdSpec:
+    """The threshold, certified by deriving it again from its own alpha,
+    t_cal_max, delta and n_null; a pac value comes from data, so only its
+    type is checked."""
     p = _fields_of(ThresholdSpec, payload, "threshold")
-    if p["kind"] not in THRESHOLD_KINDS:
-        raise ParseError(f"threshold.kind {p['kind']!r} is not one of {THRESHOLD_KINDS}")
-    _probability(p["alpha"], "threshold.alpha")
+    kind = p["kind"]
+    if kind not in THRESHOLD_KINDS:
+        raise ParseError(f"threshold.kind {kind!r} is not one of {THRESHOLD_KINDS}")
+    _number(p["alpha"], "threshold.alpha")
     _number(p["value"], "threshold.value")
     for key in ("delta", "n_null", "k_index", "t_cal_max"):
-        if p[key] is not None:
+        if p[key] is not None or (kind == "pac" and key != "t_cal_max"):
             _number(p[key], f"threshold.{key}", float if key == "delta" else int)
-    return ThresholdSpec(**p)
+    spec = ThresholdSpec(**p)
+    if kind == "ville":
+        derived = ville_threshold(spec.alpha)
+    elif kind == "bonferroni":
+        derived = bonferroni_threshold(spec.alpha, spec.t_cal_max)
+    else:
+        k = pac_index(spec.n_null, spec.alpha, spec.delta)
+        derived = replace(spec, k_index=k, t_cal_max=None)
+    if spec != derived:
+        raise ParseError(f"threshold {p} is not the {kind} threshold its fields derive")
+    return spec
 
 
 def load_calibration(path):
     """(ratio model, threshold, metadata) from an artifact, every field
-    validated; anything malformed raises ParseError."""
+    validated and the threshold re-derived; anything malformed raises
+    ParseError."""
     with _opened(path, "r") as fh:
         try:
             payload = json.load(fh)
@@ -260,6 +358,12 @@ def load_calibration(path):
     version = payload.get("version")
     if type(version) is not int or version != ARTIFACT_VERSION:
         raise ParseError(f"unsupported artifact version {version!r}")
-    model = _ratio_model(payload.get("ratio_model"))
-    threshold = _threshold(payload.get("threshold"))
-    return model, threshold, payload.get("metadata", {})
+    try:
+        model = _ratio_model(payload.get("ratio_model"))
+        threshold = _threshold(payload.get("threshold"))
+    except (OutOfRange, InsufficientCalibration) as exc:
+        raise ParseError(str(exc)) from exc
+    metadata = payload.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ParseError("metadata must be a JSON object")
+    return model, threshold, metadata

@@ -120,9 +120,9 @@ def _experiment_config(args, n_splits: int):
 
 def _cmd_calibrate(args, parser, stdin, stdout) -> int:
     from . import dataio
+    from .artifact import bonferroni_threshold, ville_threshold
     from .ratio import fit_ratio_model
-    from .thresholds import bonferroni_threshold, null_maxima
-    from .thresholds import pac_threshold, ville_threshold
+    from .thresholds import null_maxima, pac_threshold
     from .trajectories import SplitConfig, derive_seed, split_calibration
 
     data = dataio.read_dataset(args.data)

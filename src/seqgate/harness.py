@@ -16,12 +16,13 @@ from typing import Optional
 
 import numpy as np
 
+from .artifact import FitConfig, bonferroni_threshold, ville_threshold
 from .errors import DegenerateSplit, InsufficientCalibration, MissingTokens, OutOfRange
-from .kernels import FitConfig, apply_isotonic
+from .kernels import apply_isotonic
 from .monitor import KNOWN_METHODS, calibrated_score_rule, pooled_isotonic
 from .monitor import ratio_rule, raw_score_rule
 from .ratio import fit_ratio_model, replay
-from .thresholds import null_maxima, pac_threshold, ville_threshold
+from .thresholds import null_maxima, pac_threshold
 from .trajectories import CalibrationSet, SplitConfig, derive_seed, offsets
 from .trajectories import split_calibration
 
@@ -139,7 +140,7 @@ class _SplitArtifacts:
             if method == "evaluator_ville":
                 thr = ville_threshold(alpha).value
             elif method == "bonferroni":
-                thr = self.t_cal_max / alpha
+                thr = bonferroni_threshold(alpha, self.t_cal_max).value
             else:
                 thr = pac_threshold(self.null_maxima, alpha, delta, self.pac_seed).value
             rule, process = ratio_rule(self.ratio_model, thr), self.ratio

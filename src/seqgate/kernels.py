@@ -1,21 +1,21 @@
 """Self-contained numerical primitives.
 
-Three kernels back the rest of the pipeline: L2-regularized logistic
-regression (damped Newton with step halving), pool-adjacent-violators
-isotonic regression, and exact binomial upper tails in log space. No
-external solver is used; tests verify each kernel against an independent
-brute-force oracle. ``FitConfig`` and ``LogisticModel`` live in ``artifact``.
+Two kernels back the rest of the pipeline: L2-regularized logistic
+regression (damped Newton with step halving) and pool-adjacent-violators
+isotonic regression. No external solver is used; tests verify each kernel
+against an independent brute-force oracle. ``FitConfig`` and
+``LogisticModel`` live in ``artifact``, and so does the exact binomial tail
+behind the PAC threshold.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .artifact import DEFAULT_PROB_CLAMP, FitConfig, LogisticModel
+from .artifact import FitConfig, LogisticModel
 from .errors import (
     DimensionMismatch,
     InvalidTrajectory,
@@ -188,40 +188,3 @@ def apply_isotonic(model: IsotonicModel, s):
     out = np.asarray(model.values)[np.maximum(idx, 0)]
     return float(out) if out.ndim == 0 else out
 
-
-def binomial_sf(n: int, p: float, k: int) -> float:
-    """Exact Pr[Binomial(n, p) >= k] via log-gamma summation.
-
-    Valid for 0 <= k <= n + 1; relative error is a few ulps per term, far
-    inside the 1e-10 contract against exact rational arithmetic.
-    """
-    try:
-        n = operator.index(n)
-        k = operator.index(k)
-    except TypeError as exc:
-        raise OutOfRange(f"n and k must be integers, got n={n!r}, k={k!r}") from exc
-    if n < 1:
-        raise OutOfRange(f"n must be a positive integer, got {n!r}")
-    if not (0.0 <= p <= 1.0):
-        raise OutOfRange(f"p must lie in [0, 1], got {p}")
-    if not (0 <= k <= n + 1):
-        raise OutOfRange(f"k must be an integer in [0, {n + 1}], got {k!r}")
-    if k == 0:
-        return 1.0
-    if k == n + 1:
-        return 0.0
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    log_p, log_q = math.log(p), math.log1p(-p)
-    log_cn = math.lgamma(n + 1)
-    terms = [
-        log_cn - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * log_p + (n - i) * log_q
-        for i in range(k, n + 1)
-    ]
-    top = max(terms)
-    if top == -math.inf:
-        return 0.0
-    total = top + math.log(sum(math.exp(t - top) for t in terms))
-    return min(1.0, math.exp(total))

@@ -15,7 +15,7 @@ from math import comb
 import numpy as np
 
 from seqgate.errors import DimensionMismatch
-from seqgate.kernels import DEFAULT_PROB_CLAMP
+from seqgate.artifact import DEFAULT_PROB_CLAMP
 from seqgate.monitor import MonitorState
 
 

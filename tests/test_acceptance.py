@@ -24,12 +24,12 @@ from oracles import (
     run_offline,
 )
 
+from seqgate.artifact import binomial_sf, pac_index
 from seqgate.cli import cli_dispatch
 from seqgate.dataio import centipawn_to_prob, write_dataset
 from seqgate.errors import InsufficientCalibration
-from seqgate.harness import ExperimentConfig, derive_seed, evaluate_split
+from seqgate.harness import ExperimentConfig, evaluate_split
 from seqgate.kernels import (
-    binomial_sf,
     fit_isotonic,
     apply_isotonic,
     logistic_objective,
@@ -48,8 +48,8 @@ from seqgate.synthetic import (
     toy_marginal_example,
     true_ratio_process,
 )
-from seqgate.thresholds import pac_index, pac_threshold
-from seqgate.trajectories import SplitConfig, split_calibration
+from seqgate.thresholds import pac_threshold
+from seqgate.trajectories import SplitConfig, derive_seed, split_calibration
 
 
 @contextmanager

@@ -10,12 +10,11 @@ import pytest
 
 import seqgate
 from seqgate import harness, ratio
+from seqgate.artifact import THRESHOLD_KINDS, FitConfig, LogisticModel, RatioModel
+from seqgate.artifact import ville_threshold
 from seqgate.cli import cli_dispatch
 from seqgate.dataio import load_calibration, save_calibration, write_dataset
-from seqgate.kernels import FitConfig, LogisticModel
-from seqgate.ratio import RatioModel
 from seqgate.synthetic import SyntheticSpec, sample_dataset
-from seqgate.thresholds import ville_threshold
 from seqgate.trajectories import CalibrationSet, LabeledTrajectory
 
 
@@ -571,6 +570,16 @@ def _steps(a):
     return a["ratio_model"]["step_models"]
 
 
+def _threshold_of(**fields):
+    """A fault that replaces the whole threshold: the valid ville spec at
+    alpha 0.2, with ``fields`` changed."""
+    spec = dict(
+        kind="ville", alpha=0.2, value=5.0, delta=None, n_null=None, k_index=None,
+        t_cal_max=None,
+    )
+    return lambda a: a.update(threshold=spec | fields)
+
+
 ARTIFACT_FAULTS = {
     "missing threshold.value": lambda a: a["threshold"].pop("value"),
     "missing threshold": lambda a: a.pop("threshold"),
@@ -597,6 +606,24 @@ ARTIFACT_FAULTS = {
     # true == 1 == 1.0 in Python, so only the int 1 names version 1
     "version true": lambda a: a.update(version=True),
     "version 1.0": lambda a: a.update(version=1.0),
+    # each threshold must be the one its own fields derive
+    "ville value 0.01": _threshold_of(value=0.01),
+    "ville with t_cal_max set": _threshold_of(t_cal_max=7),
+    "bonferroni value not t_cal_max/alpha": _threshold_of(
+        kind="bonferroni", t_cal_max=7, value=0.5
+    ),
+    "bonferroni t_cal_max true": _threshold_of(kind="bonferroni", t_cal_max=True),
+    "bonferroni t_cal_max 2.5": _threshold_of(kind="bonferroni", t_cal_max=2.5, value=12.5),
+    # min_null_samples(0.2, 0.05) is 14
+    "pac n_null 3 at alpha 0.2": lambda a: a["threshold"].update(
+        alpha=0.2, n_null=3, k_index=1
+    ),
+    "pac k_index off by one": lambda a: a["threshold"].update(
+        k_index=a["threshold"]["k_index"] + 1
+    ),
+    "pac delta null": lambda a: a["threshold"].update(delta=None),
+    "pac with t_cal_max set": lambda a: a["threshold"].update(t_cal_max=7),
+    "metadata 5": lambda a: a.update(metadata=5),
 }
 
 
@@ -612,3 +639,47 @@ def test_monitor_rejects_malformed_artifact_at_load(
     assert code == 1
     assert out == ""  # failed at load, before any score was read
     assert "ERROR PARSE_ERROR" in capsys.readouterr().err
+
+
+def test_malformed_artifacts_fail_closed_without_numpy(tmp_path, artifact_payload):
+    # the load-time checks, pac_index included, run with numpy's import blocked
+    paths = []
+    for i, fault in enumerate(sorted(ARTIFACT_FAULTS)):
+        payload = json.loads(json.dumps(artifact_payload))
+        ARTIFACT_FAULTS[fault](payload)
+        paths.append(tmp_path / f"model{i}.json")
+        paths[-1].write_text(json.dumps(payload))
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from seqgate.cli import cli_dispatch\n"
+        "results = []\n"
+        "for path in sys.argv[1:]:\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        code = cli_dispatch(['monitor', '--model', path],\n"
+        "                            stdin=io.StringIO('0.7\\n'), stdout=out)\n"
+        "    results.append([code, out.getvalue(), err.getvalue().split(':')[0]])\n"
+        "print(json.dumps(results))\n"
+    )
+    src = str(Path(seqgate.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *map(str, paths)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    results = dict(zip(sorted(ARTIFACT_FAULTS), json.loads(done.stdout)))
+    assert all(r == [1, "", "ERROR PARSE_ERROR"] for r in results.values()), results
+
+
+@pytest.mark.parametrize("kind", THRESHOLD_KINDS)
+def test_calibrate_artifact_of_each_kind_loads_as_saved(tmp_path, data_file, kind):
+    path = tmp_path / "model.json"
+    argv = ["calibrate", "--data", str(data_file), "--alpha", "0.2", "--threshold", kind]
+    assert cli_dispatch(argv + ["--out", str(path)]) == 0
+    model, spec, metadata = load_calibration(path)
+    assert spec.kind == kind
+    save_calibration(tmp_path / "again.json", model, spec, metadata)
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from seqgate.artifact import ville_threshold
 from seqgate.dataio import (
     centipawn_to_prob,
     chess_to_dataset,
@@ -18,7 +19,6 @@ from seqgate.dataio import (
 from seqgate.errors import InvalidTrajectory, ParseError
 from seqgate.ratio import fit_ratio_model
 from seqgate.synthetic import SyntheticSpec, sample_dataset
-from seqgate.thresholds import ville_threshold
 
 
 def test_read_dataset_basic():

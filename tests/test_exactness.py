@@ -23,7 +23,8 @@ from hypothesis import strategies as st
 from oracles import predict_proba, run_offline
 
 from seqgate import harness
-from seqgate.artifact import ThresholdSpec, load_calibration, ratio_statistic
+from seqgate.artifact import FitConfig, LogisticModel, RatioModel, ThresholdSpec
+from seqgate.artifact import load_calibration, pac_index, ratio_statistic, ville_threshold
 from seqgate.cli import cli_dispatch
 from seqgate.harness import NEVER_TERMINATE, ExperimentConfig, TokenCurvePoint
 from seqgate.harness import _first_steps, _SplitArtifacts
@@ -35,12 +36,7 @@ from seqgate.errors import (
     MonitorClosed,
     SeqgateError,
 )
-from seqgate.kernels import (
-    FitConfig,
-    LogisticModel,
-    fit_isotonic,
-    fit_logistic,
-)
+from seqgate.kernels import fit_isotonic, fit_logistic
 from seqgate.monitor import (
     ACTIVE,
     DecisionRule,
@@ -49,9 +45,10 @@ from seqgate.monitor import (
     ratio_rule,
     raw_score_rule,
 )
-from seqgate.ratio import RatioModel, eval_process, eval_ratio, padded_scores, replay
-from seqgate.thresholds import pac_threshold, ville_threshold
-from seqgate.trajectories import CalibrationSet, LabeledTrajectory, offsets, validate
+from seqgate.ratio import eval_process, eval_ratio, padded_scores, replay
+from seqgate.thresholds import pac_threshold
+from seqgate.trajectories import CalibrationSet, LabeledTrajectory, derive_seed, offsets
+from seqgate.trajectories import validate
 
 EXACT = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -330,7 +327,8 @@ def test_monitor_cli_library_and_replay_agree(model_path, drawn):
     # the artifact round trip, then the same first crossing or the same
     # error at the same step on all three paths
     model, threshold, stream = drawn
-    save_calibration(model_path, model, ThresholdSpec("pac", 0.1, threshold))
+    header = dict(delta=0.05, n_null=100, k_index=pac_index(100, 0.1, 0.05))
+    save_calibration(model_path, model, ThresholdSpec("pac", 0.1, threshold, **header))
     loaded, spec, _ = load_calibration(model_path)
     assert loaded == model and spec.value == threshold
     expected = library_outcome(loaded, threshold, stream)
@@ -400,7 +398,7 @@ def test_token_study_equals_run_offline(drawn, draws):
         alpha_grid=(0.05, 0.5), n_splits=1, cal_fraction=0.5, delta=0.5
     )
     with mock.patch.object(harness, "fit_ratio_model", lambda dre, fit_config: model):
-        arts = _SplitArtifacts(data, cfg, harness.derive_seed(cfg.seed, 0))
+        arts = _SplitArtifacts(data, cfg, derive_seed(cfg.seed, 0))
         points = harness.token_study(data, cfg)
     test = arts.test.items
     n_test = len(test)

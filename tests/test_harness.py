@@ -11,7 +11,6 @@ from seqgate.harness import (
     CurvePoint,
     ExperimentConfig,
     calibration_ablation,
-    derive_seed,
     evaluate_split,
     run_experiment,
     token_study,
@@ -20,7 +19,7 @@ from seqgate.harness import (
 )
 from seqgate.monitor import raw_score_rule
 from seqgate.synthetic import SyntheticSpec, sample_dataset
-from seqgate.trajectories import CalibrationSet, LabeledTrajectory
+from seqgate.trajectories import CalibrationSet, LabeledTrajectory, derive_seed
 
 
 def tokenized(items):
@@ -98,7 +97,7 @@ def test_always_rejecting_method_scores_one():
 def test_evaluate_split_matches_run_offline(synth_data):
     # the harness fast path must agree with literal rule replay
     from seqgate.monitor import calibrated_score_rule, pooled_isotonic, ratio_rule
-    from seqgate.thresholds import ville_threshold
+    from seqgate.artifact import ville_threshold
     from seqgate.trajectories import SplitConfig, split_calibration
 
     cfg = ExperimentConfig(

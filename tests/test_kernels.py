@@ -24,11 +24,10 @@ from seqgate.errors import (
     OutOfRange,
     SingleClassData,
 )
+from seqgate.artifact import FitConfig, binomial_sf
 from seqgate.kernels import (
-    FitConfig,
     IsotonicModel,
     apply_isotonic,
-    binomial_sf,
     fit_isotonic,
     fit_logistic,
     logistic_objective,
@@ -285,14 +284,14 @@ def test_fit_logistic_array_and_list_features_agree():
 
 
 def test_predict_proba_neutral_model():
-    from seqgate.kernels import LogisticModel
+    from seqgate.artifact import LogisticModel
 
     model = LogisticModel(weights=(0.0,), intercept=0.0)
     assert predict_proba(model, [3.7]) == 0.5
 
 
 def test_predict_proba_clamps():
-    from seqgate.kernels import LogisticModel
+    from seqgate.artifact import LogisticModel
 
     model = LogisticModel(weights=(0.0,), intercept=50.0)
     assert predict_proba(model, [0.0]) == 1.0 - 1e-6
@@ -301,14 +300,14 @@ def test_predict_proba_clamps():
 
 
 def test_predict_proba_unit_weight_at_zero():
-    from seqgate.kernels import LogisticModel
+    from seqgate.artifact import LogisticModel
 
     model = LogisticModel(weights=(1.0,), intercept=0.0)
     assert predict_proba(model, [0.0]) == 0.5
 
 
 def test_predict_proba_dimension_mismatch():
-    from seqgate.kernels import LogisticModel
+    from seqgate.artifact import LogisticModel
 
     with pytest.raises(DimensionMismatch):
         predict_proba(LogisticModel(weights=(1.0, 2.0), intercept=0.0), [1.0])

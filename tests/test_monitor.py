@@ -5,7 +5,8 @@ import pytest
 from oracles import run_offline
 
 from seqgate.errors import InvalidTrajectory, MonitorClosed, SingleClassData
-from seqgate.kernels import FitConfig, IsotonicModel, LogisticModel
+from seqgate.artifact import FitConfig, LogisticModel, RatioModel
+from seqgate.kernels import IsotonicModel
 from seqgate.monitor import (
     DecisionRule,
     MonitorState,
@@ -14,7 +15,6 @@ from seqgate.monitor import (
     ratio_rule,
     raw_score_rule,
 )
-from seqgate.ratio import RatioModel
 from seqgate.synthetic import SyntheticSpec, sample_dataset, true_ratio_rule
 from seqgate.trajectories import CalibrationSet, LabeledTrajectory
 
@@ -230,7 +230,8 @@ def test_alpha_monotonicity_of_decisions():
     test = sample_dataset(spec, 80, seed=52)
     cal = sample_dataset(spec, 200, seed=51)
     from seqgate.ratio import fit_ratio_model
-    from seqgate.thresholds import pac_threshold, null_maxima, ville_threshold
+    from seqgate.artifact import ville_threshold
+    from seqgate.thresholds import pac_threshold, null_maxima
     from seqgate.trajectories import SplitConfig, split_calibration
 
     dre, thr = split_calibration(cal, SplitConfig(0.5, 1))

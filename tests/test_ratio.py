@@ -5,9 +5,9 @@ import pytest
 from oracles import predict_proba
 
 from seqgate.errors import EmptyPrefix, InvalidTrajectory, NoOverlap, SingleClassData
-from seqgate.kernels import FitConfig, LogisticModel, fit_logistic
+from seqgate.artifact import FitConfig, LogisticModel, RatioModel
+from seqgate.kernels import fit_logistic
 from seqgate.ratio import (
-    RatioModel,
     compute_tmax,
     estimate_prior,
     eval_process,
@@ -237,7 +237,7 @@ def test_estimation_error_shrinks_with_calibration_size():
 
 def test_ratio_model_serialization_roundtrip(tmp_path):
     from seqgate.dataio import load_calibration, save_calibration
-    from seqgate.thresholds import ville_threshold
+    from seqgate.artifact import ville_threshold
 
     data = sample_dataset(SyntheticSpec(), 120, seed=9)
     model = fit_ratio_model(data)

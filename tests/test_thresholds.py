@@ -12,16 +12,16 @@ from seqgate.errors import (
     NoNullTrajectories,
     OutOfRange,
 )
-from seqgate.kernels import FitConfig, LogisticModel
-from seqgate.ratio import RatioModel
-from seqgate.thresholds import (
+from seqgate.artifact import (
+    FitConfig,
+    LogisticModel,
+    RatioModel,
     bonferroni_threshold,
     min_null_samples,
-    null_maxima,
     pac_index,
-    pac_threshold,
     ville_threshold,
 )
+from seqgate.thresholds import null_maxima, pac_threshold
 from seqgate.trajectories import CalibrationSet, LabeledTrajectory
 
 
@@ -165,6 +165,14 @@ def test_bonferroni_threshold_values():
     assert bonferroni_threshold(0.1, 5).value == 50.0
     assert bonferroni_threshold(0.5, 1).value == 2.0
     assert bonferroni_threshold(0.5, 4).value == 8.0
+
+
+def test_bonferroni_threshold_takes_only_a_positive_int():
+    for t_cal_max in (2.5, True, 0, -3, None, "5"):
+        with pytest.raises(OutOfRange):
+            bonferroni_threshold(0.1, t_cal_max)
+    spec = bonferroni_threshold(0.1, np.int64(5))
+    assert spec.value == 50.0 and type(spec.t_cal_max) is int
 
 
 def test_bonferroni_at_least_ville():
