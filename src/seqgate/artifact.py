@@ -288,8 +288,9 @@ def _fields_of(cls, payload, where: str) -> dict:
 
 
 def _number(value, where: str, kind=(int, float)):
-    finite = isinstance(value, kind) and not isinstance(value, bool)
-    if not (finite and math.isfinite(value)):
+    number = isinstance(value, kind) and not isinstance(value, bool)
+    # False for nan, the infinities and an int too large for a float
+    if not (number and abs(value) <= sys.float_info.max):
         raise ParseError(f"{where} must be a finite number, got {value!r}")
     return value
 

@@ -35,6 +35,16 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"not comma-separated numbers: {text!r}")
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqgate",
@@ -49,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--threshold", choices=THRESHOLD_KINDS, default="pac")
     p.add_argument("--dre-fraction", type=float, default=DEFAULT_DRE_FRACTION)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("monitor", help="stream scores on stdin, decide per line")
@@ -78,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_synth)
     p.add_argument("--spec", default=None, help="JSON object or path to one")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("chess", help="convert centipawn game records to trajectories")
@@ -101,7 +111,7 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
         default=",".join(KNOWN_METHODS),
         help="comma-separated subset of " + ",".join(KNOWN_METHODS),
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def _experiment_config(args, n_splits: int):

@@ -8,12 +8,13 @@ monitoring guarantee checkable against closed-form truth.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .monitor import DecisionRule
 from .trajectories import CalibrationSet, LabeledTrajectory
@@ -63,17 +64,89 @@ def sample_trajectory(spec: SyntheticSpec, label: int, seed: int) -> LabeledTraj
     return _draw(spec, label, rng, f"synth-{label}-{seed}")
 
 
+# numpy's SeedSequence hash (NEP 19, after O'Neill's seed_seq), on uint32
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def item_states(seed: int, n: int) -> np.ndarray:
+    """Row i is ``SeedSequence((seed, i)).generate_state(4, np.uint64)``, for
+    every i in range(n), computed in one pass over the items.
+
+    The entropy words are seed's 32-bit words, low first, then i; numpy's
+    multiply/xor/shift steps run on uint32 columns, one entry per item.
+    """
+    seed, n = operator.index(seed), operator.index(n)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if n >= 2**32:
+        raise ValueError(f"n must be below 2**32 (one entropy word), got {n}")
+    index = np.arange(n, dtype=np.uint32)
+    words = range(0, max(seed.bit_length(), 1), 32)
+    entropy = [np.full_like(index, (seed >> w) & _MASK32) for w in words] + [index]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    pool = [
+        hashmix(entropy[i] if i < len(entropy) else np.zeros_like(index))
+        for i in range(_POOL_SIZE)
+    ]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    state = np.empty((len(index), 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for k in range(2 * _POOL_SIZE):
+        value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, k] = value ^ (value >> _XSHIFT)
+    # pairs of words, low first, read as uint64 whatever the host's byte order
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _ItemSeed(ISeedSequence):
+    """One row of ``item_states``, which PCG64 reads as its four seed words
+    in place of a SeedSequence's ``generate_state(4, np.uint64)``."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
 def sample_dataset(
     spec: SyntheticSpec, n: int, seed: int, label: Optional[int] = None
 ) -> CalibrationSet:
     """n trajectories with labels drawn from prior_1 (or forced to ``label``).
 
-    Each item uses its own indexed sub-seed, so any prefix of the dataset is
-    reproducible independently of n.
+    Item i draws from ``default_rng(SeedSequence((seed, i)))``, so any prefix
+    of the dataset is reproducible independently of n; ``item_states``
+    derives every item's seed words at once.
     """
     items = []
-    for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+    for i, state in enumerate(item_states(seed, n)):
+        rng = np.random.Generator(np.random.PCG64(_ItemSeed(state)))
         y = label if label is not None else int(rng.random() < spec.prior_1)
         items.append(_draw(spec, y, rng, f"synth-{seed}-{i:06d}"))
     return CalibrationSet(items)
@@ -112,6 +185,8 @@ def toy_marginal_example() -> ToyMarginalResult:
     probability 0.01, and equals p(Y=1 | S) exactly. Rejecting at S <= 0.01
     is a false alarm about half the time even though alpha = 0.01.
     """
+    from fractions import Fraction
+
     p_low, p_high = Fraction(99, 100), Fraction(1, 100)
     s_low, s_high = Fraction(5, 1000), Fraction(1, 2)
     base_rate = s_low * p_low + s_high * p_high

@@ -6,6 +6,7 @@ gradients come from central finite differences, and first crossings come
 from streaming one score at a time through a MonitorState. Step-model
 probabilities come from the clamped sigmoid of the logit, which the
 package itself never computes: it takes the ratio straight from the logit.
+Synthetic datasets come from numpy's own SeedSequence, one item at a time.
 """
 
 from fractions import Fraction
@@ -17,6 +18,7 @@ import numpy as np
 from seqgate.errors import DimensionMismatch
 from seqgate.artifact import DEFAULT_PROB_CLAMP
 from seqgate.monitor import MonitorState
+from seqgate.trajectories import CalibrationSet, LabeledTrajectory
 
 
 def exact_binomial_pmf(n: int, p: Fraction) -> list:
@@ -131,3 +133,17 @@ def run_offline(rule, traj):
             break
     status = state.finalize()
     return status, status.step if status.decision == "rejected" else None
+
+
+def sample_dataset_oracle(spec, n, seed, label=None):
+    """synthetic.sample_dataset as a per-item loop: item i draws from
+    ``default_rng(SeedSequence((seed, i)))``, built by numpy."""
+    items = []
+    for i in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
+        y = label if label is not None else int(rng.random() < spec.prior_1)
+        length = int(rng.geometric(spec.stop_prob))
+        mu = spec.mu_null if y == 1 else spec.mu_alt
+        scores = rng.normal(mu, spec.sigma, size=length).tolist()
+        items.append(LabeledTrajectory(id=f"synth-{seed}-{i:06d}", scores=scores, label=y))
+    return CalibrationSet(items)

@@ -247,6 +247,28 @@ def test_chess_cli_bad_record_fails_closed(tmp_path, capsys, record):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["calibrate", "--alpha", "0.2"],
+        ["evaluate", "--alphas", "0.2"],
+        ["tokens", "--alphas", "0.2"],
+        ["ablate", "--alphas", "0.2", "--fractions", "0.2"],
+        ["synth", "--n", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("seed", ["-1", "2.5"])
+def test_seed_must_be_a_non_negative_integer(tmp_path, data_file, capsys, argv, seed):
+    out = tmp_path / "o.out"
+    data = [] if argv[0] == "synth" else ["--data", str(data_file)]
+    code = cli_dispatch(argv + data + ["--seed", seed, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "usage: seqgate" in err and "not a non-negative integer" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["evaluate", "--alphas", "abc"],
         ["ablate", "--alphas", "0.3", "--fractions", "x,0.2"],
     ],
@@ -623,6 +645,11 @@ ARTIFACT_FAULTS = {
     ),
     "pac delta null": lambda a: a["threshold"].update(delta=None),
     "pac with t_cal_max set": lambda a: a["threshold"].update(t_cal_max=7),
+    # integers too large for a float: 401 nines
+    "bonferroni t_cal_max of 401 digits": _threshold_of(
+        kind="bonferroni", t_cal_max=10**401 - 1, value=5.0
+    ),
+    "pac n_null of 401 digits": lambda a: a["threshold"].update(n_null=10**401 - 1),
     "metadata 5": lambda a: a.update(metadata=5),
 }
 

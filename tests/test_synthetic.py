@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import sample_dataset_oracle
+from seqgate.cli import cli_dispatch
+from seqgate.dataio import write_dataset
 from seqgate.synthetic import (
     SyntheticSpec,
+    item_states,
     sample_dataset,
     sample_trajectory,
     toy_marginal_example,
@@ -62,6 +68,50 @@ def test_dataset_prefix_stability():
     d_small = sample_dataset(spec, 10, seed=5)
     d_big = sample_dataset(spec, 20, seed=5)
     assert d_big.items[:10] == d_small.items
+
+
+# 2**96 + 12345 has four entropy words, so i is a fifth word past the pool
+SEEDS = [0, 1, 2, 5, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 2**96 + 12345]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_item_states_equal_numpy_seed_sequence(seed):
+    states = item_states(seed, 3000)
+    assert states.shape == (3000, 4) and states.dtype == np.uint64
+    for i in range(0, 3000, 7):
+        expected = np.random.SeedSequence((seed, i)).generate_state(4, np.uint64)
+        assert states[i].tolist() == expected.tolist(), i
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [0, 1, 37])
+@pytest.mark.parametrize("label", [None, 0, 1])
+def test_sample_dataset_equals_per_item_seed_sequence(seed, n, label):
+    spec = SyntheticSpec(stop_prob=0.1)
+    assert sample_dataset(spec, n, seed, label) == sample_dataset_oracle(spec, n, seed, label)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**130 - 1), st.integers(0, 50))
+def test_sample_dataset_equals_oracle_property(seed, n):
+    spec = SyntheticSpec()
+    assert sample_dataset(spec, n, seed) == sample_dataset_oracle(spec, n, seed)
+
+
+def test_synth_file_equals_oracle_file(tmp_path):
+    out, expected = tmp_path / "synth.jsonl", tmp_path / "oracle.jsonl"
+    argv = ["synth", "--n", "200", "--seed", str(2**64 + 3), "--out", str(out)]
+    assert cli_dispatch(argv) == 0
+    write_dataset(sample_dataset_oracle(SyntheticSpec(), 200, 2**64 + 3), expected)
+    assert out.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "seed, error", [(-1, ValueError), (2.5, TypeError), ("7", TypeError)]
+)
+def test_sample_dataset_rejects_a_seed_that_is_no_non_negative_int(seed, error):
+    with pytest.raises(error):
+        sample_dataset(SyntheticSpec(), 3, seed)
 
 
 def test_first_step_mean_matches_label():
