@@ -176,7 +176,14 @@ def bonferroni_threshold(alpha: float, t_cal_max: int) -> ThresholdSpec:
     # operator.index reads True as 1
     if t < 1 or isinstance(t_cal_max, bool):
         raise OutOfRange(f"t_cal_max must be a positive integer, got {t_cal_max!r}")
-    return ThresholdSpec(kind="bonferroni", alpha=alpha, value=t / alpha, t_cal_max=t)
+    # an infinite threshold never rejects; t past the float range overflows
+    try:
+        value = t / alpha
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise OutOfRange(f"t_cal_max / alpha must be a finite float, alpha={alpha}")
+    return ThresholdSpec(kind="bonferroni", alpha=alpha, value=value, t_cal_max=t)
 
 
 def binomial_sf(n: int, p: float, k: int) -> float:

@@ -130,11 +130,13 @@ def _experiment_config(args, n_splits: int):
 
 def _cmd_calibrate(args, parser, stdin, stdout) -> int:
     from . import dataio
-    from .artifact import bonferroni_threshold, ville_threshold
+    from .artifact import _probability, bonferroni_threshold, ville_threshold
     from .ratio import fit_ratio_model
     from .thresholds import null_maxima, pac_threshold
     from .trajectories import SplitConfig, derive_seed, split_calibration
 
+    # every kind: only pac reads delta, but a bad value is never accepted
+    _probability(args.delta, "delta")
     data = dataio.read_dataset(args.data)
     dre, thresh_set = split_calibration(
         data, SplitConfig(args.dre_fraction, args.seed)

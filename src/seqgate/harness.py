@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .artifact import FitConfig, bonferroni_threshold, ville_threshold
+from .artifact import bonferroni_threshold, ville_threshold
 from .errors import DegenerateSplit, InsufficientCalibration, MissingTokens, OutOfRange
 from .kernels import apply_isotonic
 from .monitor import KNOWN_METHODS, calibrated_score_rule, pooled_isotonic
@@ -39,7 +39,6 @@ class ExperimentConfig:
     seed: int = 0
     methods: tuple = KNOWN_METHODS
     dre_fraction: float = 0.5
-    fit_config: FitConfig = FitConfig()
 
     def __post_init__(self):
         object.__setattr__(self, "alpha_grid", tuple(self.alpha_grid))
@@ -121,7 +120,7 @@ class _SplitArtifacts:
             dre, thresh = split_calibration(
                 cal, SplitConfig(cfg.dre_fraction, derive_seed(split_seed, 1))
             )
-            self.ratio_model = fit_ratio_model(dre, cfg.fit_config)
+            self.ratio_model = fit_ratio_model(dre)
             self.null_maxima = null_maxima(self.ratio_model, thresh)
             self.ratio = replay(self.ratio_model, scores)
 

@@ -2,8 +2,9 @@
 
 Two kernels back the rest of the pipeline: L2-regularized logistic
 regression (damped Newton with step halving) and pool-adjacent-violators
-isotonic regression. No external solver is used; tests verify each kernel
-against an independent brute-force oracle. ``FitConfig`` and
+isotonic regression over (sum, count) blocks, exact for 0/1 labels. No
+external solver is used; tests verify each kernel against an independent
+brute-force or exact rational oracle. ``FitConfig`` and
 ``LogisticModel`` live in ``artifact``, and so does the exact binomial tail
 behind the PAC threshold.
 """
@@ -136,8 +137,13 @@ def fit_logistic(features, labels, cfg: FitConfig = FitConfig()) -> LogisticMode
 def fit_isotonic(xs, ys) -> IsotonicModel:
     """Least-squares non-decreasing fit of ys against xs (PAVA).
 
-    Equal xs are pooled first (a monotone function cannot separate them);
-    the fitted blocks collapse to (breakpoint, value) pairs.
+    Equal xs are pooled first (a monotone function cannot separate them).
+    Each block is kept as (sum of ys, count, first x): adjacent blocks
+    merge while the earlier mean is >= the later one, compared by cross
+    products, so the values are strictly increasing and each is one
+    division ``sum / count``. Integer ys (0/1 labels) give exact sums, so
+    every value is the correctly rounded block mean; float ys give float
+    sums through the same code.
     """
     if len(xs) != len(ys):
         raise LengthMismatch(f"{len(xs)} xs vs {len(ys)} ys")
@@ -145,36 +151,19 @@ def fit_isotonic(xs, ys) -> IsotonicModel:
         raise LengthMismatch("need at least one point")
     x = np.asarray(xs, dtype=float)
     order = np.argsort(x, kind="stable")
-    x_sorted = x[order].tolist()
-    y_sorted = np.asarray(ys, dtype=float)[order].tolist()
+    grp_x, starts, counts = np.unique(x[order], return_index=True, return_counts=True)
+    sums = np.add.reduceat(np.asarray(ys)[order], starts)
 
-    # pool ties in x
-    grp_x, grp_y, grp_w = [], [], []
-    for x, y in zip(x_sorted, y_sorted):
-        if grp_x and x == grp_x[-1]:
-            grp_w[-1] += 1.0
-            grp_y[-1] += (y - grp_y[-1]) / grp_w[-1]
-        else:
-            grp_x.append(x)
-            grp_y.append(y)
-            grp_w.append(1.0)
-
-    # pool adjacent violators; blocks[i] = [value, weight, first_group_index]
-    blocks = []
-    for i, (y, w) in enumerate(zip(grp_y, grp_w)):
-        blocks.append([y, w, i])
-        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
-            v1, w1, i1 = blocks[-2]
-            v2, w2, _ = blocks[-1]
-            blocks[-2:] = [[(v1 * w1 + v2 * w2) / (w1 + w2), w1 + w2, i1]]
-
-    breakpoints, values = [], []
-    for value, _, first in blocks:
-        if values and value == values[-1]:
-            continue
-        breakpoints.append(grp_x[first])
-        values.append(value)
-    return IsotonicModel(breakpoints=tuple(breakpoints), values=tuple(values))
+    blocks = []  # (sum, count, first group's x), means strictly increasing
+    for s, w, x0 in zip(sums.tolist(), counts.tolist(), grp_x.tolist()):
+        while blocks and blocks[-1][0] * w >= s * blocks[-1][1]:
+            s_prev, w_prev, x0 = blocks.pop()
+            s, w = s_prev + s, w_prev + w
+        blocks.append((s, w, x0))
+    return IsotonicModel(
+        breakpoints=tuple(x0 for _, _, x0 in blocks),
+        values=tuple(s / w for s, w, _ in blocks),
+    )
 
 
 def apply_isotonic(model: IsotonicModel, s):

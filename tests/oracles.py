@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to freeze expected test values.
 
 These deliberately avoid the code paths they check: binomial tails use
-exact rational arithmetic, isotonic fits enumerate all block partitions,
+exact rational arithmetic, isotonic fits enumerate all block partitions
+or pool adjacent violators in Fractions,
 gradients come from central finite differences, and first crossings come
 from streaming one score at a time through a MonitorState. Step-model
 probabilities come from the clamped sigmoid of the logit, which the
@@ -52,6 +53,32 @@ def pac_index_oracle(n: int, alpha: Fraction, delta: Fraction):
         if tails[i] <= delta:
             return i
     return None
+
+
+def isotonic_fraction_oracle(xs, ys):
+    """(breakpoints, values) of the exact PAV fit of ys against xs.
+
+    Ties in x (compared with ==, so -0.0 pools with 0.0) are pooled into
+    one Fraction mean; adjacent blocks merge while the earlier mean exceeds
+    the later one, and blocks of equal mean are joined at the end. Each
+    value is the block mean rounded once, by float(Fraction).
+    """
+    pairs = sorted(zip(xs, ys), key=lambda p: p[0])
+    groups = []  # [first x, sum, count]
+    for x, y in pairs:
+        if groups and x == groups[-1][0]:
+            groups[-1][1] += Fraction(y)
+            groups[-1][2] += 1
+        else:
+            groups.append([x, Fraction(y), 1])
+    blocks = []  # [first x, mean, count]
+    for x, total, count in groups:
+        blocks.append([x, total / count, count])
+        while len(blocks) > 1 and blocks[-2][1] > blocks[-1][1]:
+            (x1, m1, c1), (_, m2, c2) = blocks[-2:]
+            blocks[-2:] = [[x1, (m1 * c1 + m2 * c2) / (c1 + c2), c1 + c2]]
+    joined = [b for i, b in enumerate(blocks) if i == 0 or b[1] != blocks[i - 1][1]]
+    return tuple(float(x) for x, _, _ in joined), tuple(float(m) for _, m, _ in joined)
 
 
 def isotonic_bruteforce(ys):

@@ -286,19 +286,23 @@ def test_non_numeric_list_flag_is_usage_error(tmp_path, data_file, capsys, argv)
 @pytest.mark.parametrize(
     "argv",
     [
-        ["evaluate", "--methods", "raw,raw"],
-        ["evaluate", "--methods", ","],
-        ["tokens", "--methods", ","],
-        ["ablate", "--fractions", ","],
-        ["ablate", "--fractions", "0.2,0.2"],
+        ["evaluate", "--alphas", "0.3", "--methods", "raw,raw"],
+        ["evaluate", "--alphas", "0.3", "--methods", ","],
+        ["tokens", "--alphas", "0.3", "--methods", ","],
+        ["ablate", "--alphas", "0.3", "--fractions", ","],
+        ["ablate", "--alphas", "0.3", "--fractions", "0.2,0.2"],
+        ["calibrate", "--alpha", "0.3", "--threshold", "ville", "--delta", "5"],
+        ["calibrate", "--alpha", "0.3", "--threshold", "bonferroni", "--delta", "5"],
     ],
     ids=[
         "evaluate repeated", "evaluate empty", "tokens empty", "ablate empty",
-        "ablate repeated",
+        "ablate repeated", "calibrate ville delta", "calibrate bonferroni delta",
     ],
 )
 def test_empty_or_repeated_list_fails_closed(tmp_path, capsys, argv):
-    # with token counts, so that tokens has nothing else to fail on
+    # with token counts, so that tokens has nothing else to fail on; a
+    # calibrate --delta outside (0, 1) fails the same way for every kind,
+    # also for one that does not read delta
     data = tmp_path / "tok.jsonl"
     base = sample_dataset(SyntheticSpec(), 120, seed=9)
     write_dataset(
@@ -309,7 +313,7 @@ def test_empty_or_repeated_list_fails_closed(tmp_path, capsys, argv):
         data,
     )
     out = tmp_path / "o.csv"
-    argv = argv + ["--data", str(data), "--alphas", "0.3", "--out", str(out)]
+    argv = argv + ["--data", str(data), "--out", str(out)]
     code = cli_dispatch(argv)
     assert code == 1
     err = capsys.readouterr().err.splitlines()

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import predict_proba, run_offline
+from oracles import isotonic_fraction_oracle, predict_proba, run_offline
 
 from seqgate import harness
 from seqgate.artifact import FitConfig, LogisticModel, RatioModel, ThresholdSpec
@@ -42,10 +42,12 @@ from seqgate.monitor import (
     DecisionRule,
     MonitorState,
     calibrated_score_rule,
+    pooled_isotonic,
     ratio_rule,
     raw_score_rule,
 )
 from seqgate.ratio import eval_process, eval_ratio, padded_scores, replay
+from seqgate.synthetic import SyntheticSpec, sample_dataset
 from seqgate.thresholds import pac_threshold
 from seqgate.trajectories import CalibrationSet, LabeledTrajectory, derive_seed, offsets
 from seqgate.trajectories import validate
@@ -343,6 +345,29 @@ def pooled_reference(cal):
     return fit_isotonic(xs, ys)
 
 
+# a small pool, so that most draws tie; both zeros pool into one group
+tied_xs = st.sampled_from([-1.5, -0.0, 0.0, 0.1, 0.3, 1.0 / 3.0, 0.7, 2.0])
+
+
+@EXACT
+@given(st.lists(st.tuples(tied_xs, st.integers(0, 1)), min_size=1, max_size=80))
+@example([(0.5, 0)] * 8 + [(0.5, 1)] * 2)
+@example([(0.1, 1), (0.1, 0), (0.1, 0), (0.3, 0), (0.3, 0), (0.7, 1)] * 7)
+def test_fit_isotonic_equals_fraction_pav(points):
+    xs, ys = zip(*points)
+    model = fit_isotonic(list(xs), list(ys))
+    assert (model.breakpoints, model.values) == isotonic_fraction_oracle(xs, ys)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_pooled_isotonic_equals_fraction_pav(seed):
+    cal = sample_dataset(SyntheticSpec(), 400, seed)
+    model = pooled_isotonic(cal)
+    xs = [s for item in cal for s in item.scores]
+    ys = [item.label for item in cal for _ in item.scores]
+    assert (model.breakpoints, model.values) == isotonic_fraction_oracle(xs, ys)
+
+
 @EXACT
 @given(model_and_trajectories(min_n=16, max_n=30))
 def test_harness_first_crossing_equals_run_offline(drawn):
@@ -353,7 +378,7 @@ def test_harness_first_crossing_equals_run_offline(drawn):
     cfg = ExperimentConfig(
         alpha_grid=(0.3, 0.5), n_splits=1, cal_fraction=0.5, delta=0.5
     )
-    with mock.patch.object(harness, "fit_ratio_model", lambda dre, fit_config: model):
+    with mock.patch.object(harness, "fit_ratio_model", lambda dre: model):
         arts = _SplitArtifacts(data, cfg, split_seed=3)
         cells = harness.evaluate_split(data, cfg, split_seed=3)
     assert arts.iso_model == pooled_reference(arts.cal)
@@ -397,7 +422,7 @@ def test_token_study_equals_run_offline(drawn, draws):
     cfg = ExperimentConfig(
         alpha_grid=(0.05, 0.5), n_splits=1, cal_fraction=0.5, delta=0.5
     )
-    with mock.patch.object(harness, "fit_ratio_model", lambda dre, fit_config: model):
+    with mock.patch.object(harness, "fit_ratio_model", lambda dre: model):
         arts = _SplitArtifacts(data, cfg, derive_seed(cfg.seed, 0))
         points = harness.token_study(data, cfg)
     test = arts.test.items

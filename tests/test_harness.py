@@ -118,7 +118,7 @@ def test_evaluate_split_matches_run_offline(synth_data):
     )
     from seqgate.ratio import fit_ratio_model
 
-    model = fit_ratio_model(dre, cfg.fit_config)
+    model = fit_ratio_model(dre)
     rules = {
         "evaluator_ville": ratio_rule(model, ville_threshold(0.3).value),
         "raw": raw_score_rule(0.3),

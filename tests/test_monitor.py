@@ -193,6 +193,17 @@ def test_make_calibrated_rule_constant_scores_hit_base_rate():
     assert rule.value([0.97]) == pytest.approx(0.5)
 
 
+def test_calibrated_rule_keeps_an_exact_block_mean_at_alpha():
+    # the pooled block is 2 positives of 10: its value is 1/5 rounded once,
+    # so a rule at alpha 0.2 does not reject (a float running mean gave
+    # 0.19999999999999998, which did)
+    items = [LabeledTrajectory(f"x{i}", [0.5], int(i >= 8)) for i in range(10)]
+    model = pooled_isotonic(CalibrationSet(items))
+    assert model.values == (0.2,)
+    rule = calibrated_score_rule(model, 0.2)
+    assert not rule.fires(rule.value([0.5]))
+
+
 def test_make_calibrated_rule_single_class():
     items = [LabeledTrajectory(id="n", scores=[0.9], label=1)]
     with pytest.raises(SingleClassData):

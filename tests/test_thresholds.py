@@ -175,6 +175,13 @@ def test_bonferroni_threshold_takes_only_a_positive_int():
     assert spec.value == 50.0 and type(spec.t_cal_max) is int
 
 
+@pytest.mark.parametrize("t_cal_max", [10**308, 10**400], ids=["1e308", "1e400"])
+def test_bonferroni_threshold_must_be_a_finite_float(t_cal_max):
+    # t / alpha is inf at 10**308, and 10**400 overflows on its way to a float
+    with pytest.raises(OutOfRange, match="finite"):
+        bonferroni_threshold(0.2, t_cal_max)
+
+
 def test_bonferroni_at_least_ville():
     rng = np.random.default_rng(5)
     for _ in range(50):
