@@ -73,17 +73,22 @@ def _require_finite(finite: bool, what: str) -> None:
         raise InvalidTrajectory(f"the {what} of the logistic fit is not finite")
 
 
-def fit_logistic(features, labels, cfg: FitConfig = FitConfig()) -> LogisticModel:
+def fit_logistic(
+    features, labels, cfg: FitConfig = FitConfig(), start=None
+) -> LogisticModel:
     """Minimize the L2-penalized logistic loss by damped Newton iterations.
 
     ``features`` is a sequence of equal-length vectors or a 2-D array.
-    Stops at the first of: the gradient infinity-norm drops to
+    Newton starts from ``start``, the weights then the intercept, or from
+    zeros when it is None. With cfg.l2_lambda > 0 the objective is strictly
+    convex, so every start leads to the same optimum; a start near it takes
+    fewer steps. Stops at the first of: the gradient infinity-norm drops to
     cfg.tolerance; step halving finds no candidate that does not raise the
     objective; an accepted candidate equals the current weights bit for bit.
     At that fixed point every further iteration would repeat the same step
-    and accept the same weights, so stopping returns exactly what running
-    all cfg.max_iters iterations would. Otherwise it stops after
-    cfg.max_iters Newton steps.
+    and accept the same weights, so from any start, stopping returns exactly
+    what running all cfg.max_iters iterations would. Otherwise it stops
+    after cfg.max_iters Newton steps.
     """
     if len(features) != len(labels):
         raise DimensionMismatch(
@@ -96,7 +101,11 @@ def fit_logistic(features, labels, cfg: FitConfig = FitConfig()) -> LogisticMode
         raise SingleClassData("need at least one example of each label")
     Z = _design_matrix(features)
     d = Z.shape[1] - 1
-    theta = np.zeros(d + 1)
+    theta = np.zeros(d + 1) if start is None else np.array(start, dtype=float)
+    if theta.shape != (d + 1,):
+        raise DimensionMismatch(
+            f"start must hold {d} weights and an intercept, got shape {theta.shape}"
+        )
     # overflow shows as a non-finite objective, gradient or Hessian, each
     # checked below; a candidate that overflows is only rejected
     with np.errstate(over="ignore", invalid="ignore"):

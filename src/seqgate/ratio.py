@@ -3,7 +3,10 @@
 One logistic classifier is fit per step t on raw score prefixes of length t,
 up to the largest step at which both labels still have data. Beyond that
 step the statistic is frozen: evaluation always sees the earliest scores, so
-the monitored value is literally constant from then on.
+the monitored value is literally constant from then on. Each step's Newton
+fit starts from the previous step's model; a positive L2 penalty makes the
+objective strictly convex, so the start moves the fit only within the
+gradient tolerance.
 
 Fitting and batch evaluation read trajectories through one padded score
 matrix (``padded_scores``): column i holds the first scores of trajectory i,
@@ -83,18 +86,26 @@ def padded_scores(trajectories, width: int):
 
 
 def fit_ratio_model(dre: CalibrationSet, cfg: FitConfig = FitConfig()) -> RatioModel:
-    """Fit one prefix classifier per step t = 1..t_max."""
+    """Fit one prefix classifier per step t = 1..t_max.
+
+    Step t's Newton fit starts from step t-1's model, with weight 0 on the
+    new score: that is the previous fit's logit on every row, and adjacent
+    steps' optima lie close, so it takes fewer steps than a start from zeros.
+    """
     prior_1 = estimate_prior(dre)
     t_max = compute_tmax(dre)
     columns, lengths = padded_scores([item.scores for item in dre], t_max)
     labels = np.array(dre.labels())
     step_models = []
+    start = None
     for t in range(1, t_max + 1):
         keep = lengths >= t
         try:
-            step_models.append(fit_logistic(columns[:t, keep].T, labels[keep], cfg))
+            step = fit_logistic(columns[:t, keep].T, labels[keep], cfg, start)
         except InvalidTrajectory as exc:
             raise InvalidTrajectory(f"step {t}: {exc}", field="scores") from None
+        step_models.append(step)
+        start = step.weights + (0.0, step.intercept)
     return RatioModel(
         step_models=tuple(step_models), prior_1=prior_1, t_max=t_max, fit_config=cfg
     )

@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .errors import OutOfRange
 from .monitor import DecisionRule
 from .trajectories import CalibrationSet, LabeledTrajectory
 
@@ -54,7 +55,13 @@ class SyntheticSpec:
 def _draw(spec: SyntheticSpec, label: int, rng: np.random.Generator, ident: str):
     length = int(rng.geometric(spec.stop_prob))
     mu = spec.mu_null if label == 1 else spec.mu_alt
-    scores = rng.normal(mu, spec.sigma, size=length)
+    try:
+        scores = rng.normal(mu, spec.sigma, size=length)
+    except (ValueError, MemoryError):  # numpy refuses an array this long
+        raise OutOfRange(
+            f"stop_prob={spec.stop_prob!r} drew a trajectory of {length} scores,"
+            " too many to hold"
+        ) from None
     return LabeledTrajectory(id=ident, scores=scores.tolist(), label=label)
 
 

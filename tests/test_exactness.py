@@ -23,12 +23,13 @@ from hypothesis import strategies as st
 from oracles import isotonic_fraction_oracle, predict_proba, run_offline
 
 from seqgate import harness
-from seqgate.artifact import FitConfig, LogisticModel, RatioModel, ThresholdSpec
+from seqgate.artifact import THRESHOLD_KINDS, FitConfig, LogisticModel, RatioModel
+from seqgate.artifact import ThresholdSpec
 from seqgate.artifact import load_calibration, pac_index, ratio_statistic, ville_threshold
 from seqgate.cli import cli_dispatch
 from seqgate.harness import NEVER_TERMINATE, ExperimentConfig, TokenCurvePoint
 from seqgate.harness import _first_steps, _SplitArtifacts
-from seqgate.dataio import save_calibration
+from seqgate.dataio import read_dataset, save_calibration, write_dataset
 from seqgate.errors import (
     EmptyPrefix,
     InsufficientCalibration,
@@ -336,6 +337,37 @@ def test_monitor_cli_library_and_replay_agree(model_path, drawn):
     expected = library_outcome(loaded, threshold, stream)
     assert cli_outcome(model_path, stream) == expected
     assert replay_outcome(loaded, threshold, stream) == expected
+
+
+def monitored_first_step(rule, trajectory):
+    """First rejection step of one MonitorState session, 0 if it accepts."""
+    state = MonitorState(rule)
+    for score in trajectory:
+        if state.observe(score).terminal:
+            return state.status.step
+    return 0
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+@pytest.mark.parametrize("kind", THRESHOLD_KINDS)
+def test_harness_and_monitor_agree_on_a_dataset_file(tmp_path, kind, seed):
+    # the harness path of the differential property on a whole JSONL file and
+    # an artifact that calibrate fitted from it; the longest trajectories run
+    # past t_max, and a pac threshold is a statistic value of the file
+    path, model_path = tmp_path / "data.jsonl", tmp_path / "model.json"
+    write_dataset(sample_dataset(SyntheticSpec(stop_prob=0.1), 300, seed), path)
+    argv = ["calibrate", "--data", str(path), "--alpha", "0.2", "--threshold", kind]
+    assert cli_dispatch(argv + ["--out", str(model_path)], stdout=io.StringIO()) == 0
+    model, spec, _ = load_calibration(model_path)
+    rule = ratio_rule(model, spec.value)
+    scores = [item.scores for item in read_dataset(path)]
+    assert max(map(len, scores)) > model.t_max
+    values = replay(model, scores)
+    if kind == "pac":
+        assert (values == spec.value).any()
+    steps = _first_steps(rule.fires(values), offsets(scores)).tolist()
+    assert steps == [monitored_first_step(rule, t) for t in scores]
+    assert 0 < steps.count(0) < len(steps)
 
 
 def pooled_reference(cal):

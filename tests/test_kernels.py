@@ -166,15 +166,15 @@ def test_logistic_gradient_matches_finite_differences():
         assert np.max(np.abs(grad - num)) / denom <= 1e-5
 
 
-def newton_without_fixed_point_stop(features, labels, cfg):
-    """Reference Newton loop that runs until the gradient is small, step
-    halving runs out or cfg.max_iters steps are taken; returns theta and the
-    number of accepted steps."""
+def newton_without_fixed_point_stop(features, labels, cfg, start=None):
+    """Reference Newton loop from ``start`` (zeros if None) that runs until
+    the gradient is small, step halving runs out or cfg.max_iters steps are
+    taken; returns theta and the number of accepted steps."""
     y = np.asarray(labels, dtype=float)
     X = np.asarray(features, dtype=float)
     n, d = X.shape
     Z = np.hstack([X, np.ones((n, 1))])
-    theta = np.zeros(d + 1)
+    theta = np.zeros(d + 1) if start is None else np.array(start, dtype=float)
     obj = kernels.logistic_objective(theta, Z, y, cfg.l2_lambda)
     accepted = 0
     for _ in range(cfg.max_iters):
@@ -204,15 +204,15 @@ def newton_without_fixed_point_stop(features, labels, cfg):
     return theta, accepted
 
 
-def assert_fit_matches_reference(features, labels, cfg):
+def assert_fit_matches_reference(features, labels, cfg, start=None):
     """fit_logistic == the reference loop; returns both objective-call counts."""
     with mock.patch.object(
         kernels, "logistic_objective", wraps=kernels.logistic_objective
     ) as calls:
-        theta, accepted = newton_without_fixed_point_stop(features, labels, cfg)
+        theta, accepted = newton_without_fixed_point_stop(features, labels, cfg, start)
         reference_calls = calls.call_count
         calls.reset_mock()
-        model = fit_logistic(features, labels, cfg)
+        model = fit_logistic(features, labels, cfg, start)
         fit_calls = calls.call_count
     assert model.weights == tuple(theta[:-1])
     assert model.intercept == float(theta[-1])
@@ -231,7 +231,8 @@ def logistic_problems(draw):
         l2_lambda=draw(st.sampled_from([0.0, 0.02, 1.0])),
         max_iters=draw(st.integers(1, 100)),
     )
-    return features, labels, cfg
+    start = draw(st.none() | st.lists(value, min_size=d + 1, max_size=d + 1))
+    return features, labels, cfg, start
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -272,6 +273,21 @@ def test_fixed_point_stop_on_a_stalled_long_trajectory_step():
     )
     assert accepted == cfg.max_iters
     assert fit_calls <= reference_calls / 4
+
+
+def test_fit_logistic_zero_start_is_the_default():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(40, 2))
+    y = (X[:, 1] + rng.normal(size=40) > 0).astype(int)
+    assert fit_logistic(X, y, FitConfig(), (0.0, 0.0, 0.0)) == fit_logistic(X, y)
+
+
+@pytest.mark.parametrize(
+    "start", [(), (0.0, 0.0), (0.0, 0.0, 0.0, 0.0), [[0.0, 0.0, 0.0]]]
+)
+def test_fit_logistic_start_of_the_wrong_length(start):
+    with pytest.raises(DimensionMismatch, match="start must hold 2 weights"):
+        fit_logistic([[0.1, 0.2], [0.3, 0.4]], [0, 1], FitConfig(), start)
 
 
 def test_fit_logistic_array_and_list_features_agree():

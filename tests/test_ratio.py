@@ -1,4 +1,6 @@
 import math
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,15 +93,54 @@ def test_fit_ratio_model_separates_first_step():
 
 
 def test_fit_ratio_model_steps_equal_list_feature_fits():
-    # the padded-matrix path fits each step on exactly the list-of-prefixes data
+    # the padded-matrix path fits each step on exactly the list-of-prefixes
+    # data, each step started from the previous step's model
     data = sample_dataset(SyntheticSpec(stop_prob=0.05), 200, seed=6)
     model = fit_ratio_model(data)
     assert model.t_max > 20
+    start = None
     for t, step_model in enumerate(model.step_models, start=1):
         rows = [item for item in data if len(item) >= t]
         feats = [item.scores[:t] for item in rows]
         labels = [item.label for item in rows]
-        assert step_model == fit_logistic(feats, labels, model.fit_config)
+        assert step_model == fit_logistic(feats, labels, model.fit_config, start)
+        start = step_model.weights + (0.0, step_model.intercept)
+
+
+@lru_cache(maxsize=None)
+def cold_and_warm_fits(seed):
+    """(cold step models, cold Newton steps, warm model, warm Newton steps)
+    on long trajectories; a Newton step is one np.linalg.solve call."""
+    data = sample_dataset(SyntheticSpec(stop_prob=0.05), 400, seed)
+    with mock.patch.object(np.linalg, "solve", wraps=np.linalg.solve) as solves:
+        warm = fit_ratio_model(data)
+        warm_steps = solves.call_count
+        solves.reset_mock()
+        cold = []
+        for t in range(1, warm.t_max + 1):
+            rows = [item for item in data if len(item) >= t]
+            feats = [item.scores[:t] for item in rows]
+            labels = [item.label for item in rows]
+            cold.append(fit_logistic(feats, labels, warm.fit_config))
+        cold_steps = solves.call_count
+    return cold, cold_steps, warm, warm_steps
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_warm_started_steps_are_close_to_cold_fits(seed):
+    # one strictly convex objective per step: both starts reach its optimum
+    cold, _, warm, _ = cold_and_warm_fits(seed)
+    assert len(warm.step_models) == len(cold) > 50
+    for w, c in zip(warm.step_models, cold):
+        got = np.array(w.weights + (w.intercept,))
+        want = np.array(c.weights + (c.intercept,))
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_warm_start_takes_fewer_newton_steps(seed):
+    _, cold_steps, _, warm_steps = cold_and_warm_fits(seed)
+    assert warm_steps <= 0.6 * cold_steps
 
 
 def test_fit_ratio_model_deterministic():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import sample_dataset_oracle
 from seqgate.cli import cli_dispatch
 from seqgate.dataio import write_dataset
+from seqgate.errors import OutOfRange
 from seqgate.synthetic import (
     SyntheticSpec,
     item_states,
@@ -112,6 +113,19 @@ def test_synth_file_equals_oracle_file(tmp_path):
 def test_sample_dataset_rejects_a_seed_that_is_no_non_negative_int(seed, error):
     with pytest.raises(error):
         sample_dataset(SyntheticSpec(), 3, seed)
+
+
+def test_a_length_numpy_cannot_hold_fails_closed(tmp_path, capsys):
+    # numpy refuses an array of 2**63 - 1 scores before allocating any
+    spec = SyntheticSpec(stop_prob=1e-300)
+    with pytest.raises(OutOfRange, match="stop_prob=1e-300 drew a trajectory"):
+        sample_dataset(spec, 3, seed=0)
+    out = tmp_path / "x.jsonl"
+    argv = ["synth", "--n", "3", "--spec", '{"stop_prob": 1e-300}', "--out", str(out)]
+    assert cli_dispatch(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR OUT_OF_RANGE: stop_prob=1e-300")
+    assert not out.exists()
 
 
 def test_first_step_mean_matches_label():
