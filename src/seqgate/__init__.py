@@ -17,8 +17,8 @@ import importlib
 _EXPORTS = {
     "artifact": (
         "FitConfig", "LogisticModel", "RatioModel", "ThresholdSpec", "binomial_sf",
-        "bonferroni_threshold", "eval_ratio", "load_calibration", "min_null_samples",
-        "pac_index", "ratio_statistic", "save_calibration", "ville_threshold",
+        "bonferroni_threshold", "load_calibration", "min_null_samples", "pac_index",
+        "ratio_statistic", "save_calibration", "ville_threshold",
     ),
     "errors": (
         "DegenerateSplit", "DimensionMismatch", "EmptyPrefix",

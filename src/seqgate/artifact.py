@@ -15,6 +15,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -25,6 +26,8 @@ DEFAULT_PROB_CLAMP = 1e-6
 DEFAULT_DELTA = 0.05
 DEFAULT_DRE_FRACTION = 0.5
 THRESHOLD_KINDS = ("pac", "ville", "bonferroni")
+# the largest pac n_null: pac_index sums up to n terms, about 1 s per million
+MAX_NULL_SAMPLES = 10**7
 ARTIFACT_FORMAT = "seqgate-calibration"
 ARTIFACT_VERSION = 1
 
@@ -135,11 +138,6 @@ def ratio_statistic(model: RatioModel):
     return value
 
 
-def eval_ratio(model: RatioModel, prefix) -> float:
-    """Plug-in density ratio at the end of one prefix of scores."""
-    return ratio_statistic(model)(prefix)
-
-
 @dataclass(frozen=True)
 class ThresholdSpec:
     """A resolved decision threshold plus how it was derived."""
@@ -186,12 +184,26 @@ def bonferroni_threshold(alpha: float, t_cal_max: int) -> ThresholdSpec:
     return ThresholdSpec(kind="bonferroni", alpha=alpha, value=value, t_cal_max=t)
 
 
-def binomial_sf(n: int, p: float, k: int) -> float:
-    """Exact Pr[Binomial(n, p) >= k] via log-gamma summation.
+def _log_tails(n: int, p: float):
+    """log Pr[Binomial(n, p) >= i] for i = n, n - 1, ..., 1, for 0 < p < 1:
+    a running log-sum-exp of log-gamma terms, a few ulps of relative error
+    per term, so stopping at i costs n - i + 1 terms and no memory."""
+    log_p, log_q = math.log(p), math.log1p(-p)
+    log_cn = math.lgamma(n + 1)
+    top, total = -math.inf, 0.0  # the tail is exp(top) * total
+    for i in range(n, 0, -1):
+        term = log_cn - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+        term = term + i * log_p + (n - i) * log_q
+        if term > top:
+            total = total * math.exp(top - term) + 1.0
+            top = term
+        else:
+            total += math.exp(term - top)
+        yield top + math.log(total)
 
-    Valid for 0 <= k <= n + 1; relative error is a few ulps per term, far
-    inside the 1e-10 contract against exact rational arithmetic.
-    """
+
+def binomial_sf(n: int, p: float, k: int) -> float:
+    """Exact Pr[Binomial(n, p) >= k], valid for 0 <= k <= n + 1."""
     try:
         n = operator.index(n)
         k = operator.index(k)
@@ -205,23 +217,12 @@ def binomial_sf(n: int, p: float, k: int) -> float:
         raise OutOfRange(f"k must be an integer in [0, {n + 1}], got {k!r}")
     if k == 0:
         return 1.0
-    if k == n + 1:
-        return 0.0
-    if p == 0.0:
+    if k == n + 1 or p == 0.0:
         return 0.0
     if p == 1.0:
         return 1.0
-    log_p, log_q = math.log(p), math.log1p(-p)
-    log_cn = math.lgamma(n + 1)
-    terms = [
-        log_cn - math.lgamma(i + 1) - math.lgamma(n - i + 1) + i * log_p + (n - i) * log_q
-        for i in range(k, n + 1)
-    ]
-    top = max(terms)
-    if top == -math.inf:
-        return 0.0
-    total = top + math.log(sum(math.exp(t - top) for t in terms))
-    return min(1.0, math.exp(total))
+    tails = islice(_log_tails(n, p), n - k, None)
+    return min(1.0, math.exp(next(tails)))
 
 
 def min_null_samples(alpha: float, delta: float) -> int:
@@ -230,23 +231,22 @@ def min_null_samples(alpha: float, delta: float) -> int:
 
 
 def pac_index(n: int, alpha: float, delta: float) -> int:
-    """Smallest i in 1..n with Pr[Bin(n, 1-alpha) >= i] <= delta."""
+    """Smallest k in 1..n with Pr[Bin(n, 1-alpha) >= k] <= delta: the tails
+    from k = n down to the first one above delta, about n * alpha terms. n
+    may not exceed MAX_NULL_SAMPLES."""
     _probability(alpha, "alpha")
     _probability(delta, "delta")
-    if n < 1:
-        raise OutOfRange(f"n must be a positive integer, got {n}")
-    p = 1.0 - alpha
-    if binomial_sf(n, p, n) > delta:
+    if not 1 <= n <= MAX_NULL_SAMPLES:
+        raise OutOfRange(f"n must be an integer in [1, {MAX_NULL_SAMPLES}], got {n}")
+    p, k = 1.0 - alpha, n + 1
+    # an alpha below the float spacing at 1 leaves p = 1: Pr[X >= n] = 1
+    for log_tail in _log_tails(n, p) if p < 1.0 else ():
+        if math.exp(log_tail) > delta:
+            break
+        k -= 1
+    if k > n:
         raise InsufficientCalibration(n, alpha, delta, min_null_samples(alpha, delta))
-    # binomial_sf is non-increasing in k, so binary-search the crossing
-    lo, hi = 1, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if binomial_sf(n, p, mid) <= delta:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return k
 
 
 @contextmanager

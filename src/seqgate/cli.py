@@ -133,7 +133,7 @@ def _cmd_calibrate(args, parser, stdin, stdout) -> int:
     from .artifact import _probability, bonferroni_threshold, ville_threshold
     from .ratio import fit_ratio_model
     from .thresholds import null_maxima, pac_threshold
-    from .trajectories import SplitConfig, derive_seed, split_calibration
+    from .trajectories import SplitConfig, split_calibration
 
     # every kind: only pac reads delta, but a bad value is never accepted
     _probability(args.delta, "delta")
@@ -148,7 +148,7 @@ def _cmd_calibrate(args, parser, stdin, stdout) -> int:
         spec = bonferroni_threshold(args.alpha, max(len(item) for item in data))
     else:
         maxima = null_maxima(model, thresh_set)
-        spec = pac_threshold(maxima, args.alpha, args.delta, derive_seed(args.seed, 1))
+        spec = pac_threshold(maxima, args.alpha, args.delta)
     metadata = {
         "data": str(args.data),
         "data_digest": dataio.data_digest(args.data),
@@ -161,7 +161,7 @@ def _cmd_calibrate(args, parser, stdin, stdout) -> int:
     dataio.save_calibration(args.out, model, spec, metadata)
     print(
         f"calibrated t_max={model.t_max} threshold_kind={spec.kind} "
-        f"value={spec.value!r} -> {args.out}"
+        f"value={spec.value!r} -> {args.out}", file=stdout
     )
     return EXIT_OK
 
@@ -196,7 +196,7 @@ def _cmd_evaluate(args, parser, stdin, stdout) -> int:
     cfg = _experiment_config(args, args.splits)
     points = harness.run_experiment(data, cfg)
     dataio.write_csv(args.out, harness.CurvePoint, points)
-    print(f"wrote {len(points)} curve points -> {args.out}")
+    print(f"wrote {len(points)} curve points -> {args.out}", file=stdout)
     return EXIT_OK
 
 
@@ -207,7 +207,7 @@ def _cmd_tokens(args, parser, stdin, stdout) -> int:
     cfg = _experiment_config(args, 1)
     points = harness.token_study(data, cfg)
     dataio.write_csv(args.out, harness.TokenCurvePoint, points)
-    print(f"wrote {len(points)} token points -> {args.out}")
+    print(f"wrote {len(points)} token points -> {args.out}", file=stdout)
     return EXIT_OK
 
 
@@ -227,7 +227,7 @@ def _cmd_ablate(args, parser, stdin, stdout) -> int:
     rows = [(res.cal_fraction, p) for res in results for p in res.curves]
     dataio.write_csv(args.out, harness.CurvePoint, rows, lead="cal_fraction")
     produced = sum(1 for r in results if r.error is None)
-    print(f"wrote curves for {produced}/{len(results)} fractions -> {args.out}")
+    print(f"wrote curves for {produced}/{len(results)} fractions -> {args.out}", file=stdout)
     return EXIT_OK
 
 
@@ -260,7 +260,7 @@ def _cmd_synth(args, parser, stdin, stdout) -> int:
     spec = _load_synth_spec(args.spec)
     data = sample_dataset(spec, args.n, args.seed)
     dataio.write_dataset(data, args.out)
-    print(f"wrote {len(data)} trajectories -> {args.out}")
+    print(f"wrote {len(data)} trajectories -> {args.out}", file=stdout)
     return EXIT_OK
 
 
@@ -269,7 +269,7 @@ def _cmd_chess(args, parser, stdin, stdout) -> int:
 
     games = dataio.read_chess_games(args.games)
     dataio.write_dataset(dataio.chess_to_dataset(games), args.out)
-    print(f"converted {len(games)} games -> {args.out}")
+    print(f"converted {len(games)} games -> {args.out}", file=stdout)
     return EXIT_OK
 
 

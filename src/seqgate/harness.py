@@ -107,7 +107,6 @@ class _SplitArtifacts:
         )
         self.cal = cal
         self.test = test
-        self.pac_seed = derive_seed(split_seed, 2)
         self.t_cal_max = max(map(len, cal))
         self.null = np.array(test.labels()) == 1
 
@@ -141,7 +140,7 @@ class _SplitArtifacts:
             elif method == "bonferroni":
                 thr = bonferroni_threshold(alpha, self.t_cal_max).value
             else:
-                thr = pac_threshold(self.null_maxima, alpha, delta, self.pac_seed).value
+                thr = pac_threshold(self.null_maxima, alpha, delta).value
             rule, process = ratio_rule(self.ratio_model, thr), self.ratio
         return _first_steps(rule.fires(process), self.starts)
 

@@ -17,16 +17,14 @@ The plug-in ratio (1 - f)/f * prior_1/(1 - prior_1) with f = sigmoid(z) is
 odds * exp(-z), and clamping f to [c, 1 - c] is clamping the logit z to
 [-L, L] with L = log((1 - c)/c); both constants are computed once per model.
 
-Two entry points share one arithmetic. ``ratio_statistic`` turns a model
+Two paths share one arithmetic. ``artifact.ratio_statistic`` turns a model
 into its per-prefix statistic, for the streaming monitor: it reads the step
 table and the constants once, so each call is one length, one index and the
-logit loop; ``eval_ratio`` applies it to one prefix. Both live in
-``artifact``, with ``RatioModel``. ``replay`` evaluates
-whole processes of many trajectories, for thresholds and the experiment
-harness. Both sum the logit left to right, clamp it and take ``math.exp`` of
-its negation, so they return bit-identical values on any platform: the
-statistic in plain float arithmetic, ``replay`` with numpy arrays for the
-sums and the clamp.
+logit loop. ``replay`` evaluates whole processes of many trajectories, for
+thresholds and the experiment harness. Both sum the logit left to right,
+clamp it and take ``math.exp`` of its negation, so they return
+bit-identical values on any platform: the statistic in plain float
+arithmetic, ``replay`` with numpy arrays for the sums and the clamp.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .artifact import FitConfig, RatioModel, eval_ratio, ratio_statistic
+from .artifact import FitConfig, RatioModel
 from .errors import EmptyPrefix, InvalidTrajectory, NoOverlap, SingleClassData
 from .kernels import fit_logistic
 from .trajectories import CalibrationSet
@@ -115,12 +113,12 @@ def replay(model: RatioModel, trajectories) -> np.ndarray:
     """Ratio process of every trajectory, concatenated in input order.
 
     Step t sums the logits of every trajectory at least t long at once, the
-    j-th term from the row of j-th scores, so every value equals eval_ratio
-    on that prefix exactly. Columns are padded longest first, so the ones
-    still running at step t are a leading slice. Past t_max each process
-    repeats its step-t_max value. No trajectories give an empty array. A nan
-    value, which never crosses a threshold and so would accept in silence,
-    raises InvalidTrajectory.
+    j-th term from the row of j-th scores, so every value equals
+    ratio_statistic on that prefix exactly. Columns are padded longest
+    first, so the ones still running at step t are a leading slice. Past
+    t_max each process repeats its step-t_max value. No trajectories give an
+    empty array. A nan value, which never crosses a threshold and so would
+    accept in silence, raises InvalidTrajectory.
     """
     lengths = np.fromiter(map(len, trajectories), int, count=len(trajectories))
     if not lengths.size:

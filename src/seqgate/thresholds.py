@@ -7,6 +7,8 @@ re-derive the threshold it loads without numpy.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .artifact import RatioModel, ThresholdSpec, pac_index
@@ -23,19 +25,19 @@ def null_maxima(model: RatioModel, thresh_set: CalibrationSet) -> list:
     return np.maximum.reduceat(replay(model, nulls), offsets(nulls)).tolist()
 
 
-def pac_threshold(maxima, alpha: float, delta: float, seed: int = 0) -> ThresholdSpec:
-    """Order-statistic threshold M_(k); ties are ordered by a seeded fair coin."""
-    if len(maxima) == 0:
-        raise OutOfRange("maxima must be non-empty")
+def pac_threshold(maxima, alpha: float, delta: float) -> ThresholdSpec:
+    """Order-statistic threshold M_(k), k = pac_index(n, alpha, delta)."""
     n = len(maxima)
+    if n == 0:
+        raise OutOfRange("maxima must be non-empty")
+    # sorted orders a list holding nan arbitrarily
+    if any(map(math.isnan, maxima)):
+        raise OutOfRange("maxima must not be nan")
     k = pac_index(n, alpha, delta)
-    values = np.asarray(maxima, dtype=float)
-    coin = np.random.default_rng(seed).random(n)
-    order = np.lexsort((coin, values))
     return ThresholdSpec(
         kind="pac",
         alpha=alpha,
-        value=float(values[order[k - 1]]),
+        value=float(sorted(maxima)[k - 1]),
         delta=delta,
         n_null=n,
         k_index=k,

@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from seqgate.errors import DimensionMismatch
-from seqgate.artifact import DEFAULT_PROB_CLAMP
+from seqgate.artifact import DEFAULT_PROB_CLAMP, ratio_statistic
 from seqgate.monitor import MonitorState
 from seqgate.trajectories import CalibrationSet, LabeledTrajectory
 
@@ -147,6 +147,12 @@ def predict_proba(model, x, prob_clamp=DEFAULT_PROB_CLAMP):
     e = np.exp(-np.abs(z))
     p = np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return np.clip(p, prob_clamp, 1.0 - prob_clamp)
+
+
+def eval_ratio(model, prefix) -> float:
+    """The package's own plug-in ratio at the end of one prefix: a shorthand
+    for ratio_statistic, not an independent oracle."""
+    return ratio_statistic(model)(prefix)
 
 
 def run_offline(rule, traj):

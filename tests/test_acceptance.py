@@ -93,7 +93,7 @@ def test_criterion_02_pac_guarantee():
             violations = 0
             for c in range(reps):
                 maxima = null_max_ratios(spec, n_cal, seed=10_000 + c)
-                thr = pac_threshold(maxima.tolist(), alpha, delta, seed=c).value
+                thr = pac_threshold(maxima.tolist(), alpha, delta).value
                 conditional_far = float(np.mean(pool >= thr))
                 violations += conditional_far > alpha
             assert violations / reps <= bound, (alpha, violations / reps)

@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 import seqgate
-from seqgate import harness, ratio
+from seqgate import artifact, harness, ratio
 from seqgate.artifact import THRESHOLD_KINDS, FitConfig, LogisticModel, RatioModel
 from seqgate.artifact import ville_threshold
 from seqgate.cli import cli_dispatch
@@ -142,6 +142,53 @@ def test_calibrate_insufficient_calibration_exit_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ERROR INSUFFICIENT_CALIBRATION" in err
     assert "need at least n=59" in err
+
+
+def test_calibrate_pac_above_the_null_sample_cap_is_out_of_range(
+    tmp_path, data_file, capsys, monkeypatch
+):
+    # the cap lowered below this data's null count stands in for 10**7 nulls
+    monkeypatch.setattr(artifact, "MAX_NULL_SAMPLES", 10)
+    code = cli_dispatch(
+        [
+            "calibrate", "--data", str(data_file), "--alpha", "0.3",
+            "--threshold", "pac", "--out", str(tmp_path / "m.json"),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ERROR OUT_OF_RANGE: n must be")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_summary_lines_go_to_the_given_stdout(tmp_path, capsys):
+    base = sample_dataset(SyntheticSpec(), 200, seed=4)
+    items = [
+        LabeledTrajectory(i.id, list(i.scores), i.label, list(range(10, 10 * len(i) + 1, 10)))
+        for i in base
+    ]
+    data = tmp_path / "data.jsonl"
+    write_dataset(CalibrationSet(items), data)
+    games = tmp_path / "games.jsonl"
+    games.write_text('{"id":"g1","centipawns":[30],"result":"draw"}\n')
+    grid = ["--data", str(data), "--alphas", "0.3", "--methods", "raw"]
+    out = str(tmp_path / "out")
+    cases = [
+        (["synth", "--n", "5"], "wrote 5 trajectories"),
+        (["calibrate", "--data", str(data), "--alpha", "0.3", "--threshold", "ville"],
+         "calibrated t_max="),
+        (["evaluate", *grid, "--splits", "2"], "wrote 1 curve points"),
+        (["tokens", *grid], "wrote 2 token points"),
+        (["ablate", *grid, "--fractions", "0.3", "--splits", "2"],
+         "wrote curves for 1/1 fractions"),
+        (["chess", "--games", str(games)], "converted 1 games"),
+    ]
+    for argv, summary in cases:
+        code, printed = run(argv + ["--out", out])
+        assert code == 0, argv
+        assert printed.startswith(summary) and printed.endswith(f" -> {out}\n"), argv
+        assert printed.count("\n") == 1, argv
+    assert capsys.readouterr().out == ""
 
 
 def test_evaluate_deterministic_csv(tmp_path, data_file):
@@ -654,6 +701,9 @@ ARTIFACT_FAULTS = {
         kind="bonferroni", t_cal_max=10**401 - 1, value=5.0
     ),
     "pac n_null of 401 digits": lambda a: a["threshold"].update(n_null=10**401 - 1),
+    # a float-sized n_null above MAX_NULL_SAMPLES, refused before pac_index
+    # walks its tail
+    "pac n_null 10**18": lambda a: a["threshold"].update(n_null=10**18),
     "metadata 5": lambda a: a.update(metadata=5),
 }
 

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import isotonic_fraction_oracle, predict_proba, run_offline
+from oracles import eval_ratio, isotonic_fraction_oracle, predict_proba, run_offline
 
 from seqgate import harness
 from seqgate.artifact import THRESHOLD_KINDS, FitConfig, LogisticModel, RatioModel
@@ -47,7 +47,7 @@ from seqgate.monitor import (
     ratio_rule,
     raw_score_rule,
 )
-from seqgate.ratio import eval_process, eval_ratio, padded_scores, replay
+from seqgate.ratio import eval_process, padded_scores, replay
 from seqgate.synthetic import SyntheticSpec, sample_dataset
 from seqgate.thresholds import pac_threshold
 from seqgate.trajectories import CalibrationSet, LabeledTrajectory, derive_seed, offsets
@@ -422,7 +422,7 @@ def test_harness_first_crossing_equals_run_offline(drawn):
             "calibrated": calibrated_score_rule(pooled_reference(arts.cal), alpha),
         }
         try:
-            pac = pac_threshold(arts.null_maxima, alpha, cfg.delta, arts.pac_seed)
+            pac = pac_threshold(arts.null_maxima, alpha, cfg.delta)
             rules["evaluator_pac"] = ratio_rule(model, pac.value)
         except InsufficientCalibration:
             far, power = cells[("evaluator_pac", alpha)]
@@ -468,7 +468,7 @@ def test_token_study_equals_run_offline(drawn, draws):
             "calibrated": calibrated_score_rule(pooled_reference(arts.cal), alpha),
         }
         try:
-            pac = pac_threshold(arts.null_maxima, alpha, cfg.delta, arts.pac_seed)
+            pac = pac_threshold(arts.null_maxima, alpha, cfg.delta)
             rules["evaluator_pac"] = ratio_rule(model, pac.value)
         except InsufficientCalibration:
             pass  # the study skips the cell

@@ -259,7 +259,7 @@ def test_alpha_monotonicity_of_decisions():
     alphas = (0.2, 0.35, 0.5)
     families = {
         "ville": lambda a: ratio_rule(model, ville_threshold(a).value),
-        "pac": lambda a: ratio_rule(model, pac_threshold(maxima, a, 0.05, 9).value),
+        "pac": lambda a: ratio_rule(model, pac_threshold(maxima, a, 0.05).value),
         "raw": lambda a: raw_score_rule(a),
         "calibrated": lambda a: calibrated_score_rule(pooled_isotonic(cal), a),
     }

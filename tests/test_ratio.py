@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import predict_proba
+from oracles import eval_ratio, predict_proba
 
 from seqgate.errors import EmptyPrefix, InvalidTrajectory, NoOverlap, SingleClassData
 from seqgate.artifact import FitConfig, LogisticModel, RatioModel
@@ -13,7 +13,6 @@ from seqgate.ratio import (
     compute_tmax,
     estimate_prior,
     eval_process,
-    eval_ratio,
     fit_ratio_model,
     replay,
 )

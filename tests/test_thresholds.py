@@ -13,6 +13,7 @@ from seqgate.errors import (
     OutOfRange,
 )
 from seqgate.artifact import (
+    MAX_NULL_SAMPLES,
     FitConfig,
     LogisticModel,
     RatioModel,
@@ -72,8 +73,8 @@ def test_null_maxima_ignores_alternatives():
 
 
 def test_null_maxima_nan_statistic_fails_closed():
-    # step 2's logit on 1e308, 1e308 is inf - inf; a nan maximum would rank
-    # as the largest in pac_threshold's sort
+    # step 2's logit on 1e308, 1e308 is inf - inf; a nan maximum has no
+    # place in pac_threshold's sort
     steps = (LogisticModel((1.0,), 0.0), LogisticModel((2.0, -2.0), 0.0))
     model = RatioModel(step_models=steps, prior_1=0.5, t_max=2, fit_config=FitConfig())
     nulls = [
@@ -106,6 +107,13 @@ def test_pac_index_insufficient():
     assert "need at least n=7" in str(err.value)
 
 
+def test_pac_index_caps_n_at_max_null_samples():
+    with pytest.raises(OutOfRange, match="n must be"):
+        pac_index(MAX_NULL_SAMPLES + 1, 0.5, 0.05)
+    with pytest.raises(OutOfRange, match="n must be"):
+        pac_index(10**18, 0.1, 0.05)
+
+
 def test_min_null_samples():
     assert min_null_samples(0.5, 0.01) == 7
     assert min_null_samples(0.05, 0.05) == 59
@@ -134,28 +142,37 @@ def test_pac_index_monotone():
 
 
 def test_pac_threshold_examples():
-    spec = pac_threshold([1.0, 2.0, 3.0, 4.0, 5.0], alpha=0.5, delta=0.05, seed=0)
+    spec = pac_threshold([1.0, 2.0, 3.0, 4.0, 5.0], alpha=0.5, delta=0.05)
     assert spec.value == 5.0
     assert spec.n_null == 5 and spec.k_index == 5
     assert spec.kind == "pac"
 
 
 def test_pac_threshold_ties_are_harmless():
-    for seed in range(5):
-        spec = pac_threshold([2.0] * 5, alpha=0.5, delta=0.05, seed=seed)
-        assert spec.value == 2.0
+    spec = pac_threshold([2.0] * 5, alpha=0.5, delta=0.05)
+    assert spec.value == 2.0
+
+
+@pytest.mark.parametrize("position", [0, 2, 4])
+def test_pac_threshold_rejects_a_nan_maximum(position):
+    # sorted orders a list holding nan arbitrarily, so M_(k) would be wrong
+    # in silence
+    maxima = [1.0, 2.0, 3.0, 4.0, 5.0]
+    maxima[position] = math.nan
+    with pytest.raises(OutOfRange, match="nan"):
+        pac_threshold(maxima, alpha=0.5, delta=0.05)
 
 
 def test_pac_threshold_insufficient():
     with pytest.raises(InsufficientCalibration):
-        pac_threshold([1.0, 2.0, 3.0], alpha=0.1, delta=0.05, seed=1)
+        pac_threshold([1.0, 2.0, 3.0], alpha=0.1, delta=0.05)
 
 
 def test_pac_threshold_nonincreasing_in_alpha():
     rng = np.random.default_rng(3)
     maxima = rng.exponential(size=200).tolist()
     values = [
-        pac_threshold(maxima, alpha, 0.05, seed=7).value
+        pac_threshold(maxima, alpha, 0.05).value
         for alpha in (0.05, 0.1, 0.2, 0.4, 0.6)
     ]
     assert all(a >= b for a, b in zip(values, values[1:]))
@@ -197,9 +214,9 @@ def test_pac_coverage_statistical():
     alpha, delta, n, reps = 0.1, 0.05, 200, 500
     rng = np.random.default_rng(2718)
     below = 0
-    for rep in range(reps):
+    for _ in range(reps):
         maxima = rng.random(n).tolist()
-        spec = pac_threshold(maxima, alpha, delta, seed=rep)
+        spec = pac_threshold(maxima, alpha, delta)
         below += spec.value < 1.0 - alpha
     frac = below / reps
     assert frac <= delta + 3 * math.sqrt(delta * (1 - delta) / reps)
