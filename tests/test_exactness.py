@@ -9,6 +9,7 @@ equals the element of its array form.
 
 import copy
 import io
+import json
 import math
 import pickle
 from contextlib import redirect_stderr
@@ -368,6 +369,25 @@ def test_harness_and_monitor_agree_on_a_dataset_file(tmp_path, kind, seed):
     steps = _first_steps(rule.fires(values), offsets(scores)).tolist()
     assert steps == [monitored_first_step(rule, t) for t in scores]
     assert 0 < steps.count(0) < len(steps)
+
+
+@pytest.mark.parametrize(
+    "scores", [[0.5, math.nan], [1e308, 1e308]], ids=["non-finite score", "nan statistic"]
+)
+def test_harness_and_monitor_fail_closed_alike_on_error_cases(tmp_path, scores):
+    # the error half of the differential property on a JSONL file: a score
+    # that is not finite, or two whose logit terms overflow to opposite
+    # infinities; the CLI monitor, MonitorState and the harness path
+    # (read_dataset, then replay) each end in INVALID_TRAJECTORY
+    path, model_path = tmp_path / "data.jsonl", tmp_path / "model.json"
+    # json writes nan as NaN, which read_dataset parses as a float
+    path.write_text(json.dumps({"id": "x", "scores": scores, "label": 1}) + "\n")
+    save_calibration(model_path, OVERFLOW_MODEL, ville_threshold(0.1))
+    expected = ("ERROR", "INVALID_TRAJECTORY", 2)
+    assert library_outcome(OVERFLOW_MODEL, 10.0, scores) == expected
+    assert cli_outcome(model_path, scores) == expected
+    with pytest.raises(InvalidTrajectory):
+        replay(OVERFLOW_MODEL, [item.scores for item in read_dataset(path)])
 
 
 def pooled_reference(cal):
