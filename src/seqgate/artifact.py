@@ -1,9 +1,9 @@
 """The calibration artifact without numpy: the model and threshold types
-``seqgate calibrate`` writes, the threshold formulas of each kind, the scalar
-statistic ``seqgate monitor`` streams, and the versioned JSON format that
-bundles them. ``kernels``, ``ratio``, ``thresholds`` and ``dataio`` import
-these names from here, so a monitor process loads this module, ``monitor``
-and ``cli`` alone, and can still re-derive the threshold it loads.
+``seqgate calibrate`` writes, the threshold formulas, the scalar statistic
+``seqgate monitor`` streams, the versioned JSON format that bundles them, and
+the input checks ``number``, ``probability`` and ``count``. The batch modules
+import these names from here, so a monitor process loads this module,
+``monitor`` and ``cli`` alone, and can still re-derive the threshold it loads.
 """
 
 from __future__ import annotations
@@ -27,9 +27,39 @@ DEFAULT_DELTA = 0.05
 DEFAULT_DRE_FRACTION = 0.5
 THRESHOLD_KINDS = ("pac", "ville", "bonferroni")
 # the largest pac n_null: pac_index sums up to n terms, about 1 s per million
-MAX_NULL_SAMPLES = 10**7
+MAX_NULL_SAMPLES = 10**6
 ARTIFACT_FORMAT = "seqgate-calibration"
 ARTIFACT_VERSION = 1
+
+
+def number(value, name: str, kind=(int, float)):
+    """``value`` if it is a finite ``kind`` and not a bool; OutOfRange otherwise."""
+    valid = isinstance(value, kind) and not isinstance(value, bool)
+    # False for nan, the infinities and an int too large for a float
+    if not (valid and abs(value) <= sys.float_info.max):
+        raise OutOfRange(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def probability(value, name: str):
+    """``value`` if it is a number strictly in (0, 1); OutOfRange otherwise."""
+    if not 0.0 < number(value, name) < 1.0:
+        raise OutOfRange(f"{name} must lie strictly in (0, 1), got {value!r}")
+    return value
+
+
+def count(value, name: str, upper=None, lower=1) -> int:
+    """``value`` as an int if it is an integer in [lower, upper] and not a
+    bool, with no upper bound for None; OutOfRange otherwise."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = lower - 1
+    # operator.index reads True as 1
+    if isinstance(value, bool) or n < lower or (upper is not None and n > upper):
+        bounds = f">= {lower}" if upper is None else f"in [{lower}, {upper}]"
+        raise OutOfRange(f"{name} must be an integer {bounds}, got {value!r}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -41,6 +71,9 @@ class FitConfig:
     so downstream ratios stay finite. The default penalty is a light floor:
     informative verifiers induce large true weights, and heavy shrinkage
     biases the estimated ratio process downward at every step.
+
+    l2_lambda >= 0, tolerance > 0 and prob_clamp are each a finite
+    ``number``, and max_iters is a ``count``.
     """
 
     l2_lambda: float = 0.02
@@ -49,15 +82,14 @@ class FitConfig:
     prob_clamp: float = DEFAULT_PROB_CLAMP
 
     def __post_init__(self):
-        if self.l2_lambda < 0:
+        if number(self.l2_lambda, "l2_lambda") < 0:
             raise OutOfRange(f"l2_lambda must be >= 0, got {self.l2_lambda}")
-        if self.max_iters < 1:
-            raise OutOfRange(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tolerance <= 0:
+        count(self.max_iters, "max_iters")
+        if number(self.tolerance, "tolerance") <= 0:
             raise OutOfRange(f"tolerance must be > 0, got {self.tolerance}")
         # the ratio takes math.exp of logits up to log((1 - c)/c), which
         # raises OverflowError unless (1 - c)/c is a finite float
-        if not (sys.float_info.min <= self.prob_clamp < 0.5):
+        if not (sys.float_info.min <= number(self.prob_clamp, "prob_clamp") < 0.5):
             raise OutOfRange(
                 f"prob_clamp must lie in [{sys.float_info.min!r}, 0.5), "
                 f"got {self.prob_clamp}"
@@ -72,7 +104,8 @@ class LogisticModel:
 
 @dataclass(frozen=True)
 class RatioModel:
-    """Per-step classifiers plus the class-prior estimate they plug into."""
+    """Per-step classifiers plus the class-prior estimate they plug into:
+    t_max is a ``count`` of step models and prior_1 a ``probability``."""
 
     step_models: tuple
     prior_1: float
@@ -80,12 +113,9 @@ class RatioModel:
     fit_config: FitConfig
 
     def __post_init__(self):
-        if len(self.step_models) != self.t_max:
-            raise ValueError(
-                f"expected {self.t_max} step models, got {len(self.step_models)}"
-            )
-        if not (0.0 < self.prior_1 < 1.0):
-            raise ValueError(f"prior_1 must lie strictly in (0, 1), got {self.prior_1}")
+        if count(self.t_max, "t_max") != len(self.step_models):
+            raise OutOfRange(f"t_max={self.t_max} but {len(self.step_models)} step models")
+        probability(self.prior_1, "prior_1")
 
     # cached beside the fields: asdict, == and the artifact bytes ignore them
     @cached_property
@@ -151,29 +181,16 @@ class ThresholdSpec:
     t_cal_max: Optional[int] = None  # bonferroni only
 
 
-def _probability(value, name: str):
-    """``value`` if it lies strictly in (0, 1); OutOfRange otherwise."""
-    if not 0.0 < value < 1.0:
-        raise OutOfRange(f"{name} must lie strictly in (0, 1), got {value}")
-    return value
-
-
 def ville_threshold(alpha: float) -> ThresholdSpec:
     """Universal threshold 1/alpha."""
-    _probability(alpha, "alpha")
+    probability(alpha, "alpha")
     return ThresholdSpec(kind="ville", alpha=alpha, value=1.0 / alpha)
 
 
 def bonferroni_threshold(alpha: float, t_cal_max: int) -> ThresholdSpec:
     """Per-step rejection at level alpha/T, i.e. statistic threshold T/alpha."""
-    _probability(alpha, "alpha")
-    try:
-        t = operator.index(t_cal_max)
-    except TypeError:
-        t = 0
-    # operator.index reads True as 1
-    if t < 1 or isinstance(t_cal_max, bool):
-        raise OutOfRange(f"t_cal_max must be a positive integer, got {t_cal_max!r}")
+    probability(alpha, "alpha")
+    t = count(t_cal_max, "t_cal_max")
     # an infinite threshold never rejects; t past the float range overflows
     try:
         value = t / alpha
@@ -204,17 +221,10 @@ def _log_tails(n: int, p: float):
 
 def binomial_sf(n: int, p: float, k: int) -> float:
     """Exact Pr[Binomial(n, p) >= k], valid for 0 <= k <= n + 1."""
-    try:
-        n = operator.index(n)
-        k = operator.index(k)
-    except TypeError as exc:
-        raise OutOfRange(f"n and k must be integers, got n={n!r}, k={k!r}") from exc
-    if n < 1:
-        raise OutOfRange(f"n must be a positive integer, got {n!r}")
-    if not (0.0 <= p <= 1.0):
+    n = count(n, "n")
+    if not 0.0 <= number(p, "p") <= 1.0:
         raise OutOfRange(f"p must lie in [0, 1], got {p}")
-    if not (0 <= k <= n + 1):
-        raise OutOfRange(f"k must be an integer in [0, {n + 1}], got {k!r}")
+    k = count(k, "k", n + 1, lower=0)
     if k == 0:
         return 1.0
     if k == n + 1 or p == 0.0:
@@ -234,10 +244,9 @@ def pac_index(n: int, alpha: float, delta: float) -> int:
     """Smallest k in 1..n with Pr[Bin(n, 1-alpha) >= k] <= delta: the tails
     from k = n down to the first one above delta, about n * alpha terms. n
     may not exceed MAX_NULL_SAMPLES."""
-    _probability(alpha, "alpha")
-    _probability(delta, "delta")
-    if not 1 <= n <= MAX_NULL_SAMPLES:
-        raise OutOfRange(f"n must be an integer in [1, {MAX_NULL_SAMPLES}], got {n}")
+    probability(alpha, "alpha")
+    probability(delta, "delta")
+    n = count(n, "n", MAX_NULL_SAMPLES)
     p, k = 1.0 - alpha, n + 1
     # an alpha below the float spacing at 1 leaves p = 1: Pr[X >= n] = 1
     for log_tail in _log_tails(n, p) if p < 1.0 else ():
@@ -294,18 +303,10 @@ def _fields_of(cls, payload, where: str) -> dict:
     return payload
 
 
-def _number(value, where: str, kind=(int, float)):
-    number = isinstance(value, kind) and not isinstance(value, bool)
-    # False for nan, the infinities and an int too large for a float
-    if not (number and abs(value) <= sys.float_info.max):
-        raise ParseError(f"{where} must be a finite number, got {value!r}")
-    return value
-
-
 def _ratio_model(payload) -> RatioModel:
     p = _fields_of(RatioModel, payload, "ratio_model")
     cfg = _fields_of(FitConfig, p["fit_config"], "ratio_model.fit_config")
-    t_max, steps = _number(p["t_max"], "ratio_model.t_max", int), p["step_models"]
+    t_max, steps = number(p["t_max"], "ratio_model.t_max", int), p["step_models"]
     if not isinstance(steps, list) or len(steps) != t_max:
         raise ParseError(f"ratio_model.t_max={t_max} != the number of step models")
     models = []
@@ -314,15 +315,13 @@ def _ratio_model(payload) -> RatioModel:
         step = _fields_of(LogisticModel, step, where)
         if not isinstance(step["weights"], list) or len(step["weights"]) != t:
             raise ParseError(f"{where}.weights must hold {t} numbers")
-        weights = tuple(_number(w, f"{where}.weights") for w in step["weights"])
-        intercept = _number(step["intercept"], f"{where}.intercept")
+        weights = tuple(number(w, f"{where}.weights") for w in step["weights"])
+        intercept = number(step["intercept"], f"{where}.intercept")
         models.append(LogisticModel(weights, intercept))
     fit_config = FitConfig(
-        **{k: _number(v, f"ratio_model.fit_config.{k}") for k, v in cfg.items()}
+        **{k: number(v, f"ratio_model.fit_config.{k}") for k, v in cfg.items()}
     )
-    where = "ratio_model.prior_1"
-    prior_1 = _probability(_number(p["prior_1"], where), where)
-    return RatioModel(tuple(models), prior_1, t_max, fit_config)
+    return RatioModel(tuple(models), p["prior_1"], t_max, fit_config)
 
 
 def _threshold(payload) -> ThresholdSpec:
@@ -333,11 +332,10 @@ def _threshold(payload) -> ThresholdSpec:
     kind = p["kind"]
     if kind not in THRESHOLD_KINDS:
         raise ParseError(f"threshold.kind {kind!r} is not one of {THRESHOLD_KINDS}")
-    _number(p["alpha"], "threshold.alpha")
-    _number(p["value"], "threshold.value")
+    number(p["value"], "threshold.value")
     for key in ("delta", "n_null", "k_index", "t_cal_max"):
         if p[key] is not None or (kind == "pac" and key != "t_cal_max"):
-            _number(p[key], f"threshold.{key}", float if key == "delta" else int)
+            number(p[key], f"threshold.{key}", float if key == "delta" else int)
     spec = ThresholdSpec(**p)
     if kind == "ville":
         derived = ville_threshold(spec.alpha)

@@ -14,7 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from .artifact import DEFAULT_DELTA, DEFAULT_DRE_FRACTION, THRESHOLD_KINDS, load_calibration
+from .artifact import DEFAULT_DELTA, DEFAULT_DRE_FRACTION, THRESHOLD_KINDS, count
+from .artifact import load_calibration
 from .errors import InsufficientCalibration, ParseError, SeqgateError
 from .monitor import KNOWN_METHODS, MonitorState, ratio_rule
 
@@ -35,14 +36,12 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"not comma-separated numbers: {text!r}")
 
 
-def _seed(text: str) -> int:
+def _integer(text: str, lower=0) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
-    return value
+        return count(int(text), "value", lower=lower)
+    except ValueError:  # OutOfRange is one
+        kind = "positive" if lower else "non-negative"
+        raise argparse.ArgumentTypeError(f"not a {kind} integer: {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--threshold", choices=THRESHOLD_KINDS, default="pac")
     p.add_argument("--dre-fraction", type=float, default=DEFAULT_DRE_FRACTION)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("monitor", help="stream scores on stdin, decide per line")
@@ -87,8 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="emit a synthetic dataset with known truth")
     p.set_defaults(run=_cmd_synth)
     p.add_argument("--spec", default=None, help="JSON object or path to one")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--n", type=lambda text: _integer(text, lower=1), required=True)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("chess", help="convert centipawn game records to trajectories")
@@ -111,7 +110,7 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
         default=",".join(KNOWN_METHODS),
         help="comma-separated subset of " + ",".join(KNOWN_METHODS),
     )
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
 
 
 def _experiment_config(args, n_splits: int):
@@ -130,13 +129,13 @@ def _experiment_config(args, n_splits: int):
 
 def _cmd_calibrate(args, parser, stdin, stdout) -> int:
     from . import dataio
-    from .artifact import _probability, bonferroni_threshold, ville_threshold
+    from .artifact import bonferroni_threshold, probability, ville_threshold
     from .ratio import fit_ratio_model
     from .thresholds import null_maxima, pac_threshold
     from .trajectories import SplitConfig, split_calibration
 
     # every kind: only pac reads delta, but a bad value is never accepted
-    _probability(args.delta, "delta")
+    probability(args.delta, "delta")
     data = dataio.read_dataset(args.data)
     dre, thresh_set = split_calibration(
         data, SplitConfig(args.dre_fraction, args.seed)
@@ -252,8 +251,6 @@ def _load_synth_spec(text):
 
 
 def _cmd_synth(args, parser, stdin, stdout) -> int:
-    if args.n < 1:
-        parser.error("--n must be a positive integer")
     from . import dataio
     from .synthetic import sample_dataset
 

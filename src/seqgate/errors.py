@@ -33,8 +33,8 @@ class DegenerateSplit(SeqgateError):
     pass
 
 
-class OutOfRange(SeqgateError):
-    pass
+class OutOfRange(SeqgateError, ValueError):
+    """A value outside its documented range or type; a ValueError too."""
 
 
 class SingleClassData(SeqgateError):

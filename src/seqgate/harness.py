@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .artifact import bonferroni_threshold, ville_threshold
+from .artifact import bonferroni_threshold, count, probability, ville_threshold
 from .errors import DegenerateSplit, InsufficientCalibration, MissingTokens, OutOfRange
 from .kernels import apply_isotonic
 from .monitor import KNOWN_METHODS, calibrated_score_rule, pooled_isotonic
@@ -32,6 +32,9 @@ NEVER_TERMINATE = "never_terminate"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """alpha_grid (non-empty, increasing), cal_fraction, delta and dre_fraction
+    hold ``probability`` values, n_splits is a ``count``."""
+
     alpha_grid: tuple
     n_splits: int = 50
     cal_fraction: float = 0.2
@@ -44,17 +47,14 @@ class ExperimentConfig:
         object.__setattr__(self, "alpha_grid", tuple(self.alpha_grid))
         object.__setattr__(self, "methods", tuple(self.methods))
         grid = self.alpha_grid
-        if not grid or any(not (0.0 < a < 1.0) for a in grid):
-            raise OutOfRange("alpha_grid entries must lie strictly in (0, 1)")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise OutOfRange("alpha_grid must be strictly increasing")
-        if self.n_splits < 1:
-            raise OutOfRange(f"n_splits must be >= 1, got {self.n_splits}")
-        if not (0.0 < self.cal_fraction < 1.0):
-            raise OutOfRange(f"cal_fraction must lie in (0, 1), got {self.cal_fraction}")
-        if not (0.0 < self.delta < 1.0):
-            raise OutOfRange(f"delta must lie in (0, 1), got {self.delta}")
-        SplitConfig(self.dre_fraction)  # raises OutOfRange outside (0, 1)
+        for alpha in grid:
+            probability(alpha, "alpha_grid")
+        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise OutOfRange("alpha_grid must be non-empty and strictly increasing")
+        count(self.n_splits, "n_splits")
+        probability(self.cal_fraction, "cal_fraction")
+        probability(self.delta, "delta")
+        probability(self.dre_fraction, "dre_fraction")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise OutOfRange(f"unknown methods {unknown}; choose from {KNOWN_METHODS}")
@@ -179,14 +179,25 @@ def evaluate_split(data: CalibrationSet, cfg: ExperimentConfig, split_seed: int)
     return {(m, a): _far_power(arts.null, steps) for m, a, steps in arts.cells(cfg)}
 
 
+def _percentile(ordered, p):
+    """np.percentile(ordered, p) of sorted floats without numpy.ma's import:
+    the linear rule, interpolated from the upper value at weights >= 0.5."""
+    index = (len(ordered) - 1) * (p / 100)
+    if index >= len(ordered) - 1:
+        return ordered[-1]
+    i = math.floor(index)
+    a, b, g = ordered[i], ordered[i + 1], index - i
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def _summary(values):
     arr = np.asarray(values, dtype=float)
     valid = arr[~np.isnan(arr)]
     if valid.size == 0:
         return math.nan, math.nan, math.nan
     mean = float(np.mean(valid))
-    lo = float(np.percentile(valid, 2.5))
-    hi = float(np.percentile(valid, 97.5))
+    ordered = sorted(valid.tolist())
+    lo, hi = _percentile(ordered, 2.5), _percentile(ordered, 97.5)
     # percentile intervals of very skewed samples can exclude the mean;
     # widen so the typed invariant lo <= mean <= hi always holds
     return mean, min(lo, mean), max(hi, mean)

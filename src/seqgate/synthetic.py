@@ -9,13 +9,13 @@ monitoring guarantee checkable against closed-form truth.
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
+from .artifact import number, probability
 from .errors import OutOfRange
 from .monitor import DecisionRule
 from .trajectories import CalibrationSet, LabeledTrajectory
@@ -26,7 +26,9 @@ class SyntheticSpec:
     """Gaussian per-step scores with a shared geometric length distribution.
 
     Defaults resemble probability-like verifier scores and the short
-    trajectory lengths typical of tool-calling agents.
+    trajectory lengths typical of tool-calling agents. Every field is a
+    finite ``number``: the means differ, sigma > 0, stop_prob lies in
+    (0, 1] and prior_1 is a ``probability``.
     """
 
     mu_null: float = 0.7
@@ -37,19 +39,14 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            # False for nan, the infinities and an int too large for a float
-            if not (number and abs(value) <= sys.float_info.max):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            number(getattr(self, f.name), f.name)
         if self.mu_null == self.mu_alt:
-            raise ValueError("mu_null and mu_alt must differ")
+            raise OutOfRange("mu_null and mu_alt must differ")
         if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+            raise OutOfRange(f"sigma must be > 0, got {self.sigma}")
         if not (0.0 < self.stop_prob <= 1.0):
-            raise ValueError(f"stop_prob must lie in (0, 1], got {self.stop_prob}")
-        if not (0.0 < self.prior_1 < 1.0):
-            raise ValueError(f"prior_1 must lie strictly in (0, 1), got {self.prior_1}")
+            raise OutOfRange(f"stop_prob must lie in (0, 1], got {self.stop_prob}")
+        probability(self.prior_1, "prior_1")
 
 
 def _draw(spec: SyntheticSpec, label: int, rng: np.random.Generator, ident: str):

@@ -28,8 +28,6 @@ def null_maxima(model: RatioModel, thresh_set: CalibrationSet) -> list:
 def pac_threshold(maxima, alpha: float, delta: float) -> ThresholdSpec:
     """Order-statistic threshold M_(k), k = pac_index(n, alpha, delta)."""
     n = len(maxima)
-    if n == 0:
-        raise OutOfRange("maxima must be non-empty")
     # sorted orders a list holding nan arbitrarily
     if any(map(math.isnan, maxima)):
         raise OutOfRange("maxima must not be nan")

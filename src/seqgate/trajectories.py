@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .artifact import DEFAULT_DRE_FRACTION
-from .errors import DegenerateSplit, InvalidTrajectory, OutOfRange
+from .artifact import DEFAULT_DRE_FRACTION, probability
+from .errors import DegenerateSplit, InvalidTrajectory
 
 
 @dataclass(frozen=True)
@@ -61,16 +61,14 @@ class CalibrationSet:
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """Fraction of items routed to the first (ratio-fitting) side, plus seed."""
+    """Fraction of items routed to the first (ratio-fitting) side, a
+    ``probability``, plus seed."""
 
     dre_fraction: float = DEFAULT_DRE_FRACTION
     seed: int = 0
 
     def __post_init__(self):
-        if not (0.0 < self.dre_fraction < 1.0):
-            raise OutOfRange(
-                f"dre_fraction must lie strictly in (0, 1), got {self.dre_fraction}"
-            )
+        probability(self.dre_fraction, "dre_fraction")
 
 
 def validate(raw: LabeledTrajectory, line: Optional[int] = None) -> LabeledTrajectory:

@@ -662,6 +662,9 @@ ARTIFACT_FAULTS = {
         t_max=a["ratio_model"]["t_max"] + 1
     ),
     "t_max not an integer": lambda a: a["ratio_model"].update(t_max="2"),
+    "t_max 0 with no step models": lambda a: a["ratio_model"].update(
+        t_max=0, step_models=[]
+    ),
     "step-2 weights of length 1": lambda a: _steps(a)[1].update(weights=[0.5]),
     "prior_1 above 1": lambda a: a["ratio_model"].update(prior_1=1.5),
     "prior_1 zero": lambda a: a["ratio_model"].update(prior_1=0.0),
@@ -672,6 +675,9 @@ ARTIFACT_FAULTS = {
         l2_lambda=float("-inf")
     ),
     "unknown threshold kind": lambda a: a["threshold"].update(kind="bogus"),
+    "fit_config max_iters 2.5": lambda a: a["ratio_model"]["fit_config"].update(
+        max_iters=2.5
+    ),
     "subnormal prob_clamp": lambda a: a["ratio_model"]["fit_config"].update(
         prob_clamp=1e-320
     ),

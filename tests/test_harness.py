@@ -1,10 +1,15 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracles import run_offline
 
+import seqgate
 from seqgate.dataio import write_csv
 from seqgate.errors import MissingTokens, OutOfRange
 from seqgate.harness import (
@@ -16,6 +21,7 @@ from seqgate.harness import (
     token_study,
     NEVER_TERMINATE,
     TokenCurvePoint,
+    _percentile,
 )
 from seqgate.monitor import raw_score_rule
 from seqgate.synthetic import SyntheticSpec, sample_dataset
@@ -143,6 +149,40 @@ def test_single_split_collapses_interval(synth_data):
     (point,) = run_experiment(synth_data, cfg)
     assert point.far_lo == point.far_mean == point.far_hi
     assert point.power_lo == point.power_mean == point.power_hi
+
+
+@pytest.mark.parametrize("kind", ["uniform", "ties", "scaled normal"])
+def test_percentile_equals_numpy(kind):
+    rng = np.random.default_rng(11)
+    for n in range(1, 80):
+        x = {
+            "uniform": lambda: rng.random(n),
+            "ties": lambda: rng.integers(0, 5, n) / 5.0,
+            "scaled normal": lambda: rng.normal(size=n) * 10.0 ** int(rng.integers(-5, 5)),
+        }[kind]()
+        ordered = sorted(x.tolist())
+        for p in (0.0, 2.5, 33.3, 50.0, 97.5, 100.0):
+            assert _percentile(ordered, p) == float(np.percentile(x, p)), (n, p)
+
+
+def test_run_experiment_leaves_numpy_ma_unimported():
+    # np.percentile imports numpy.ma, about 15 ms per process
+    script = (
+        "import sys\n"
+        "from seqgate.harness import ExperimentConfig, run_experiment\n"
+        "from seqgate.synthetic import SyntheticSpec, sample_dataset\n"
+        "data = sample_dataset(SyntheticSpec(), 200, seed=3)\n"
+        "run_experiment(data, ExperimentConfig(alpha_grid=(0.1, 0.3), n_splits=3))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(seqgate.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_indexed_seed_derivation_is_prefix_stable(synth_data):

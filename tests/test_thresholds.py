@@ -163,6 +163,11 @@ def test_pac_threshold_rejects_a_nan_maximum(position):
         pac_threshold(maxima, alpha=0.5, delta=0.05)
 
 
+def test_pac_threshold_of_no_maxima_is_out_of_range():
+    with pytest.raises(OutOfRange, match="^n must be"):
+        pac_threshold([], alpha=0.5, delta=0.05)
+
+
 def test_pac_threshold_insufficient():
     with pytest.raises(InsufficientCalibration):
         pac_threshold([1.0, 2.0, 3.0], alpha=0.1, delta=0.05)
