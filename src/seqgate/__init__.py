@@ -45,7 +45,6 @@ _EXPORTS = {
     "thresholds": ("null_maxima", "pac_threshold"),
     "trajectories": (
         "CalibrationSet", "LabeledTrajectory", "SplitConfig", "split_calibration",
-        "validate",
     ),
     "dataio": (
         "centipawn_to_prob", "chess_to_dataset", "read_chess_games", "read_dataset",

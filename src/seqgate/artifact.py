@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from itertools import islice
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import EmptyPrefix, InsufficientCalibration, OutOfRange, ParseError
 
@@ -98,14 +98,25 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class LogisticModel:
+    """One step's classifier: ``weights``, a sequence of finite ``number``
+    values, stored as a tuple, and a finite ``number`` intercept."""
+
     weights: tuple
     intercept: float
+
+    def __post_init__(self):
+        if not isinstance(self.weights, Sequence):
+            raise OutOfRange(f"weights must be a sequence, got {self.weights!r}")
+        weights = tuple(number(w, "weights") for w in self.weights)
+        object.__setattr__(self, "weights", weights)
+        number(self.intercept, "intercept")
 
 
 @dataclass(frozen=True)
 class RatioModel:
     """Per-step classifiers plus the class-prior estimate they plug into:
-    t_max is a ``count`` of step models and prior_1 a ``probability``."""
+    step_models is a tuple whose step t is a LogisticModel with exactly t
+    weights, t_max a ``count`` of them and prior_1 a ``probability``."""
 
     step_models: tuple
     prior_1: float
@@ -113,8 +124,14 @@ class RatioModel:
     fit_config: FitConfig
 
     def __post_init__(self):
+        object.__setattr__(self, "step_models", tuple(self.step_models))
         if count(self.t_max, "t_max") != len(self.step_models):
             raise OutOfRange(f"t_max={self.t_max} but {len(self.step_models)} step models")
+        for t, step in enumerate(self.step_models, start=1):
+            if not isinstance(step, LogisticModel) or len(step.weights) != t:
+                raise OutOfRange(
+                    f"step_models[{t - 1}] must be a LogisticModel with {t} weights"
+                )
         probability(self.prior_1, "prior_1")
 
     # cached beside the fields: asdict, == and the artifact bytes ignore them
@@ -305,23 +322,17 @@ def _fields_of(cls, payload, where: str) -> dict:
 
 def _ratio_model(payload) -> RatioModel:
     p = _fields_of(RatioModel, payload, "ratio_model")
-    cfg = _fields_of(FitConfig, p["fit_config"], "ratio_model.fit_config")
-    t_max, steps = number(p["t_max"], "ratio_model.t_max", int), p["step_models"]
-    if not isinstance(steps, list) or len(steps) != t_max:
-        raise ParseError(f"ratio_model.t_max={t_max} != the number of step models")
-    models = []
-    for t, step in enumerate(steps, start=1):
-        where = f"ratio_model.step_models[{t - 1}]"
-        step = _fields_of(LogisticModel, step, where)
-        if not isinstance(step["weights"], list) or len(step["weights"]) != t:
-            raise ParseError(f"{where}.weights must hold {t} numbers")
-        weights = tuple(number(w, f"{where}.weights") for w in step["weights"])
-        intercept = number(step["intercept"], f"{where}.intercept")
-        models.append(LogisticModel(weights, intercept))
-    fit_config = FitConfig(
-        **{k: number(v, f"ratio_model.fit_config.{k}") for k, v in cfg.items()}
-    )
-    return RatioModel(tuple(models), p["prior_1"], t_max, fit_config)
+    if not isinstance(p["step_models"], list):
+        raise ParseError("ratio_model.step_models must be a JSON array")
+    steps = []
+    for i, step in enumerate(p["step_models"]):
+        where = f"ratio_model.step_models[{i}]"
+        try:
+            steps.append(LogisticModel(**_fields_of(LogisticModel, step, where)))
+        except OutOfRange as exc:
+            raise ParseError(f"{where}.{exc}") from exc
+    cfg = FitConfig(**_fields_of(FitConfig, p["fit_config"], "ratio_model.fit_config"))
+    return RatioModel(steps, p["prior_1"], p["t_max"], cfg)
 
 
 def _threshold(payload) -> ThresholdSpec:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .artifact import _opened, load_calibration, save_calibration
 from .errors import InvalidTrajectory, ParseError
-from .trajectories import CalibrationSet, LabeledTrajectory, validate
+from .trajectories import CalibrationSet, LabeledTrajectory
 
 CHESS_RESULTS = ("white_win", "black_win", "draw")
 # published logistic slope for converting engine centipawns to a win chance
@@ -55,7 +55,8 @@ def _records(path_or_stream):
 
 
 def read_dataset(path_or_stream) -> CalibrationSet:
-    """Parse one-JSON-object-per-line trajectory records, validating each.
+    """Parse one-JSON-object-per-line trajectory records: each JSON object
+    is type-checked, then becomes a LabeledTrajectory, which checks the rest.
 
     Errors carry the 1-based line number of the offending record.
     """
@@ -76,8 +77,11 @@ def read_dataset(path_or_stream) -> CalibrationSet:
             not isinstance(tokens, list) or not {int}.issuperset(map(type, tokens))
         ):
             raise ParseError("'tokens' must be an array of integers", line=line_no)
-        traj = LabeledTrajectory(record["id"], scores, label, tokens)
-        items.append(validate(traj, line=line_no))
+        try:
+            items.append(LabeledTrajectory(record["id"], scores, label, tokens))
+        except InvalidTrajectory as exc:
+            exc.line = line_no
+            raise
     return CalibrationSet(items)
 
 
@@ -137,18 +141,14 @@ def read_chess_games(path_or_stream) -> list:
 def chess_to_dataset(games) -> CalibrationSet:
     """Null hypothesis is a White win: label 1 iff result == white_win
     (draws count as the alternative). Scores are per-move win chances."""
-    items = []
-    for game in games:
-        items.append(
-            validate(
-                LabeledTrajectory(
-                    id=game.id,
-                    scores=[centipawn_to_prob(c) for c in game.centipawns],
-                    label=1 if game.result == "white_win" else 0,
-                )
-            )
+    return CalibrationSet(
+        LabeledTrajectory(
+            id=game.id,
+            scores=[centipawn_to_prob(c) for c in game.centipawns],
+            label=1 if game.result == "white_win" else 0,
         )
-    return CalibrationSet(items)
+        for game in games
+    )
 
 
 def data_digest(path) -> str:

@@ -15,18 +15,18 @@ class SeqgateError(Exception):
 
 
 class InvalidTrajectory(SeqgateError):
+    # the message names the line when printed, so ``line`` can be set later
     def __init__(self, message, trajectory_id=None, field=None, line=None):
-        parts = [message]
-        if trajectory_id is not None:
-            parts.append(f"id={trajectory_id!r}")
-        if field is not None:
-            parts.append(f"field={field}")
-        if line is not None:
-            parts.append(f"line={line}")
-        super().__init__(" ".join(parts))
+        super().__init__(message)
         self.trajectory_id = trajectory_id
         self.field = field
         self.line = line
+
+    def __str__(self) -> str:
+        tags = (("id", self.trajectory_id, repr), ("field", self.field, str),
+                ("line", self.line, str))
+        tags = [f"{key}={show(v)}" for key, v, show in tags if v is not None]
+        return " ".join([self.args[0], *tags])
 
 
 class DegenerateSplit(SeqgateError):

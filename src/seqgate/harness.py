@@ -33,7 +33,8 @@ NEVER_TERMINATE = "never_terminate"
 @dataclass(frozen=True)
 class ExperimentConfig:
     """alpha_grid (non-empty, increasing), cal_fraction, delta and dre_fraction
-    hold ``probability`` values, n_splits is a ``count``."""
+    hold ``probability`` values, n_splits is a ``count`` and seed a ``count``
+    from 0."""
 
     alpha_grid: tuple
     n_splits: int = 50
@@ -52,6 +53,7 @@ class ExperimentConfig:
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise OutOfRange("alpha_grid must be non-empty and strictly increasing")
         count(self.n_splits, "n_splits")
+        count(self.seed, "seed", lower=0)
         probability(self.cal_fraction, "cal_fraction")
         probability(self.delta, "delta")
         probability(self.dre_fraction, "dre_fraction")

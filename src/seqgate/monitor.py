@@ -78,8 +78,8 @@ def pooled_isotonic(cal: CalibrationSet) -> IsotonicModel:
     scores = [item.scores for item in cal]
     lengths = np.fromiter(map(len, scores), int, count=len(scores))
     xs = np.fromiter(chain.from_iterable(scores), float, count=int(lengths.sum()))
-    labels = np.array(cal.labels())
-    if len(set(labels[lengths > 0].tolist())) < 2:
+    labels = cal.labels()
+    if len(set(labels)) < 2:
         raise SingleClassData("calibrated rule needs both labels present")
     return fit_isotonic(xs, np.repeat(labels, lengths))
 

@@ -104,9 +104,7 @@ def fit_ratio_model(dre: CalibrationSet, cfg: FitConfig = FitConfig()) -> RatioM
             raise InvalidTrajectory(f"step {t}: {exc}", field="scores") from None
         step_models.append(step)
         start = step.weights + (0.0, step.intercept)
-    return RatioModel(
-        step_models=tuple(step_models), prior_1=prior_1, t_max=t_max, fit_config=cfg
-    )
+    return RatioModel(step_models, prior_1, t_max, cfg)
 
 
 def replay(model: RatioModel, trajectories) -> np.ndarray:

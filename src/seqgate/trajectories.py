@@ -1,5 +1,6 @@
-"""Core data types: labeled score trajectories, calibration sets,
-and the seeded stratified splits every downstream stage consumes.
+"""Core data types: labeled score trajectories, valid by construction
+because each checks its own invariants when built, calibration sets, and
+the seeded stratified splits every downstream stage consumes.
 
 Label convention: 1 marks a successful trajectory (the null hypothesis of
 monitoring), 0 an unsuccessful one (the alternative).
@@ -13,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .artifact import DEFAULT_DRE_FRACTION, probability
+from .artifact import DEFAULT_DRE_FRACTION, count, probability
 from .errors import DegenerateSplit, InvalidTrajectory
 
 
@@ -21,8 +22,10 @@ from .errors import DegenerateSplit, InvalidTrajectory
 class LabeledTrajectory:
     """Ordered per-step verifier scores plus the trajectory-level outcome label.
 
+    ``scores`` holds at least one finite float and ``label`` is 0 or 1.
     ``tokens``, when present, holds cumulative token counts after each step
-    (same length as scores, non-decreasing).
+    (non-negative ints, as many as scores, non-decreasing). Anything else
+    raises InvalidTrajectory naming the id and field.
     """
 
     id: str
@@ -33,8 +36,34 @@ class LabeledTrajectory:
     def __post_init__(self):
         object.__setattr__(self, "id", str(self.id))
         object.__setattr__(self, "scores", tuple(map(float, self.scores)))
-        if self.tokens is not None:
-            object.__setattr__(self, "tokens", tuple(self.tokens))
+        scores = self.scores
+        if not scores:
+            raise self._invalid("empty score sequence", "scores")
+        if not all(map(math.isfinite, scores)):
+            s = next(s for s in scores if not math.isfinite(s))
+            raise self._invalid(f"non-finite score {s!r}", "scores")
+        if self.label not in (0, 1):
+            raise self._invalid(f"label must be 0 or 1, got {self.label!r}", "label")
+        if self.tokens is None:
+            return
+        object.__setattr__(self, "tokens", tuple(self.tokens))
+        tokens = self.tokens
+        if len(tokens) != len(scores):
+            raise self._invalid(
+                f"tokens length {len(tokens)} != scores length {len(scores)}", "tokens"
+            )
+        prev = 0
+        for tok in tokens:
+            if not isinstance(tok, int) or isinstance(tok, bool) or tok < 0:
+                raise self._invalid(
+                    f"token counts must be non-negative integers, got {tok!r}", "tokens"
+                )
+            if tok < prev:
+                raise self._invalid("token counts must be non-decreasing", "tokens")
+            prev = tok
+
+    def _invalid(self, message: str, field: str) -> InvalidTrajectory:
+        return InvalidTrajectory(message, trajectory_id=self.id, field=field)
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -62,55 +91,14 @@ class CalibrationSet:
 @dataclass(frozen=True)
 class SplitConfig:
     """Fraction of items routed to the first (ratio-fitting) side, a
-    ``probability``, plus seed."""
+    ``probability``, plus a seed, a ``count`` from 0."""
 
     dre_fraction: float = DEFAULT_DRE_FRACTION
     seed: int = 0
 
     def __post_init__(self):
         probability(self.dre_fraction, "dre_fraction")
-
-
-def validate(raw: LabeledTrajectory, line: Optional[int] = None) -> LabeledTrajectory:
-    """Check all trajectory invariants, returning the input unchanged.
-
-    Raises InvalidTrajectory naming the offending trajectory and field.
-    """
-    scores = raw.scores
-    if len(scores) == 0:
-        raise InvalidTrajectory(
-            "empty score sequence", trajectory_id=raw.id, field="scores", line=line
-        )
-    if not all(map(math.isfinite, scores)):
-        s = next(s for s in scores if not math.isfinite(s))
-        raise InvalidTrajectory(
-            f"non-finite score {s!r}", trajectory_id=raw.id, field="scores", line=line
-        )
-    if raw.label not in (0, 1):
-        raise InvalidTrajectory(
-            f"label must be 0 or 1, got {raw.label!r}",
-            trajectory_id=raw.id, field="label", line=line,
-        )
-    if raw.tokens is not None:
-        if len(raw.tokens) != len(scores):
-            raise InvalidTrajectory(
-                f"tokens length {len(raw.tokens)} != scores length {len(scores)}",
-                trajectory_id=raw.id, field="tokens", line=line,
-            )
-        prev = 0
-        for tok in raw.tokens:
-            if not isinstance(tok, int) or isinstance(tok, bool) or tok < 0:
-                raise InvalidTrajectory(
-                    f"token counts must be non-negative integers, got {tok!r}",
-                    trajectory_id=raw.id, field="tokens", line=line,
-                )
-            if tok < prev:
-                raise InvalidTrajectory(
-                    "token counts must be non-decreasing",
-                    trajectory_id=raw.id, field="tokens", line=line,
-                )
-            prev = tok
-    return raw
+        count(self.seed, "seed", lower=0)
 
 
 def derive_seed(master: int, *key) -> int:
@@ -137,13 +125,7 @@ def _per_label_take(counts: dict, k: int) -> dict:
     frac = k / n
     k1 = min(max(int(math.floor(frac * n1 + 0.5)), 1), n1 - 1)
     k0 = min(max(k - k1, 1), n0 - 1)
-    k1 = k - k0
-    if not (1 <= k1 <= n1 - 1):
-        raise DegenerateSplit(
-            f"cannot place both labels on both sides: n1={n1}, n0={n0}, "
-            f"first-side size {k} of {n}"
-        )
-    return {1: k1, 0: k0}
+    return {1: k - k0, 0: k0}
 
 
 def split_calibration(cal: CalibrationSet, cfg: SplitConfig):
@@ -157,14 +139,7 @@ def split_calibration(cal: CalibrationSet, cfg: SplitConfig):
         raise DegenerateSplit("cannot split an empty calibration set")
     k = int(math.floor(cfg.dre_fraction * n + 0.5))
     labels = cal.labels()
-    counts = {1: labels.count(1), 0: labels.count(0)}
-    if counts[1] + counts[0] != n:
-        item = next(item for item in cal if item.label not in counts)
-        raise InvalidTrajectory(
-            f"label must be 0 or 1, got {item.label!r}",
-            trajectory_id=item.id, field="label",
-        )
-    take = _per_label_take(counts, k)
+    take = _per_label_take({1: labels.count(1), 0: labels.count(0)}, k)
 
     rng = np.random.default_rng(cfg.seed)
     is_one = np.array(labels) == 1

@@ -24,15 +24,16 @@ from seqgate.artifact import (
 )
 from seqgate.cli import cli_dispatch
 from seqgate.dataio import write_dataset
-from seqgate.errors import OutOfRange
+from seqgate.errors import InvalidTrajectory, OutOfRange
 from seqgate.harness import ExperimentConfig
 from seqgate.synthetic import SyntheticSpec, sample_dataset
-from seqgate.trajectories import SplitConfig
+from seqgate.trajectories import LabeledTrajectory, SplitConfig
 
 # the last value of each list is in type but out of range
 PROBABILITY = [math.nan, math.inf, True, "0.5", 1.5]
 NUMBER = [math.nan, math.inf, -math.inf, True, "1"]
 COUNT = [5.5, True, "3", 0]
+SEED = [2.5, True, "3", -1]
 
 
 def _ratio_model(prior_1=0.5, t_max=1):
@@ -47,9 +48,19 @@ def _experiment(field, value):
     return ExperimentConfig(**kwargs)
 
 
+def _logistic_model(field, value):
+    return LogisticModel(**{"weights": (0.0,), "intercept": 0.0, field: value})
+
+
+def _two_step_model(second):
+    return RatioModel((LogisticModel((0.5,), 0.0), second), 0.5, 2, FitConfig())
+
+
 CALLS = {
     "FitConfig": lambda f, v: FitConfig(**{f: v}),
+    "LogisticModel": _logistic_model,
     "RatioModel": lambda f, v: _ratio_model(**{f: v}),
+    "TwoStepRatioModel": lambda f, v: _two_step_model(v),
     "ExperimentConfig": _experiment,
     "SplitConfig": lambda f, v: SplitConfig(**{f: v}),
     "SyntheticSpec": lambda f, v: SyntheticSpec(**{f: v}),
@@ -66,14 +77,23 @@ FIELDS = [
     ("FitConfig", "max_iters", COUNT),
     ("FitConfig", "tolerance", NUMBER + [0.0]),
     ("FitConfig", "prob_clamp", NUMBER + [0.5]),
+    ("LogisticModel", "weights", [(math.nan,), (0.0, math.inf), (True,), ("1",), 5]),
+    ("LogisticModel", "intercept", NUMBER),
     ("RatioModel", "prior_1", PROBABILITY),
     ("RatioModel", "t_max", COUNT),
+    # step t must be a LogisticModel with exactly t weights
+    ("TwoStepRatioModel", "step_models", [
+        LogisticModel((1.0,), 0.0), LogisticModel((1.0, 2.0, 3.0), 0.0),
+        ((1.0, 2.0), 0.0), None,
+    ]),
     ("ExperimentConfig", "alpha_grid", PROBABILITY),
     ("ExperimentConfig", "n_splits", COUNT),
     ("ExperimentConfig", "cal_fraction", PROBABILITY),
     ("ExperimentConfig", "delta", PROBABILITY),
     ("ExperimentConfig", "dre_fraction", PROBABILITY),
+    ("ExperimentConfig", "seed", SEED),
     ("SplitConfig", "dre_fraction", PROBABILITY),
+    ("SplitConfig", "seed", SEED),
     ("SyntheticSpec", "mu_null", NUMBER + [0.3]),
     ("SyntheticSpec", "mu_alt", NUMBER),
     ("SyntheticSpec", "sigma", NUMBER + [0.0]),
@@ -102,6 +122,34 @@ def test_bad_input_raises_out_of_range_naming_the_field(call, field, value):
     with pytest.raises(OutOfRange) as exc:
         CALLS[call](field, value)
     assert re.match(rf"{field}\b", str(exc.value)), str(exc.value)
+
+
+def test_a_truncated_step_model_is_refused_at_construction():
+    # with one weight at step 2, the statistic would zip away the second
+    # score: [0.1, 5.0] and [0.1, -5.0] would give the same value
+    steps = (LogisticModel((1.0,), 0.0), LogisticModel((0.5,), 0.0))
+    with pytest.raises(OutOfRange, match=r"step_models\[1\] .* 2 weights"):
+        RatioModel(steps, 0.5, 2, FitConfig())
+
+
+# (field, value, the trajectory's other fields): each is refused when built
+TRAJECTORY_CASES = [
+    ("label", 2, {"scores": [0.5]}),
+    ("scores", [], {"label": 1}),
+    ("scores", [0.5, math.nan], {"label": 1}),
+    ("scores", [math.inf], {"label": 0}),
+    ("tokens", [3, 2], {"scores": [0.5, 0.4], "label": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value, rest", TRAJECTORY_CASES,
+    ids=[f"{field}={value!r}" for field, value, _ in TRAJECTORY_CASES],
+)
+def test_bad_trajectory_is_refused_at_construction(field, value, rest):
+    with pytest.raises(InvalidTrajectory) as exc:
+        LabeledTrajectory(id="t", **{field: value}, **rest)
+    assert (exc.value.trajectory_id, exc.value.field) == ("t", field)
 
 
 def test_out_of_range_is_a_value_error():

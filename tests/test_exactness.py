@@ -52,7 +52,6 @@ from seqgate.ratio import eval_process, padded_scores, replay
 from seqgate.synthetic import SyntheticSpec, sample_dataset
 from seqgate.thresholds import pac_threshold
 from seqgate.trajectories import CalibrationSet, LabeledTrajectory, derive_seed, offsets
-from seqgate.trajectories import validate
 
 EXACT = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -305,11 +304,12 @@ def library_outcome(model, threshold, stream):
 
 
 def replay_outcome(model, threshold, stream):
-    """The batch path on each prefix in turn: validated as read_dataset
-    validates, replayed, and rejected at the first value >= the threshold."""
+    """The batch path on each prefix in turn: built as a LabeledTrajectory,
+    as read_dataset builds one, replayed, and rejected at the first value >=
+    the threshold."""
     for t in range(1, len(stream) + 1):
         try:
-            prefix = validate(LabeledTrajectory("x", stream[:t], 1)).scores
+            prefix = LabeledTrajectory("x", stream[:t], 1).scores
             value = replay(model, [prefix])[-1]
         except SeqgateError as exc:
             return "ERROR", exc.code, t

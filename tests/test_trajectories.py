@@ -8,7 +8,6 @@ from seqgate.trajectories import (
     SplitConfig,
     _per_label_take,
     split_calibration,
-    validate,
 )
 
 
@@ -22,44 +21,44 @@ def make_set(labels, length=3):
 
 
 def test_validate_accepts_well_formed():
-    traj = LabeledTrajectory(id="a", scores=[0.9, 0.8], label=1)
-    assert validate(traj) is traj
+    traj = LabeledTrajectory(id="a", scores=[0.9, 0.8], label=1, tokens=[3, 3])
+    assert (traj.id, traj.scores, traj.label, traj.tokens) == ("a", (0.9, 0.8), 1, (3, 3))
 
 
 def test_validate_rejects_empty_scores():
     with pytest.raises(InvalidTrajectory) as err:
-        validate(LabeledTrajectory(id="a", scores=[], label=0))
+        LabeledTrajectory(id="a", scores=[], label=0)
     assert err.value.field == "scores"
     assert err.value.trajectory_id == "a"
 
 
 def test_validate_rejects_token_length_mismatch():
     with pytest.raises(InvalidTrajectory) as err:
-        validate(LabeledTrajectory(id="b", scores=[0.5], label=0, tokens=[10, 20]))
+        LabeledTrajectory(id="b", scores=[0.5], label=0, tokens=[10, 20])
     assert err.value.field == "tokens"
 
 
 def test_validate_rejects_nonfinite_scores():
     with pytest.raises(InvalidTrajectory):
-        validate(LabeledTrajectory(id="c", scores=[0.5, float("nan")], label=1))
+        LabeledTrajectory(id="c", scores=[0.5, float("nan")], label=1)
     with pytest.raises(InvalidTrajectory):
-        validate(LabeledTrajectory(id="c", scores=[float("inf")], label=1))
+        LabeledTrajectory(id="c", scores=[float("inf")], label=1)
 
 
 def test_validate_rejects_bad_label():
     with pytest.raises(InvalidTrajectory) as err:
-        validate(LabeledTrajectory(id="d", scores=[0.5], label=2))
+        LabeledTrajectory(id="d", scores=[0.5], label=2)
     assert err.value.field == "label"
 
 
 def test_validate_rejects_decreasing_tokens():
     with pytest.raises(InvalidTrajectory):
-        validate(LabeledTrajectory(id="e", scores=[0.5, 0.4], label=1, tokens=[20, 10]))
+        LabeledTrajectory(id="e", scores=[0.5, 0.4], label=1, tokens=[20, 10])
 
 
 def test_validate_rejects_negative_tokens():
     with pytest.raises(InvalidTrajectory):
-        validate(LabeledTrajectory(id="f", scores=[0.5], label=1, tokens=[-1]))
+        LabeledTrajectory(id="f", scores=[0.5], label=1, tokens=[-1])
 
 
 def test_split_sizes_and_partition():
@@ -107,6 +106,23 @@ def test_split_degenerate_one_item_of_a_label():
 def test_split_degenerate_empty():
     with pytest.raises(DegenerateSplit):
         split_calibration(CalibrationSet([]), SplitConfig(0.5, seed=0))
+
+
+def test_per_label_take_keeps_both_labels_on_both_sides():
+    # every (n1, n0, k) on a small grid: either DegenerateSplit from the
+    # guard, or quotas that leave at least one item of each label per side
+    for n1 in range(31):
+        for n0 in range(31):
+            for k in range(n1 + n0 + 1):
+                feasible = n1 >= 2 and n0 >= 2 and 2 <= k <= n1 + n0 - 2
+                try:
+                    take = _per_label_take({1: n1, 0: n0}, k)
+                except DegenerateSplit:
+                    assert not feasible, (n1, n0, k)
+                    continue
+                assert feasible, (n1, n0, k)
+                assert take[1] + take[0] == k
+                assert 1 <= take[1] <= n1 - 1 and 1 <= take[0] <= n0 - 1, (n1, n0, k)
 
 
 def reference_split(cal, cfg):
