@@ -115,8 +115,9 @@ class LogisticModel:
 @dataclass(frozen=True)
 class RatioModel:
     """Per-step classifiers plus the class-prior estimate they plug into:
-    step_models is a tuple whose step t is a LogisticModel with exactly t
-    weights, t_max a ``count`` of them and prior_1 a ``probability``."""
+    step_models is a sequence, stored as a tuple, whose step t is a
+    LogisticModel with exactly t weights, t_max a ``count`` of them and
+    prior_1 a ``probability``."""
 
     step_models: tuple
     prior_1: float
@@ -124,6 +125,8 @@ class RatioModel:
     fit_config: FitConfig
 
     def __post_init__(self):
+        if not isinstance(self.step_models, Sequence):
+            raise OutOfRange(f"step_models must be a sequence, got {self.step_models!r}")
         object.__setattr__(self, "step_models", tuple(self.step_models))
         if count(self.t_max, "t_max") != len(self.step_models):
             raise OutOfRange(f"t_max={self.t_max} but {len(self.step_models)} step models")

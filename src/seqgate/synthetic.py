@@ -4,21 +4,24 @@ Scores are i.i.d. Gaussian per step given the label, and trajectory length
 is geometric independently of the label, so the exact joint density ratio
 factorizes into the per-step Gaussian likelihood ratio. This makes every
 monitoring guarantee checkable against closed-form truth.
+
+This is the one module that draws through ``numpy.random``: each item's
+seed words come from ``trajectories.seed_state``, and its label, length and
+scores from numpy's own Generator and PCG64.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .artifact import number, probability
+from .artifact import count, number, probability
 from .errors import OutOfRange
 from .monitor import DecisionRule
-from .trajectories import CalibrationSet, LabeledTrajectory
+from .trajectories import CalibrationSet, LabeledTrajectory, seed_state, seed_words
 
 
 @dataclass(frozen=True)
@@ -68,62 +71,17 @@ def sample_trajectory(spec: SyntheticSpec, label: int, seed: int) -> LabeledTraj
     return _draw(spec, label, rng, f"synth-{label}-{seed}")
 
 
-# numpy's SeedSequence hash (NEP 19, after O'Neill's seed_seq), on uint32
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_XSHIFT = 16
-_MASK32 = 0xFFFFFFFF
-
-
 def item_states(seed: int, n: int) -> np.ndarray:
     """Row i is ``SeedSequence((seed, i)).generate_state(4, np.uint64)``, for
     every i in range(n), computed in one pass over the items.
 
-    The entropy words are seed's 32-bit words, low first, then i; numpy's
-    multiply/xor/shift steps run on uint32 columns, one entry per item.
+    ``seed`` is a ``count`` from 0 and n one below 2**32 (one entropy word).
+    The entropy words are seed's 32-bit words, low first, then i:
+    ``trajectories.seed_state`` hashes i as one uint32 lane of all items.
     """
-    seed, n = operator.index(seed), operator.index(n)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if n >= 2**32:
-        raise ValueError(f"n must be below 2**32 (one entropy word), got {n}")
-    index = np.arange(n, dtype=np.uint32)
-    words = range(0, max(seed.bit_length(), 1), 32)
-    entropy = [np.full_like(index, (seed >> w) & _MASK32) for w in words] + [index]
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> _XSHIFT)
-
-    pool = [
-        hashmix(entropy[i] if i < len(entropy) else np.zeros_like(index))
-        for i in range(_POOL_SIZE)
-    ]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    state = np.empty((len(index), 2 * _POOL_SIZE), dtype=np.uint32)
-    hash_const = _INIT_B
-    for k in range(2 * _POOL_SIZE):
-        value = pool[k % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, k] = value ^ (value >> _XSHIFT)
+    index = np.arange(count(n, "n", upper=2**32 - 1, lower=0), dtype=np.uint32)
+    # every word mixes in the index lane, so each is a uint32 array
+    state = np.column_stack(seed_state(seed_words(seed) + [index], 8))
     # pairs of words, low first, read as uint64 whatever the host's byte order
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
@@ -144,10 +102,12 @@ def sample_dataset(
 ) -> CalibrationSet:
     """n trajectories with labels drawn from prior_1 (or forced to ``label``).
 
-    Item i draws from ``default_rng(SeedSequence((seed, i)))``, so any prefix
-    of the dataset is reproducible independently of n; ``item_states``
-    derives every item's seed words at once.
+    ``seed`` is a ``count`` from 0. Item i draws from
+    ``default_rng(SeedSequence((seed, i)))``, so any prefix of the dataset is
+    reproducible independently of n; ``item_states`` derives every item's
+    seed words at once.
     """
+    seed = count(seed, "seed", lower=0)
     items = []
     for i, state in enumerate(item_states(seed, n)):
         rng = np.random.Generator(np.random.PCG64(_ItemSeed(state)))

@@ -7,19 +7,21 @@ gradients come from central finite differences, and first crossings come
 from streaming one score at a time through a MonitorState. Step-model
 probabilities come from the clamped sigmoid of the logit, which the
 package itself never computes: it takes the ratio straight from the logit.
-Synthetic datasets come from numpy's own SeedSequence, one item at a time.
+Synthetic datasets come from numpy's own SeedSequence, one item at a time,
+and derived seeds, permutations and splits from numpy's SeedSequence and
+``default_rng``, which the package ports instead of calling.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, floor
 
 import numpy as np
 
 from seqgate.errors import DimensionMismatch
 from seqgate.artifact import DEFAULT_PROB_CLAMP, ratio_statistic
 from seqgate.monitor import MonitorState
-from seqgate.trajectories import CalibrationSet, LabeledTrajectory
+from seqgate.trajectories import CalibrationSet, LabeledTrajectory, _per_label_take
 
 
 def exact_binomial_pmf(n: int, p: Fraction) -> list:
@@ -180,3 +182,32 @@ def sample_dataset_oracle(spec, n, seed, label=None):
         scores = rng.normal(mu, spec.sigma, size=length).tolist()
         items.append(LabeledTrajectory(id=f"synth-{seed}-{i:06d}", scores=scores, label=y))
     return CalibrationSet(items)
+
+
+def derive_seed_oracle(master, *key):
+    """trajectories.derive_seed, by numpy's own SeedSequence."""
+    return int(np.random.SeedSequence((master,) + key).generate_state(1)[0])
+
+
+def permutations_oracle(seed, sizes):
+    """``permutation(n)`` for each n in turn, all from one
+    ``default_rng(seed)``, as lists."""
+    rng = np.random.default_rng(seed)
+    return [rng.permutation(n).tolist() for n in sizes]
+
+
+def split_calibration_oracle(cal, cfg):
+    """trajectories.split_calibration written item by item on numpy's
+    ``default_rng(cfg.seed)``: the same permutation calls in the same order,
+    each side in input order."""
+    k = int(floor(cfg.dre_fraction * len(cal) + 0.5))
+    take = _per_label_take({y: cal.labels().count(y) for y in (1, 0)}, k)
+    rng = np.random.default_rng(cfg.seed)
+    chosen = set()
+    for label in (1, 0):
+        idx = [i for i, item in enumerate(cal.items) if item.label == label]
+        order = rng.permutation(len(idx))
+        chosen.update(idx[j] for j in order[: take[label]])
+    first = [item for i, item in enumerate(cal.items) if i in chosen]
+    second = [item for i, item in enumerate(cal.items) if i not in chosen]
+    return CalibrationSet(first), CalibrationSet(second)

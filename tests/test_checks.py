@@ -36,9 +36,10 @@ COUNT = [5.5, True, "3", 0]
 SEED = [2.5, True, "3", -1]
 
 
-def _ratio_model(prior_1=0.5, t_max=1):
-    steps = (LogisticModel((0.0,), 0.0),) if t_max != 0 else ()
-    return RatioModel(steps, prior_1, t_max, FitConfig())
+def _ratio_model(prior_1=0.5, t_max=1, step_models=None):
+    if step_models is None:
+        step_models = (LogisticModel((0.0,), 0.0),) if t_max != 0 else ()
+    return RatioModel(step_models, prior_1, t_max, FitConfig())
 
 
 def _experiment(field, value):
@@ -81,6 +82,7 @@ FIELDS = [
     ("LogisticModel", "intercept", NUMBER),
     ("RatioModel", "prior_1", PROBABILITY),
     ("RatioModel", "t_max", COUNT),
+    ("RatioModel", "step_models", [5]),
     # step t must be a LogisticModel with exactly t weights
     ("TwoStepRatioModel", "step_models", [
         LogisticModel((1.0,), 0.0), LogisticModel((1.0, 2.0, 3.0), 0.0),
@@ -139,6 +141,16 @@ TRAJECTORY_CASES = [
     ("scores", [0.5, math.nan], {"label": 1}),
     ("scores", [math.inf], {"label": 0}),
     ("tokens", [3, 2], {"scores": [0.5, 0.4], "label": 1}),
+    ("tokens", 5, {"scores": [0.5], "label": 1}),
+    # bool is a type of its own: True is no label and no score
+    ("label", True, {"scores": [0.5]}),
+    ("label", 1.0, {"scores": [0.5]}),
+    ("label", "1", {"scores": [0.5]}),
+    ("scores", None, {"label": 1}),
+    ("scores", ["x"], {"label": 1}),
+    ("scores", ["0.5"], {"label": 1}),
+    ("scores", [0.5, True], {"label": 1}),
+    ("scores", [10**400], {"label": 1}),
 ]
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -613,6 +614,49 @@ def test_monitor_imports_neither_harness_nor_generator(tmp_path, data_file):
     code, transcript, loaded = sessions[0]
     assert code in (0, 3) and transcript and loaded == [], sessions[0]
     assert sessions[1] == sessions[0]
+
+
+def test_batch_commands_leave_numpy_random_unimported(tmp_path):
+    # splits and derived seeds are drawn in plain Python; the data comes from
+    # the stdlib's random, since sample_dataset draws through numpy.random
+    rng = random.Random(4)
+    data = tmp_path / "data.jsonl"
+    with data.open("w") as fh:
+        for i in range(300):
+            label = int(rng.random() < 0.6)
+            scores = [rng.gauss(0.7 if label else 0.3, 0.2) for _ in range(rng.randint(1, 6))]
+            tokens = [10 * t for t in range(1, len(scores) + 1)]
+            record = {"id": f"t{i}", "scores": scores, "label": label, "tokens": tokens}
+            fh.write(json.dumps(record) + "\n")
+    common = ["--data", str(data), "--alphas", "0.1,0.3"]
+    commands = [
+        ["calibrate", "--data", str(data), "--alpha", "0.2"],
+        ["evaluate", *common, "--splits", "2"],
+        ["tokens", *common],
+        ["ablate", *common, "--fractions", "0.2,0.4", "--splits", "2"],
+    ]
+    script = (
+        "import json, sys\n"
+        "import numpy\n"
+        "def random_modules():\n"
+        "    return {m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']}\n"
+        "before = random_modules()\n"
+        "from seqgate.cli import cli_dispatch\n"
+        "code = cli_dispatch(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(random_modules() - before)]))\n"
+    )
+    src = str(Path(seqgate.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for argv in commands:
+        out = tmp_path / f"{argv[0]}.out"
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [0, []], (argv[0], done.stdout)
+        assert out.exists()
 
 
 def test_every_export_resolves():

@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from seqgate.artifact import ville_threshold
@@ -19,6 +20,7 @@ from seqgate.dataio import (
 from seqgate.errors import InvalidTrajectory, ParseError
 from seqgate.ratio import fit_ratio_model
 from seqgate.synthetic import SyntheticSpec, sample_dataset
+from seqgate.trajectories import CalibrationSet, LabeledTrajectory
 
 
 def test_read_dataset_basic():
@@ -75,7 +77,8 @@ def test_read_dataset_invariant_errors_carry_line():
     assert err.value.trajectory_id == "bad"
     # json.loads accepts the NaN and Infinity literals; they are scores of
     # the right type, so they fail as invalid values, not as parse errors
-    for literal in ("NaN", "Infinity", "-Infinity"):
+    # and so is an integer too large for a float
+    for literal in ("NaN", "Infinity", "-Infinity", "9" * 400):
         stream = io.StringIO(
             '{"id":"ok","scores":[0.5],"label":1}\n\n'
             f'{{"id":"bad","scores":[0.5,{literal}],"label":0}}\n'
@@ -105,6 +108,41 @@ def test_dataset_roundtrip(tmp_path):
     write_dataset(again, buf)
     second = [json.loads(line) for line in buf.getvalue().splitlines()]
     assert first == second
+
+
+# (scores, label) the constructor accepts, stored as floats and an int
+BUILDS = [
+    pytest.param([0.5, 1, 2**60], 1, id="ints and floats"),
+    pytest.param(np.array([0.25, -3.5]), np.int64(0), id="numpy array and int label"),
+    pytest.param([np.float32(0.1), np.int64(7)], 1, id="numpy scalars"),
+    pytest.param((x / 7 for x in range(3)), 0, id="generator"),
+]
+# (scores, label, field) whose record read_dataset would refuse
+REFUSED = [
+    pytest.param(["0.5"], 1, "scores", id="str score"),
+    pytest.param([0.5, True], 0, "scores", id="bool score"),
+    pytest.param([0.5], True, "label", id="bool label"),
+    pytest.param([0.5], 1.0, "label", id="float label"),
+    pytest.param([0.5], np.float64(0.0), "label", id="numpy float label"),
+]
+
+
+@pytest.mark.parametrize("scores, label", BUILDS)
+def test_a_built_trajectory_reads_back_equal(tmp_path, scores, label):
+    data = CalibrationSet([LabeledTrajectory("a", scores, label)])
+    path = tmp_path / "data.jsonl"
+    write_dataset(data, path)
+    assert read_dataset(path) == data
+
+
+@pytest.mark.parametrize("scores, label, field", REFUSED)
+def test_what_the_reader_refuses_cannot_be_built(scores, label, field):
+    with pytest.raises(InvalidTrajectory) as exc:
+        LabeledTrajectory("a", scores, label)
+    assert exc.value.field == field
+    record = json.dumps({"id": "a", "scores": scores, "label": label})
+    with pytest.raises(ParseError):
+        read_dataset(io.StringIO(record + "\n"))
 
 
 def test_centipawn_zero_is_half():

@@ -107,12 +107,18 @@ def test_synth_file_equals_oracle_file(tmp_path):
     assert out.read_bytes() == expected.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "seed, error", [(-1, ValueError), (2.5, TypeError), ("7", TypeError)]
-)
-def test_sample_dataset_rejects_a_seed_that_is_no_non_negative_int(seed, error):
-    with pytest.raises(error):
+@pytest.mark.parametrize("seed", [-1, 2.5, "7", True])
+def test_sample_dataset_rejects_a_seed_that_is_no_non_negative_int(seed):
+    # True would otherwise be seed 1, with items named synth-True-000000
+    with pytest.raises(OutOfRange, match="^seed must be an integer >= 0"):
         sample_dataset(SyntheticSpec(), 3, seed)
+    with pytest.raises(OutOfRange, match="^seed must be an integer >= 0"):
+        item_states(seed, 3)
+
+
+def test_item_states_refuses_n_past_one_entropy_word():
+    with pytest.raises(OutOfRange, match="^n must be an integer in"):
+        item_states(0, 2**32)
 
 
 def test_a_length_numpy_cannot_hold_fails_closed(tmp_path, capsys):

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import derive_seed_oracle, permutations_oracle, split_calibration_oracle
 from seqgate.errors import DegenerateSplit, InvalidTrajectory, OutOfRange
 from seqgate.trajectories import (
     CalibrationSet,
     LabeledTrajectory,
     SplitConfig,
+    SplitStream,
     _per_label_take,
+    derive_seed,
     split_calibration,
 )
 
@@ -125,22 +130,6 @@ def test_per_label_take_keeps_both_labels_on_both_sides():
                 assert 1 <= take[1] <= n1 - 1 and 1 <= take[0] <= n0 - 1, (n1, n0, k)
 
 
-def reference_split(cal, cfg):
-    """split_calibration written item by item: the same permutation calls in
-    the same order, each side in input order."""
-    k = int(np.floor(cfg.dre_fraction * len(cal) + 0.5))
-    take = _per_label_take({y: cal.labels().count(y) for y in (1, 0)}, k)
-    rng = np.random.default_rng(cfg.seed)
-    chosen = set()
-    for label in (1, 0):
-        idx = [i for i, item in enumerate(cal.items) if item.label == label]
-        order = rng.permutation(len(idx))
-        chosen.update(idx[j] for j in order[: take[label]])
-    first = [item for i, item in enumerate(cal.items) if i in chosen]
-    second = [item for i, item in enumerate(cal.items) if i not in chosen]
-    return CalibrationSet(first), CalibrationSet(second)
-
-
 def test_split_partition_property_random():
     rng = np.random.default_rng(0)
     for trial in range(50):
@@ -162,7 +151,7 @@ def test_split_partition_property_random():
         assert {i.id for i in first}.isdisjoint({i.id for i in second})
         for side in (first, second):
             assert {item.label for item in side} == {0, 1}
-        assert (first, second) == reference_split(cal, SplitConfig(frac, seed=trial))
+        assert (first, second) == split_calibration_oracle(cal, SplitConfig(frac, seed=trial))
 
 
 def test_split_config_validates_fraction():
@@ -170,3 +159,68 @@ def test_split_config_validates_fraction():
         SplitConfig(0.0, seed=1)
     with pytest.raises(OutOfRange):
         SplitConfig(1.0, seed=1)
+
+
+# seeds of one to seven 32-bit words; past four, the words overflow the pool
+SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**127 + 5, 2**128 - 1, 2**200 + 9]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**128 - 1), st.integers(0, 3000))
+def test_split_stream_equals_default_rng_property(seed, n):
+    assert SplitStream(seed).permutation(range(n)) == permutations_oracle(seed, [n])[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**128 - 1), st.lists(st.integers(0, 2**64), max_size=3))
+def test_derive_seed_equals_seed_sequence_property(master, key):
+    assert derive_seed(master, *key) == derive_seed_oracle(master, *key)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_successive_permutations_share_one_stream(seed):
+    # odd draw counts leave a half-word that the next permutation starts on
+    sizes = [3, 5, 0, 1, 2, 17, 2, 400, 9]
+    stream, orders, kept = SplitStream(seed), [], []
+    for n in sizes:
+        orders.append(stream.permutation(range(n)))
+        kept.append(stream.half is not None)
+    assert orders == permutations_oracle(seed, sizes)
+    assert any(kept[:-1])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_derive_seed_equals_seed_sequence(seed):
+    # keys of several words each: the entropy runs past the four-word pool
+    for key in [(), (0,), (1,), (3, 2**40), (2**96 + 1, 5, 2**70)]:
+        assert derive_seed(seed, *key) == derive_seed_oracle(seed, *key), key
+
+
+@pytest.mark.parametrize("n, expected", [(0, []), (1, [0]), (2, [1, 0])])
+def test_short_permutations_are_pinned(n, expected):
+    # 0 and 1 items draw nothing, so the next permutation is the first one's
+    stream = SplitStream(3)
+    assert stream.permutation(range(n)) == expected == permutations_oracle(3, [n])[0]
+    assert stream.permutation(range(5)) == permutations_oracle(3, [n, 5])[1]
+
+
+def test_permutation_shuffles_the_values_given():
+    stream, again = SplitStream(11), SplitStream(11)
+    order = again.permutation(range(6))
+    assert stream.permutation("abcdef") == ["abcdef"[i] for i in order]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_split_equals_numpy_oracle(seed):
+    cal = make_set([1, 0, 0, 1, 1] * 40)
+    for frac in (0.2, 0.5, 0.73):
+        cfg = SplitConfig(frac, seed=seed)
+        assert split_calibration(cal, cfg) == split_calibration_oracle(cal, cfg)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "3", True])
+def test_derived_and_split_seeds_are_counts(seed):
+    with pytest.raises(OutOfRange, match="^seed must be an integer >= 0"):
+        derive_seed(seed, 0)
+    with pytest.raises(OutOfRange, match="^seed must be an integer >= 0"):
+        SplitStream(seed)
