@@ -1,9 +1,9 @@
 """The calibration artifact without numpy: the model and threshold types
 ``seqgate calibrate`` writes, the threshold formulas, the scalar statistic
 ``seqgate monitor`` streams, the versioned JSON format that bundles them, and
-the input checks ``number``, ``probability`` and ``count``. The batch modules
-import these names from here, so a monitor process loads this module,
-``monitor`` and ``cli`` alone, and can still re-derive the threshold it loads.
+the input checks ``number``, ``probability``, ``count`` and ``json_object``.
+The batch modules import these names from here, so a monitor process loads
+this module, ``monitor`` and ``cli`` alone, and re-derives the threshold it loads.
 """
 
 from __future__ import annotations
@@ -60,6 +60,21 @@ def count(value, name: str, upper=None, lower=1) -> int:
         bounds = f">= {lower}" if upper is None else f"in [{lower}, {upper}]"
         raise OutOfRange(f"{name} must be an integer {bounds}, got {value!r}")
     return n
+
+
+def json_object(text: str, name: str, line=None) -> dict:
+    """``text`` decoded as a JSON object; otherwise ParseError at ``line``:
+    "<name> must be a JSON object" for any other JSON value, and, caused by
+    the decoder's error, for text that does not decode, an integer past
+    Python's digit limit or nesting past its recursion limit included."""
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+        raise ParseError(f"malformed JSON ({reason})", line=line) from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{name} must be a JSON object", line=line)
+    return payload
 
 
 @dataclass(frozen=True)
@@ -368,11 +383,8 @@ def load_calibration(path):
     validated and the threshold re-derived; anything malformed raises
     ParseError."""
     with _opened(path, "r") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed calibration artifact ({exc.msg})") from exc
-    if not isinstance(payload, dict) or payload.get("format") != ARTIFACT_FORMAT:
+        payload = json_object(fh.read(), "calibration artifact")
+    if payload.get("format") != ARTIFACT_FORMAT:
         raise ParseError(f"not a {ARTIFACT_FORMAT} file")
     # the int 1 only: true and 1.0 compare equal to it
     version = payload.get("version")

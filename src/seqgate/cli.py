@@ -10,12 +10,11 @@ rejected the trajectory, 4 calibration set too small for the requested
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from .artifact import DEFAULT_DELTA, DEFAULT_DRE_FRACTION, THRESHOLD_KINDS, count
-from .artifact import load_calibration
+from .artifact import json_object, load_calibration
 from .errors import InsufficientCalibration, ParseError, SeqgateError
 from .monitor import KNOWN_METHODS, MonitorState, ratio_rule
 
@@ -127,7 +126,7 @@ def _experiment_config(args, n_splits: int):
     )
 
 
-def _cmd_calibrate(args, parser, stdin, stdout) -> int:
+def _cmd_calibrate(args, stdin, stdout) -> int:
     from . import dataio
     from .artifact import bonferroni_threshold, probability, ville_threshold
     from .ratio import fit_ratio_model
@@ -165,7 +164,7 @@ def _cmd_calibrate(args, parser, stdin, stdout) -> int:
     return EXIT_OK
 
 
-def _cmd_monitor(args, parser, stdin, stdout) -> int:
+def _cmd_monitor(args, stdin, stdout) -> int:
     model, spec, _ = load_calibration(args.model)
     state = MonitorState(ratio_rule(model, spec.value))
     # readline loop: no read-ahead buffering, each answer follows its score
@@ -176,8 +175,7 @@ def _cmd_monitor(args, parser, stdin, stdout) -> int:
         try:
             score = float(text)
         except ValueError:
-            print(f"ERROR PARSE_ERROR: not a number: {text!r}", file=sys.stderr)
-            return EXIT_FAILURE
+            raise ParseError(f"not a number: {text!r}") from None
         status = state.observe(score)
         if status.decision == "rejected":
             print(f"REJECT t={status.step}", file=stdout, flush=True)
@@ -188,7 +186,7 @@ def _cmd_monitor(args, parser, stdin, stdout) -> int:
     return EXIT_OK
 
 
-def _cmd_evaluate(args, parser, stdin, stdout) -> int:
+def _cmd_evaluate(args, stdin, stdout) -> int:
     from . import dataio, harness
 
     data = dataio.read_dataset(args.data)
@@ -199,7 +197,7 @@ def _cmd_evaluate(args, parser, stdin, stdout) -> int:
     return EXIT_OK
 
 
-def _cmd_tokens(args, parser, stdin, stdout) -> int:
+def _cmd_tokens(args, stdin, stdout) -> int:
     from . import dataio, harness
 
     data = dataio.read_dataset(args.data)
@@ -210,7 +208,7 @@ def _cmd_tokens(args, parser, stdin, stdout) -> int:
     return EXIT_OK
 
 
-def _cmd_ablate(args, parser, stdin, stdout) -> int:
+def _cmd_ablate(args, stdin, stdout) -> int:
     from . import dataio, harness
 
     data = dataio.read_dataset(args.data)
@@ -236,21 +234,22 @@ def _load_synth_spec(text):
     if text is None:
         return synthetic.SyntheticSpec()
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError:
+        payload = json_object(text, "--spec")
+    except ParseError as exc:
+        if exc.__cause__ is None:  # JSON, but not an object
+            raise
         try:
-            payload = json.loads(Path(text).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
-            raise ParseError(f"--spec is neither inline JSON nor a JSON file: {exc}")
-    if not isinstance(payload, dict):
-        raise ParseError("--spec must be a JSON object")
+            text = Path(text).read_text(encoding="utf-8")
+        except (OSError, ValueError) as err:  # ValueError: not UTF-8
+            raise ParseError(f"--spec is neither inline JSON nor a JSON file: {err}")
+        payload = json_object(text, "--spec")
     try:
         return synthetic.SyntheticSpec(**payload)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"invalid synthetic spec: {exc}")
 
 
-def _cmd_synth(args, parser, stdin, stdout) -> int:
+def _cmd_synth(args, stdin, stdout) -> int:
     from . import dataio
     from .synthetic import sample_dataset
 
@@ -261,7 +260,7 @@ def _cmd_synth(args, parser, stdin, stdout) -> int:
     return EXIT_OK
 
 
-def _cmd_chess(args, parser, stdin, stdout) -> int:
+def _cmd_chess(args, stdin, stdout) -> int:
     from . import dataio
 
     games = dataio.read_chess_games(args.games)
@@ -271,27 +270,20 @@ def _cmd_chess(args, parser, stdin, stdout) -> int:
 
 
 def cli_dispatch(argv, stdin=None, stdout=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.run(
-            args, parser, stdin if stdin is not None else sys.stdin,
+            args, stdin if stdin is not None else sys.stdin,
             stdout if stdout is not None else sys.stdout,
         )
-    except SystemExit as exc:  # parser.error inside a subcommand
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except InsufficientCalibration as exc:
-        print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
-        return EXIT_INSUFFICIENT_CALIBRATION
-    except SeqgateError as exc:
-        print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except OSError as exc:
-        print(f"ERROR IO_ERROR: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    except (SeqgateError, OSError) as exc:
+        code = exc.code if isinstance(exc, SeqgateError) else "IO_ERROR"
+        print(f"ERROR {code}: {exc}", file=sys.stderr)
+        insufficient = isinstance(exc, InsufficientCalibration)
+        return EXIT_INSUFFICIENT_CALIBRATION if insufficient else EXIT_FAILURE
 
 
 def main() -> None:

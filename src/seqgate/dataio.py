@@ -3,18 +3,20 @@ versioned calibration artifact bundling a fitted ratio model with its
 decision threshold, and the CSV tables of the experiment harness.
 
 Each function takes a path, opened here as UTF-8, or an open text stream,
-which is left open. Input that is not UTF-8 fails as ParseError. The
-artifact's ``save_calibration`` and ``load_calibration`` live in ``artifact``.
+which is left open. Input that is not UTF-8, or a line that is not a JSON
+object, fails as ParseError. The artifact's ``save_calibration`` and
+``load_calibration`` live in ``artifact``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .artifact import _opened, load_calibration, save_calibration
+from .artifact import _opened, json_object, load_calibration, save_calibration
 from .errors import InvalidTrajectory, ParseError
 from .trajectories import CalibrationSet, LabeledTrajectory
 
@@ -43,12 +45,7 @@ def _records(path_or_stream):
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"malformed JSON ({exc.msg})", line=line_no) from exc
-            if not isinstance(record, dict):
-                raise ParseError("record must be a JSON object", line=line_no)
+            record = json_object(line, "record", line_no)
             if not isinstance(_require(record, "id", line_no), str):
                 raise ParseError("'id' must be a string", line=line_no)
             yield line_no, record
@@ -120,7 +117,8 @@ def read_chess_games(path_or_stream) -> list:
             raise ParseError(
                 "'centipawns' must be a non-empty array of numbers", line=line_no
             )
-        if any(not math.isfinite(float(c)) for c in cps):
+        # artifact.number's test, which nan, inf and an int past the float range fail
+        if not all(abs(c) <= sys.float_info.max for c in cps):
             raise InvalidTrajectory(
                 "non-finite centipawn value",
                 trajectory_id=record["id"], field="centipawns", line=line_no,
@@ -130,11 +128,7 @@ def read_chess_games(path_or_stream) -> list:
                 f"'result' must be one of {CHESS_RESULTS}, got {result!r}",
                 line=line_no,
             )
-        games.append(
-            ChessGameRecord(
-                id=record["id"], centipawns=tuple(float(c) for c in cps), result=result
-            )
-        )
+        games.append(ChessGameRecord(record["id"], tuple(map(float, cps)), result))
     return games
 
 

@@ -66,7 +66,8 @@ def _draw(spec: SyntheticSpec, label: int, rng: np.random.Generator, ident: str)
 
 
 def sample_trajectory(spec: SyntheticSpec, label: int, seed: int) -> LabeledTrajectory:
-    """One trajectory with the given label; deterministic in the seed."""
+    """One trajectory with the given label; deterministic in ``seed``, a count >= 0."""
+    seed = count(seed, "seed", lower=0)
     rng = np.random.default_rng(seed)
     return _draw(spec, label, rng, f"synth-{label}-{seed}")
 

@@ -90,10 +90,11 @@ def test_calibrate_then_monitor_roundtrip(tmp_path, data_file):
     second["metadata"].pop("data")
     assert first == second
 
-    # monitoring with a benign stream accepts at end of input
+    # monitoring with a benign stream accepts at end of input; blank lines
+    # are skipped
     code, out = run(
         ["monitor", "--model", str(model_path)],
-        stdin=io.StringIO("0.7\n0.72\n0.69\n"),
+        stdin=io.StringIO("0.7\n\n0.72\n  \n0.69\n"),
     )
     assert code == 0
     lines = out.splitlines()
@@ -126,7 +127,7 @@ def test_monitor_bad_line(tmp_path, data_file, capsys):
     )
     code, _ = run(["monitor", "--model", str(model_path)], stdin=io.StringIO("zebra\n"))
     assert code == 1
-    assert "ERROR PARSE_ERROR" in capsys.readouterr().err
+    assert capsys.readouterr().err == "ERROR PARSE_ERROR: not a number: 'zebra'\n"
 
 
 def test_calibrate_insufficient_calibration_exit_4(tmp_path, capsys):
@@ -292,6 +293,23 @@ def test_chess_cli_bad_record_fails_closed(tmp_path, capsys, record):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["NaN", "9" * 400], ids=["NaN", "400 digits"])
+def test_chess_cli_non_finite_centipawn_fails_closed(tmp_path, capsys, value):
+    # 400 digits are too many for a float, but not for the JSON decoder
+    games = tmp_path / "games.jsonl"
+    games.write_text(
+        '{"id": "g1", "centipawns": [30], "result": "draw"}\n'
+        f'{{"id": "g2", "centipawns": [30, {value}], "result": "draw"}}\n'
+    )
+    out = tmp_path / "chess.jsonl"
+    assert cli_dispatch(["chess", "--games", str(games), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "ERROR INVALID_TRAJECTORY: non-finite centipawn value id='g2' "
+        "field=centipawns line=2\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -390,6 +408,65 @@ def test_non_utf8_input_fails_closed(tmp_path, capsys, monkeypatch, argv):
     assert len(err.splitlines()) == 1 and err.startswith("ERROR PARSE_ERROR:")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+
+# JSON text the decoder refuses with a ValueError or a RecursionError that is
+# no JSONDecodeError
+UNDECODABLE = {
+    "5,000 digits": "9" * 5000,
+    "200,000 levels": "[" * 200_000 + "]" * 200_000,
+}
+
+
+@pytest.mark.parametrize("literal", sorted(UNDECODABLE))
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["evaluate", "--alphas", "0.3", "--out", "o.csv", "--data"],
+         '{"id": "a", "scores": %s, "label": 0}'),
+        (["chess", "--out", "c.jsonl", "--games"],
+         '{"id": "g", "centipawns": %s, "result": "draw"}'),
+        (["monitor", "--model"],
+         '{"format": "seqgate-calibration", "version": 1, "metadata": %s}'),
+        (["synth", "--n", "3", "--out", "s.jsonl", "--spec"], '{"sigma": %s}'),
+    ],
+    ids=lambda value: value[0] + " " + value[-1] if isinstance(value, list) else "",
+)
+def test_json_past_the_decoder_limits_fails_closed(
+    tmp_path, capsys, monkeypatch, argv, text, literal
+):
+    monkeypatch.chdir(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text % UNDECODABLE[literal] + "\n")
+    code = cli_dispatch(argv + [str(bad)], stdin=io.StringIO("0.5\n"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("ERROR PARSE_ERROR:")
+    assert "malformed JSON" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+
+def test_inline_spec_past_the_digit_limit_fails_closed(tmp_path, capsys):
+    # text that does not decode is tried as a path, which is too long
+    out = tmp_path / "x.jsonl"
+    spec = '{"sigma": %s}' % UNDECODABLE["5,000 digits"]
+    assert cli_dispatch(["synth", "--n", "3", "--spec", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ERROR PARSE_ERROR: --spec is neither inline JSON nor a JSON file")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["5", "[1]", '"sigma"', "null"])
+@pytest.mark.parametrize("where", ["inline", "file"])
+def test_synth_spec_that_is_no_json_object_fails(tmp_path, capsys, spec, where):
+    if where == "file":
+        (tmp_path / "spec.json").write_text(spec)
+        spec = str(tmp_path / "spec.json")
+    out = tmp_path / "x.jsonl"
+    assert cli_dispatch(["synth", "--n", "3", "--spec", spec, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "ERROR PARSE_ERROR: --spec must be a JSON object\n"
+    assert not out.exists()
 
 
 def test_evaluate_dre_fraction_out_of_range(tmp_path, data_file, capsys):
@@ -755,6 +832,7 @@ ARTIFACT_FAULTS = {
     # walks its tail
     "pac n_null 10**18": lambda a: a["threshold"].update(n_null=10**18),
     "metadata 5": lambda a: a.update(metadata=5),
+    "step_models 5": lambda a: a["ratio_model"].update(step_models=5),
 }
 
 
@@ -773,13 +851,21 @@ def test_monitor_rejects_malformed_artifact_at_load(
 
 
 def test_malformed_artifacts_fail_closed_without_numpy(tmp_path, artifact_payload):
-    # the load-time checks, pac_index included, run with numpy's import blocked
-    paths = []
-    for i, fault in enumerate(sorted(ARTIFACT_FAULTS)):
+    # the load-time checks, pac_index and the JSON decoder included, run with
+    # numpy's import blocked
+    texts = {}
+    for fault in ARTIFACT_FAULTS:
         payload = json.loads(json.dumps(artifact_payload))
         ARTIFACT_FAULTS[fault](payload)
+        texts[fault] = json.dumps(payload)
+    # json.dumps refuses an int of 5,000 digits, so the literal is spliced in
+    for name, literal in UNDECODABLE.items():
+        text = json.dumps(dict(artifact_payload, metadata="@"))
+        texts[f"metadata of {name}"] = text.replace('"@"', literal)
+    paths = []
+    for i, fault in enumerate(sorted(texts)):
         paths.append(tmp_path / f"model{i}.json")
-        paths[-1].write_text(json.dumps(payload))
+        paths[-1].write_text(texts[fault])
     script = (
         "import contextlib, io, json, sys\n"
         "sys.modules['numpy'] = None\n"
@@ -801,7 +887,7 @@ def test_malformed_artifacts_fail_closed_without_numpy(tmp_path, artifact_payloa
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    results = dict(zip(sorted(ARTIFACT_FAULTS), json.loads(done.stdout)))
+    results = dict(zip(sorted(texts), json.loads(done.stdout)))
     assert all(r == [1, "", "ERROR PARSE_ERROR"] for r in results.values()), results
 
 

@@ -49,6 +49,8 @@ def test_fit_logistic_dimension_mismatch():
         fit_logistic([(0.1,), np.array([0.2, 0.3])], [0, 1])
     with pytest.raises(DimensionMismatch):
         fit_logistic(np.array([0.1, 0.2]), [0, 1])
+    with pytest.raises(DimensionMismatch, match="3 feature vectors vs 2 labels"):
+        fit_logistic([[0.1], [0.2], [0.3]], [0, 1])
 
 
 def test_fit_logistic_label_validation():

@@ -116,6 +116,13 @@ def test_sample_dataset_rejects_a_seed_that_is_no_non_negative_int(seed):
         item_states(seed, 3)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "7", True])
+def test_sample_trajectory_rejects_a_seed_that_is_no_non_negative_int(seed):
+    # True would otherwise be seed 1, named synth-1-True; 2.5 a numpy TypeError
+    with pytest.raises(OutOfRange, match="^seed must be an integer >= 0"):
+        sample_trajectory(SyntheticSpec(), 1, seed)
+
+
 def test_item_states_refuses_n_past_one_entropy_word():
     with pytest.raises(OutOfRange, match="^n must be an integer in"):
         item_states(0, 2**32)
