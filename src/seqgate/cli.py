@@ -241,7 +241,11 @@ def _load_synth_spec(text):
         try:
             text = Path(text).read_text(encoding="utf-8")
         except (OSError, ValueError) as err:  # ValueError: not UTF-8
-            raise ParseError(f"--spec is neither inline JSON nor a JSON file: {err}")
+            # an OSError's str echoes the text as the file name
+            reason = getattr(err, "strerror", None) or err
+            raise ParseError(
+                f"--spec is neither inline JSON nor a JSON file: {exc}; as a path: {reason}"
+            )
         payload = json_object(text, "--spec")
     try:
         return synthetic.SyntheticSpec(**payload)

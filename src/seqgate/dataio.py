@@ -52,8 +52,8 @@ def _records(path_or_stream):
 
 
 def read_dataset(path_or_stream) -> CalibrationSet:
-    """Parse one-JSON-object-per-line trajectory records: each JSON object
-    is type-checked, then becomes a LabeledTrajectory, which checks the rest.
+    """Parse one-JSON-object-per-line trajectory records: each becomes a
+    LabeledTrajectory, which checks the type and value of every field.
 
     Errors carry the 1-based line number of the offending record.
     """
@@ -61,21 +61,8 @@ def read_dataset(path_or_stream) -> CalibrationSet:
     for line_no, record in _records(path_or_stream):
         scores = _require(record, "scores", line_no)
         label = _require(record, "label", line_no)
-        tokens = record.get("tokens")
-        # json.loads gives a number as exactly int or float, and bool is
-        # a type of its own, so exact types rule out true and false
-        if not isinstance(scores, list) or not {int, float}.issuperset(
-            map(type, scores)
-        ):
-            raise ParseError("'scores' must be an array of numbers", line=line_no)
-        if not isinstance(label, int) or isinstance(label, bool):
-            raise ParseError("'label' must be an integer 0 or 1", line=line_no)
-        if tokens is not None and (
-            not isinstance(tokens, list) or not {int}.issuperset(map(type, tokens))
-        ):
-            raise ParseError("'tokens' must be an array of integers", line=line_no)
         try:
-            items.append(LabeledTrajectory(record["id"], scores, label, tokens))
+            items.append(LabeledTrajectory(record["id"], scores, label, record.get("tokens")))
         except InvalidTrajectory as exc:
             exc.line = line_no
             raise

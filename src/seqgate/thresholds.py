@@ -26,7 +26,9 @@ def null_maxima(model: RatioModel, thresh_set: CalibrationSet) -> list:
 
 
 def pac_threshold(maxima, alpha: float, delta: float) -> ThresholdSpec:
-    """Order-statistic threshold M_(k), k = pac_index(n, alpha, delta)."""
+    """The float just above the order statistic M_(k), k = pac_index(n, alpha,
+    delta): the bound covers Pr[M > M_(k)], and rules reject at >=, so null
+    maxima tied at M_(k) must not reject."""
     n = len(maxima)
     # sorted orders a list holding nan arbitrarily
     if any(map(math.isnan, maxima)):
@@ -35,7 +37,7 @@ def pac_threshold(maxima, alpha: float, delta: float) -> ThresholdSpec:
     return ThresholdSpec(
         kind="pac",
         alpha=alpha,
-        value=float(sorted(maxima)[k - 1]),
+        value=math.nextafter(sorted(maxima)[k - 1], math.inf),
         delta=delta,
         n_null=n,
         k_index=k,

@@ -2,8 +2,10 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 from unittest import mock
 
@@ -447,13 +449,18 @@ def test_json_past_the_decoder_limits_fails_closed(
 
 
 def test_inline_spec_past_the_digit_limit_fails_closed(tmp_path, capsys):
-    # text that does not decode is tried as a path, which is too long
+    # text that does not decode is tried as a path, which is too long; the
+    # line gives both reasons and does not echo the text as a file name
     out = tmp_path / "x.jsonl"
     spec = '{"sigma": %s}' % UNDECODABLE["5,000 digits"]
     assert cli_dispatch(["synth", "--n", "3", "--spec", spec, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert err.startswith("ERROR PARSE_ERROR: --spec is neither inline JSON nor a JSON file")
+    assert len(err.splitlines()) == 1 and len(err) < 300
+    assert err.startswith(
+        "ERROR PARSE_ERROR: --spec is neither inline JSON nor a JSON file: "
+        "malformed JSON (Exceeds the limit (4300 digits)"
+    )
+    assert "; as a path: " in err and "9" * 10 not in err
     assert not out.exists()
 
 
@@ -656,6 +663,37 @@ BATCH_MODULES = ("numpy",) + tuple(
 )
 
 
+CHILD = """
+import contextlib, io, json, sys
+for name in sys.argv[1:]:
+    sys.modules[name] = None
+from seqgate.cli import cli_dispatch
+results = []
+for argv, stdin in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli_dispatch(argv, stdin=io.StringIO(stdin), stdout=out)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps([results, sorted(m for m, v in sys.modules.items() if v is not None)]))
+"""
+
+
+def run_child(cases, blocked=()):
+    """Run each (argv, stdin) case through cli_dispatch in one fresh
+    interpreter, with the imports of ``blocked`` made to fail and a
+    RuntimeWarning made an error. Returns each case's (code, stdout, stderr)
+    and the names of the modules loaded at the end."""
+    src = str(Path(seqgate.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", CHILD, *blocked],
+        input=json.dumps(cases), capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
 def test_monitor_imports_neither_harness_nor_generator(tmp_path, data_file):
     # nor numpy nor any batch module; with numpy's import blocked, a session
     # gives the same transcript and exit code
@@ -666,28 +704,11 @@ def test_monitor_imports_neither_harness_nor_generator(tmp_path, data_file):
             "--threshold", "ville", "--out", str(model_path),
         ]
     )
-    script = (
-        "import io, json, sys\n"
-        "if sys.argv[2] == 'blocked':\n"
-        "    sys.modules['numpy'] = None\n"
-        "from seqgate.cli import cli_dispatch\n"
-        "out = io.StringIO()\n"
-        "code = cli_dispatch(['monitor', '--model', sys.argv[1]],\n"
-        "                    stdin=io.StringIO('0.7\\n0.2\\n0.9\\n'), stdout=out)\n"
-        f"loaded = [m for m in {BATCH_MODULES!r} if sys.modules.get(m) is not None]\n"
-        "print(json.dumps([code, out.getvalue(), loaded]))\n"
-    )
-    src = str(Path(seqgate.__file__).resolve().parents[1])
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     sessions = []
-    for mode in ("normal", "blocked"):
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(model_path), mode],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert done.returncode == 0, done.stderr
-        sessions.append(json.loads(done.stdout))
+    for blocked in ((), ("numpy",)):
+        case = (["monitor", "--model", str(model_path)], "0.7\n0.2\n0.9\n")
+        [[code, transcript, _]], modules = run_child([case], blocked)
+        sessions.append([code, transcript, [m for m in BATCH_MODULES if m in modules]])
     code, transcript, loaded = sessions[0]
     assert code in (0, 3) and transcript and loaded == [], sessions[0]
     assert sessions[1] == sessions[0]
@@ -712,28 +733,11 @@ def test_batch_commands_leave_numpy_random_unimported(tmp_path):
         ["tokens", *common],
         ["ablate", *common, "--fractions", "0.2,0.4", "--splits", "2"],
     ]
-    script = (
-        "import json, sys\n"
-        "import numpy\n"
-        "def random_modules():\n"
-        "    return {m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']}\n"
-        "before = random_modules()\n"
-        "from seqgate.cli import cli_dispatch\n"
-        "code = cli_dispatch(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(random_modules() - before)]))\n"
-    )
-    src = str(Path(seqgate.__file__).resolve().parents[1])
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    for argv in commands:
-        out = tmp_path / f"{argv[0]}.out"
-        done = subprocess.run(
-            [sys.executable, "-c", script, *argv, "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == [0, []], (argv[0], done.stdout)
-        assert out.exists()
+    cases = [(argv + ["--out", str(tmp_path / f"{argv[0]}.out")], "") for argv in commands]
+    results, modules = run_child(cases)
+    assert [code for code, _, _ in results] == [0] * len(commands), results
+    assert [m for m in modules if m.split(".")[:2] == ["numpy", "random"]] == []
+    assert all((tmp_path / f"{argv[0]}.out").exists() for argv in commands)
 
 
 def test_every_export_resolves():
@@ -866,29 +870,13 @@ def test_malformed_artifacts_fail_closed_without_numpy(tmp_path, artifact_payloa
     for i, fault in enumerate(sorted(texts)):
         paths.append(tmp_path / f"model{i}.json")
         paths[-1].write_text(texts[fault])
-    script = (
-        "import contextlib, io, json, sys\n"
-        "sys.modules['numpy'] = None\n"
-        "from seqgate.cli import cli_dispatch\n"
-        "results = []\n"
-        "for path in sys.argv[1:]:\n"
-        "    out, err = io.StringIO(), io.StringIO()\n"
-        "    with contextlib.redirect_stderr(err):\n"
-        "        code = cli_dispatch(['monitor', '--model', path],\n"
-        "                            stdin=io.StringIO('0.7\\n'), stdout=out)\n"
-        "    results.append([code, out.getvalue(), err.getvalue().split(':')[0]])\n"
-        "print(json.dumps(results))\n"
-    )
-    src = str(Path(seqgate.__file__).resolve().parents[1])
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run(
-        [sys.executable, "-c", script, *map(str, paths)],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
-    results = dict(zip(sorted(texts), json.loads(done.stdout)))
-    assert all(r == [1, "", "ERROR PARSE_ERROR"] for r in results.values()), results
+    cases = [(["monitor", "--model", str(path)], "0.7\n") for path in paths]
+    results, _ = run_child(cases, ("numpy",))
+    results = {
+        fault: [code, out, err.split(":")[0], err.count("\n"), "Traceback" in err]
+        for fault, (code, out, err) in zip(sorted(texts), results)
+    }
+    assert all(r == [1, "", "ERROR PARSE_ERROR", 1, False] for r in results.values()), results
 
 
 @pytest.mark.parametrize("kind", THRESHOLD_KINDS)
@@ -900,3 +888,122 @@ def test_calibrate_artifact_of_each_kind_loads_as_saved(tmp_path, data_file, kin
     assert spec.kind == kind
     save_calibration(tmp_path / "again.json", model, spec, metadata)
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract")
+    data, model, label = d / "data.jsonl", d / "model.json", d / "label.jsonl"
+    quiet = io.StringIO()
+    argv = ["synth", "--n", "400", "--seed", "1", "--out", str(data)]
+    assert cli_dispatch(argv, stdout=quiet) == 0
+    argv = ["calibrate", "--data", str(data), "--alpha", "0.2", "--threshold", "ville"]
+    assert cli_dispatch(argv + ["--out", str(model)], stdout=quiet) == 0
+    head = data.read_text().splitlines(keepends=True)[:2]
+    label.write_text("".join(head) + '{"id": "bad", "scores": [0.5], "label": 2}\n')
+    return {"{data}": str(data), "{model}": str(model), "{label}": str(label)}
+
+
+Row = namedtuple("Row", "argv stdin blocked code stream pattern")
+DATA, OUT = ["--data", "{data}"], ["--out", "{out}"]
+
+# The CLI's exit-code and error-line contract, one row per case that no test
+# above asserts. A row holds the argv, whose arguments "{data}", "{label}" and
+# "{model}" name the contract_files and "{out}" the row's output file; the
+# stdin; the import made to fail (None, "numpy" or "numpy.random"); the exit
+# code; and a pattern that stdout ("out"), stderr ("err") or the output file
+# ("file") must match. Every row also asserts no Traceback and no
+# RuntimeWarning, and a failing row one stderr line "ERROR <CODE>: ..." under
+# 300 characters and no output file.
+CONTRACT = {
+    # splits and derived seeds load no numpy.random
+    "calibrate without numpy.random": Row(
+        ["calibrate", *DATA, "--alpha", "0.2", "--threshold", "ville", *OUT], "",
+        "numpy.random", 0, "out", r"^calibrated t_max=\d+ threshold_kind=ville value=5\.0 -> ",
+    ),
+    "evaluate without numpy.random": Row(
+        ["evaluate", *DATA, "--alphas", "0.1,0.3", "--splits", "2", *OUT], "",
+        "numpy.random", 0, "file", r"\Amethod,alpha,far_mean,[^\n]*\n(?:[^\n]*\n){10}\Z",
+    ),
+    # the monitor loads no numpy, on the accept path and the error path
+    "monitor session without numpy": Row(
+        ["monitor", "--model", "{model}"], "0.9\n0.8\n0.7\n",
+        "numpy", 0, "out", r"\ACONTINUE\nCONTINUE\nCONTINUE\nACCEPT t=3\n\Z",
+    ),
+    "monitor nan score without numpy": Row(
+        ["monitor", "--model", "{model}"], "nan\n",
+        "numpy", 1, "err", r"^ERROR INVALID_TRAJECTORY: non-finite score",
+    ),
+    # one row per fraction, method and alpha; the degenerate fraction adds none
+    "ablate row count": Row(
+        ["ablate", *DATA, "--alphas", "0.1,0.3", "--fractions", "0.001,0.2,0.4",
+         "--splits", "2", *OUT], "",
+        None, 0, "file", r"\Acal_fraction,method,[^\n]*\n(?:0\.[24],[^\n]*\n){20}\Z",
+    ),
+    "bad label on line 3": Row(
+        ["evaluate", "--data", "{label}", "--alphas", "0.1", *OUT], "",
+        None, 1, "err", r"^ERROR INVALID_TRAJECTORY: .* field=label line=3$",
+    ),
+    "evaluate cal-fraction 1.5": Row(
+        ["evaluate", *DATA, "--alphas", "0.1", "--cal-fraction", "1.5", *OUT], "",
+        None, 1, "err", r"^ERROR OUT_OF_RANGE: cal_fraction",
+    ),
+    "calibrate delta 0": Row(
+        ["calibrate", *DATA, "--alpha", "0.2", "--delta", "0", *OUT], "",
+        None, 1, "err", r"^ERROR OUT_OF_RANGE: delta",
+    ),
+    "synth spec prior_1 1.0": Row(
+        ["synth", "--n", "5", "--spec", '{"prior_1": 1.0}', *OUT], "",
+        None, 1, "err", r"^ERROR PARSE_ERROR: invalid synthetic spec: prior_1",
+    ),
+    # tried as a path too; the line names the digit limit, not the text
+    "synth inline spec of 5,000 digits": Row(
+        ["synth", "--n", "3", "--spec", '{"sigma": %s}' % UNDECODABLE["5,000 digits"], *OUT],
+        "", None, 1, "err", r"^ERROR PARSE_ERROR: --spec .*\(4300 digits\).*; as a path: ",
+    ),
+}
+
+
+def fill(argv, files, out):
+    return [dict(files, **{"{out}": str(out)}).get(a, a) for a in argv]
+
+
+def check_row(row, code, out, err, out_path):
+    assert code == row.code, err
+    text = out_path.read_text() if row.stream == "file" else {"out": out, "err": err}[row.stream]
+    assert re.search(row.pattern, text, re.M), text[:300]
+    assert "Traceback" not in err
+    if code not in (0, 3):
+        assert err.count("\n") == 1 and err.startswith("ERROR ") and len(err) < 300, err[:300]
+        assert not out_path.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", [name for name, row in CONTRACT.items() if row.blocked is None])
+def test_cli_contract(tmp_path, capsys, contract_files, name):
+    row, out_path = CONTRACT[name], tmp_path / "out"
+    code, out = run(fill(row.argv, contract_files, out_path), io.StringIO(row.stdin))
+    check_row(row, code, out, capsys.readouterr().err, out_path)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("blocked", ["numpy", "numpy.random"])
+def test_cli_contract_with_an_import_blocked(tmp_path, capsys, contract_files, blocked):
+    # one child runs every row that blocks this module; each row must hold
+    # there, and give the code, lines and output bytes of a plain run
+    rows = [row for row in CONTRACT.values() if row.blocked == blocked]
+    paths = [tmp_path / f"{i}.out" for i in range(len(rows))]
+    cases = [(fill(row.argv, contract_files, p), row.stdin) for row, p in zip(rows, paths)]
+    results, _ = run_child(cases, (blocked,))
+
+    def outcome(code, out, err, path):
+        data = path.read_bytes() if path.exists() else None
+        return code, out.replace(str(path), "{out}"), err, data
+
+    for row, path, (code, out, err) in zip(rows, paths, results):
+        check_row(row, code, out, err, path)
+        plain = path.with_suffix(".plain")
+        plain_code, plain_out = run(fill(row.argv, contract_files, plain), io.StringIO(row.stdin))
+        assert outcome(code, out, err, path) == outcome(
+            plain_code, plain_out, capsys.readouterr().err, plain
+        )

@@ -53,18 +53,22 @@ def test_read_dataset_malformed_json_line_number():
 
 
 def test_read_dataset_type_errors():
-    for line in (
-        '{"id":1,"scores":[0.9],"label":1}',
-        '{"id":"a","scores":"x","label":1}',
-        '{"id":"a","scores":[0.9],"label":"1"}',
-        '{"id":"a","scores":[0.9],"label":1,"tokens":[1.5]}',
-        '{"id":"a","scores":[0.9,true],"label":1}',
-        '{"id":"a","scores":[0.9,"0.5"],"label":1}',
-        '{"id":"a","scores":[0.9,[0.5]],"label":1}',
-        '{"id":"a","scores":[0.9],"label":1,"tokens":[true]}',
+    # a record that is no trajectory yet is a parse error
+    with pytest.raises(ParseError):
+        read_dataset(io.StringIO('{"id":1,"scores":[0.9],"label":1}\n'))
+    # a field of the wrong type is left to LabeledTrajectory, which names it
+    for line, field in (
+        ('{"id":"a","scores":"x","label":1}', "scores"),
+        ('{"id":"a","scores":[0.9],"label":"1"}', "label"),
+        ('{"id":"a","scores":[0.9],"label":1,"tokens":[1.5]}', "tokens"),
+        ('{"id":"a","scores":[0.9,true],"label":1}', "scores"),
+        ('{"id":"a","scores":[0.9,"0.5"],"label":1}', "scores"),
+        ('{"id":"a","scores":[0.9,[0.5]],"label":1}', "scores"),
+        ('{"id":"a","scores":[0.9],"label":1,"tokens":[true]}', "tokens"),
     ):
-        with pytest.raises(ParseError):
-            read_dataset(io.StringIO(line + "\n"))
+        with pytest.raises(InvalidTrajectory) as err:
+            read_dataset(io.StringIO('{"id":"ok","scores":[0.5],"label":1}\n' + line + "\n"))
+        assert (err.value.field, err.value.line, err.value.trajectory_id) == (field, 2, "a")
 
 
 def test_read_dataset_invariant_errors_carry_line():
@@ -117,7 +121,7 @@ BUILDS = [
     pytest.param([np.float32(0.1), np.int64(7)], 1, id="numpy scalars"),
     pytest.param((x / 7 for x in range(3)), 0, id="generator"),
 ]
-# (scores, label, field) whose record read_dataset would refuse
+# (scores, label, field) whose record read_dataset refuses
 REFUSED = [
     pytest.param(["0.5"], 1, "scores", id="str score"),
     pytest.param([0.5, True], 0, "scores", id="bool score"),
@@ -140,9 +144,11 @@ def test_what_the_reader_refuses_cannot_be_built(scores, label, field):
     with pytest.raises(InvalidTrajectory) as exc:
         LabeledTrajectory("a", scores, label)
     assert exc.value.field == field
+    # the reader refuses it through the same constructor, at its line
     record = json.dumps({"id": "a", "scores": scores, "label": label})
-    with pytest.raises(ParseError):
+    with pytest.raises(InvalidTrajectory) as exc:
         read_dataset(io.StringIO(record + "\n"))
+    assert (exc.value.field, exc.value.line) == (field, 1)
 
 
 def test_centipawn_zero_is_half():

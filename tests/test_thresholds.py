@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -22,8 +23,11 @@ from seqgate.artifact import (
     pac_index,
     ville_threshold,
 )
+from seqgate.monitor import MonitorState, ratio_rule
+from seqgate.ratio import fit_ratio_model, replay
 from seqgate.thresholds import null_maxima, pac_threshold
-from seqgate.trajectories import CalibrationSet, LabeledTrajectory
+from seqgate.trajectories import CalibrationSet, LabeledTrajectory, SplitConfig, offsets
+from seqgate.trajectories import split_calibration
 
 
 def test_ville_threshold_values():
@@ -142,15 +146,50 @@ def test_pac_index_monotone():
 
 
 def test_pac_threshold_examples():
+    # the float just above M_(k), so that >= against it is > against M_(k)
     spec = pac_threshold([1.0, 2.0, 3.0, 4.0, 5.0], alpha=0.5, delta=0.05)
-    assert spec.value == 5.0
+    assert spec.value == math.nextafter(5.0, math.inf)
     assert spec.n_null == 5 and spec.k_index == 5
     assert spec.kind == "pac"
 
 
 def test_pac_threshold_ties_are_harmless():
+    # five maxima tied at M_(k) = 2.0: none of them reaches the threshold
     spec = pac_threshold([2.0] * 5, alpha=0.5, delta=0.05)
-    assert spec.value == 2.0
+    assert spec.value == math.nextafter(2.0, math.inf)
+    assert not any(m >= spec.value for m in [2.0] * 5)
+
+
+def shared_opening(n, seed):
+    """Every trajectory opens with the score 0.0, then 1-16 scores from
+    N(+1.5, 1) for label 1 or N(-1.5, 1) for label 0."""
+    rng = random.Random(seed)
+    items = []
+    for i in range(n):
+        label = i % 2
+        tail = [rng.gauss(1.5 if label else -1.5, 1.0) for _ in range(rng.randint(1, 16))]
+        items.append(LabeledTrajectory(f"s{i}", [0.0] + tail, label))
+    return CalibrationSet(items)
+
+
+def test_pac_threshold_on_a_shared_opening_keeps_its_level():
+    # most null maxima tie at the shared step-1 statistic; a threshold equal
+    # to it would reject every trajectory at t = 1
+    dre, thresh_set = split_calibration(shared_opening(600, 0), SplitConfig(0.5, 0))
+    model = fit_ratio_model(dre)
+    maxima = null_maxima(model, thresh_set)
+    spec = pac_threshold(maxima, alpha=0.2, delta=0.05)
+    opening = replay(model, [(0.0,)])[0]
+    assert sorted(maxima)[spec.k_index - 1] == opening
+    assert spec.value > opening
+    rule = ratio_rule(model, spec.value)
+    state = MonitorState(rule)
+    assert [state.observe(9.0).decision for _ in range(3)] == ["active"] * 3
+    assert state.finalize().decision == "accepted"
+    # held-out successful trajectories cross the threshold at most alpha of the time
+    nulls = [item.scores for item in shared_opening(2000, 1) if item.label == 1]
+    crossed = np.maximum.reduceat(replay(model, nulls), offsets(nulls)) >= spec.value
+    assert crossed.mean() <= 0.2
 
 
 @pytest.mark.parametrize("position", [0, 2, 4])
