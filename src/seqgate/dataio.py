@@ -14,7 +14,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .artifact import _opened, json_object, load_calibration, save_calibration
 from .errors import InvalidTrajectory, ParseError
@@ -133,9 +132,22 @@ def chess_to_dataset(games) -> CalibrationSet:
 
 
 def data_digest(path) -> str:
-    import hashlib
-
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """``"sha256:"`` and the hex SHA-256 of the file's bytes, as
+    ``sha256sum`` prints it. The file is read in 64 KiB chunks into
+    CPython's built-in SHA-256, as the stdlib's ``random`` does: hashlib
+    would load OpenSSL's libcrypto, several MB of resident memory."""
+    try:
+        from _sha2 import sha256  # Python 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # Python 3.10 and 3.11
+        except ImportError:  # a build without the built-in hashes
+            from hashlib import sha256
+    digest = sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    return "sha256:" + digest.hexdigest()
 
 
 def write_csv(path_or_stream, cls, rows, lead=None) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from numbers import Real
 from typing import Optional, Sequence
@@ -93,10 +94,15 @@ class LabeledTrajectory:
 
     def _tuple(self, field: str) -> tuple:
         value = getattr(self, field)
-        try:
-            return tuple(value)
-        except TypeError:
-            raise self._invalid(f"{field} must be a sequence, got {value!r}", field) from None
+        # a JSON string or object iterates, but as characters or keys
+        if not isinstance(value, (str, bytes, Mapping)):
+            try:
+                return tuple(value)
+            except TypeError:
+                pass
+        raise self._invalid(
+            f"{field} must be a sequence, got {type(value).__name__}", field
+        )
 
     def _invalid(self, message: str, field: str) -> InvalidTrajectory:
         return InvalidTrajectory(message, trajectory_id=self.id, field=field)

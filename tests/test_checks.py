@@ -151,6 +151,13 @@ TRAJECTORY_CASES = [
     ("scores", ["0.5"], {"label": 1}),
     ("scores", [0.5, True], {"label": 1}),
     ("scores", [10**400], {"label": 1}),
+    # a string or a mapping iterates as characters or keys: no sequence
+    ("scores", "x", {"label": 1}),
+    ("scores", "", {"label": 1}),
+    ("scores", b"\x01", {"label": 1}),
+    ("scores", {"0.5": 1}, {"label": 1}),
+    ("tokens", "7", {"scores": [0.5], "label": 1}),
+    ("tokens", {"7": 1}, {"scores": [0.5], "label": 1}),
 ]
 
 

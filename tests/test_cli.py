@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -738,6 +739,25 @@ def test_batch_commands_leave_numpy_random_unimported(tmp_path):
     assert [code for code, _, _ in results] == [0] * len(commands), results
     assert [m for m in modules if m.split(".")[:2] == ["numpy", "random"]] == []
     assert all((tmp_path / f"{argv[0]}.out").exists() for argv in commands)
+
+
+def test_calibrate_digests_the_data_without_openssl(tmp_path, data_file):
+    # hashlib would map libcrypto through _hashlib; blocking _hashlib alone
+    # proves nothing, since hashlib then falls back on the built-in hashes
+    cases = [
+        ([
+            "calibrate", "--data", str(data_file), "--alpha", "0.2",
+            "--threshold", kind, "--out", str(tmp_path / f"{kind}.json"),
+        ], "")
+        for kind in THRESHOLD_KINDS
+    ]
+    results, modules = run_child(cases)
+    assert [code for code, _, _ in results] == [0] * len(cases), results
+    assert "_hashlib" not in modules
+    expected = "sha256:" + hashlib.sha256(data_file.read_bytes()).hexdigest()
+    for kind in THRESHOLD_KINDS:
+        _, _, meta = load_calibration(tmp_path / f"{kind}.json")
+        assert meta["data_digest"] == expected, kind
 
 
 def test_every_export_resolves():

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +12,7 @@ from seqgate.artifact import ville_threshold
 from seqgate.dataio import (
     centipawn_to_prob,
     chess_to_dataset,
+    data_digest,
     load_calibration,
     read_chess_games,
     read_dataset,
@@ -69,6 +72,21 @@ def test_read_dataset_type_errors():
         with pytest.raises(InvalidTrajectory) as err:
             read_dataset(io.StringIO('{"id":"ok","scores":[0.5],"label":1}\n' + line + "\n"))
         assert (err.value.field, err.value.line, err.value.trajectory_id) == (field, 2, "a")
+
+
+def test_read_dataset_names_the_type_of_a_string_or_object_field():
+    # not the first character or key, nor "empty score sequence" for ""
+    for field, value, kind in (
+        ("scores", "x", "str"),
+        ("scores", "", "str"),
+        ("scores", {"0.5": 1}, "dict"),
+        ("tokens", "7", "str"),
+    ):
+        line = json.dumps({"id": "a", "scores": [0.5], "label": 1, field: value})
+        with pytest.raises(InvalidTrajectory) as err:
+            read_dataset(io.StringIO('{"id":"ok","scores":[0.5],"label":1}\n' + line + "\n"))
+        assert (err.value.field, err.value.line, err.value.trajectory_id) == (field, 2, "a")
+        assert str(err.value).startswith(f"{field} must be a sequence, got {kind}"), str(err.value)
 
 
 def test_read_dataset_invariant_errors_carry_line():
@@ -218,6 +236,16 @@ def test_chess_rejects_a_non_object_record_or_a_non_string_id(record):
 def test_chess_empty_centipawns():
     with pytest.raises(ParseError):
         read_chess_games(io.StringIO('{"id":"g","centipawns":[],"result":"draw"}\n'))
+
+
+@pytest.mark.parametrize("size", [0, 1, 65536, 65537, 200_003])
+def test_data_digest_is_the_sha256_of_the_bytes(tmp_path, size):
+    # sizes on either side of the 64 KiB read; bytes that are no UTF-8 text
+    data = random.Random(size).randbytes(size)
+    path = tmp_path / "data.bin"
+    path.write_bytes(data)
+    assert data_digest(path) == "sha256:" + hashlib.sha256(data).hexdigest()
+    assert data_digest(str(path)) == data_digest(path)
 
 
 def test_calibration_artifact_roundtrip(tmp_path):

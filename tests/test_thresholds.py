@@ -192,6 +192,37 @@ def test_pac_threshold_on_a_shared_opening_keeps_its_level():
     assert crossed.mean() <= 0.2
 
 
+def binary_scores(n, seed, label=None):
+    """1-7 scores, each 1.0 with probability 0.7 for label 1 or 0.4 for
+    label 0, else 0.0; labels alternate unless ``label`` is given."""
+    rng = random.Random(seed)
+    items = []
+    for i in range(n):
+        lab = i % 2 if label is None else label
+        p = 0.7 if lab else 0.4
+        scores = [float(rng.random() < p) for _ in range(rng.randint(1, 7))]
+        items.append(LabeledTrajectory(f"b{i}", scores, lab))
+    return CalibrationSet(items)
+
+
+def test_pac_coverage_on_discrete_scores():
+    # the statistic takes a few dozen values, so null maxima tie at M_(k);
+    # shaped like acceptance criterion 02, with one fitted model: the
+    # conditional FAR of each calibration draw is read off a pooled null set
+    model = fit_ratio_model(binary_scores(2000, 0))
+    pool = np.array(null_maxima(model, binary_scores(20_000, 1, label=1)))
+    delta, reps, n_cal = 0.05, 500, 200
+    draws = null_maxima(model, binary_scores(reps * n_cal, 2, label=1))
+    bound = delta + 3.0 * math.sqrt(delta * (1.0 - delta) / reps)
+    for alpha in (0.1, 0.2, 0.5):
+        violations = 0
+        for c in range(reps):
+            thr = pac_threshold(draws[c * n_cal:(c + 1) * n_cal], alpha, delta).value
+            conditional_far = float(np.mean(pool >= thr))
+            violations += conditional_far > alpha
+        assert violations / reps <= bound, (alpha, violations / reps)
+
+
 @pytest.mark.parametrize("position", [0, 2, 4])
 def test_pac_threshold_rejects_a_nan_maximum(position):
     # sorted orders a list holding nan arbitrarily, so M_(k) would be wrong
