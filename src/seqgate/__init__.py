@@ -39,12 +39,12 @@ _EXPORTS = {
         "compute_tmax", "estimate_prior", "eval_process", "fit_ratio_model",
     ),
     "synthetic": (
-        "SyntheticSpec", "sample_dataset", "sample_trajectory", "toy_marginal_example",
-        "true_ratio_process", "true_ratio_rule",
+        "SyntheticSpec", "sample_dataset", "toy_marginal_example", "true_ratio_process",
+        "true_ratio_rule",
     ),
     "thresholds": ("null_maxima", "pac_threshold"),
     "trajectories": (
-        "CalibrationSet", "LabeledTrajectory", "SplitConfig", "split_calibration",
+        "LabeledTrajectory", "SplitConfig", "split_calibration",
     ),
     "dataio": (
         "centipawn_to_prob", "chess_to_dataset", "read_chess_games", "read_dataset",

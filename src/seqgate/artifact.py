@@ -164,22 +164,18 @@ class RatioModel:
         c = self.fit_config.prob_clamp
         return math.log((1.0 - c) / c)
 
-    @cached_property
-    def step_table(self) -> tuple:
-        """(weights, intercept) of each step model, as plain tuples."""
-        return tuple((step.weights, step.intercept) for step in self.step_models)
-
 
 def ratio_statistic(model: RatioModel):
     """The plug-in density ratio at the end of a prefix, as a function of the
     prefix alone.
 
-    The step table, t_max, the logit bound and the prior odds are read once,
-    here. Prefixes longer than t_max are truncated to their first t_max
-    scores, freezing the statistic. The arithmetic is replay's, one prefix at
-    a time.
+    Each step's (weights, intercept), t_max, the logit bound and the prior
+    odds are read once, here. Prefixes longer than t_max are truncated to
+    their first t_max scores, freezing the statistic. The arithmetic is
+    replay's, one prefix at a time.
     """
-    steps, t_max = model.step_table, model.t_max
+    steps = [(step.weights, step.intercept) for step in model.step_models]
+    t_max = model.t_max
     bound, odds, exp = model.logit_bound, model.prior_odds, math.exp
 
     def value(prefix) -> float:
@@ -314,12 +310,19 @@ def save_calibration(
     threshold: ThresholdSpec,
     metadata: Optional[dict] = None,
 ) -> None:
+    """Write the artifact that ``load_calibration`` reads back. The threshold
+    is certified as the loader certifies it, and the metadata encoded and
+    decoded as a JSON object, before the file is opened: a failure leaves any
+    file at ``path`` as it was. The rest always encodes, so it streams."""
+    _threshold(asdict(threshold))
+    metadata = metadata or {}
+    json_object(json.dumps(metadata, sort_keys=True), "metadata")
     payload = {
         "format": ARTIFACT_FORMAT,
         "version": ARTIFACT_VERSION,
         "ratio_model": asdict(model),
         "threshold": asdict(threshold),
-        "metadata": metadata or {},
+        "metadata": metadata,
     }
     with _opened(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)

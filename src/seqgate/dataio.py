@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 from .artifact import _opened, json_object, load_calibration, save_calibration
 from .errors import InvalidTrajectory, ParseError
-from .trajectories import CalibrationSet, LabeledTrajectory
+from .trajectories import LabeledTrajectory
 
 CHESS_RESULTS = ("white_win", "black_win", "draw")
 # published logistic slope for converting engine centipawns to a win chance
@@ -50,9 +50,10 @@ def _records(path_or_stream):
             yield line_no, record
 
 
-def read_dataset(path_or_stream) -> CalibrationSet:
+def read_dataset(path_or_stream) -> tuple:
     """Parse one-JSON-object-per-line trajectory records: each becomes a
-    LabeledTrajectory, which checks the type and value of every field.
+    LabeledTrajectory, which checks the type and value of every field; the
+    dataset is the tuple of them.
 
     Errors carry the 1-based line number of the offending record.
     """
@@ -65,7 +66,7 @@ def read_dataset(path_or_stream) -> CalibrationSet:
         except InvalidTrajectory as exc:
             exc.line = line_no
             raise
-    return CalibrationSet(items)
+    return tuple(items)
 
 
 def trajectory_to_record(item: LabeledTrajectory) -> dict:
@@ -75,9 +76,9 @@ def trajectory_to_record(item: LabeledTrajectory) -> dict:
     return record
 
 
-def write_dataset(cal: CalibrationSet, path_or_stream) -> None:
+def write_dataset(data, path_or_stream) -> None:
     with _opened(path_or_stream, "w") as fh:
-        for item in cal:
+        for item in data:
             fh.write(json.dumps(trajectory_to_record(item)) + "\n")
 
 
@@ -118,10 +119,10 @@ def read_chess_games(path_or_stream) -> list:
     return games
 
 
-def chess_to_dataset(games) -> CalibrationSet:
+def chess_to_dataset(games) -> tuple:
     """Null hypothesis is a White win: label 1 iff result == white_win
     (draws count as the alternative). Scores are per-move win chances."""
-    return CalibrationSet(
+    return tuple(
         LabeledTrajectory(
             id=game.id,
             scores=[centipawn_to_prob(c) for c in game.centipawns],

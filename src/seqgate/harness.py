@@ -21,10 +21,9 @@ from .errors import DegenerateSplit, InsufficientCalibration, MissingTokens, Out
 from .kernels import apply_isotonic
 from .monitor import KNOWN_METHODS, calibrated_score_rule, pooled_isotonic
 from .monitor import ratio_rule, raw_score_rule
-from .ratio import fit_ratio_model, replay
+from .ratio import fit_ratio_model, offsets, replay
 from .thresholds import null_maxima, pac_threshold
-from .trajectories import CalibrationSet, SplitConfig, derive_seed, offsets
-from .trajectories import split_calibration
+from .trajectories import SplitConfig, derive_seed, split_calibration
 
 _RATIO_METHODS = {"evaluator_pac", "evaluator_ville", "bonferroni"}
 NEVER_TERMINATE = "never_terminate"
@@ -103,14 +102,14 @@ def _first_steps(fired, starts) -> np.ndarray:
 class _SplitArtifacts:
     """Everything fitted once per split and shared by all methods."""
 
-    def __init__(self, data: CalibrationSet, cfg: ExperimentConfig, split_seed: int):
+    def __init__(self, data, cfg: ExperimentConfig, split_seed: int):
         cal, test = split_calibration(
             data, SplitConfig(cfg.cal_fraction, derive_seed(split_seed, 0))
         )
         self.cal = cal
         self.test = test
         self.t_cal_max = max(map(len, cal))
-        self.null = np.array(test.labels()) == 1
+        self.null = np.array([item.label for item in test]) == 1
 
         # per-step statistic values of every test trajectory, concatenated
         scores = [item.scores for item in test]
@@ -171,7 +170,7 @@ def _far_power(null, rejections):
     return far, int(np.count_nonzero(rejected & ~null)) / n_alt
 
 
-def evaluate_split(data: CalibrationSet, cfg: ExperimentConfig, split_seed: int) -> dict:
+def evaluate_split(data, cfg: ExperimentConfig, split_seed: int) -> dict:
     """Calibrate every requested method on one split and replay the test side.
 
     Returns {(method, alpha): (far, power)}; cells where the PAC threshold is
@@ -205,7 +204,7 @@ def _summary(values):
     return mean, min(lo, mean), max(hi, mean)
 
 
-def run_experiment(data: CalibrationSet, cfg: ExperimentConfig) -> list:
+def run_experiment(data, cfg: ExperimentConfig) -> list:
     """Mean and 95% percentile interval of FAR and power across splits."""
     cells = {}
     for i in range(cfg.n_splits):
@@ -219,7 +218,7 @@ def run_experiment(data: CalibrationSet, cfg: ExperimentConfig) -> list:
     return points
 
 
-def token_study(data: CalibrationSet, cfg: ExperimentConfig) -> list:
+def token_study(data, cfg: ExperimentConfig) -> list:
     """Tokens spent vs accuracy retained when rejection terminates the
     trajectory at its rejection step.
 
@@ -251,7 +250,7 @@ def token_study(data: CalibrationSet, cfg: ExperimentConfig) -> list:
     return points
 
 
-def calibration_ablation(data: CalibrationSet, cfg: ExperimentConfig, fractions) -> list:
+def calibration_ablation(data, cfg: ExperimentConfig, fractions) -> list:
     """run_experiment at each calibration fraction; a fraction whose splits
     degenerate is reported as failed without aborting the others."""
     fractions = tuple(fractions)

@@ -23,7 +23,6 @@ from .errors import InvalidTrajectory, MonitorClosed, SingleClassData
 
 if TYPE_CHECKING:
     from .kernels import IsotonicModel
-    from .trajectories import CalibrationSet
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,7 @@ def calibrated_score_rule(model: IsotonicModel, alpha: float) -> DecisionRule:
     )
 
 
-def pooled_isotonic(cal: CalibrationSet) -> IsotonicModel:
+def pooled_isotonic(cal) -> IsotonicModel:
     """Isotonic recalibration map fit on the pooled (score, label) pairs of
     every step of every trajectory."""
     import numpy as np
@@ -78,7 +77,7 @@ def pooled_isotonic(cal: CalibrationSet) -> IsotonicModel:
     scores = [item.scores for item in cal]
     lengths = np.fromiter(map(len, scores), int, count=len(scores))
     xs = np.fromiter(chain.from_iterable(scores), float, count=int(lengths.sum()))
-    labels = cal.labels()
+    labels = [item.label for item in cal]
     if len(set(labels)) < 2:
         raise SingleClassData("calibrated rule needs both labels present")
     return fit_isotonic(xs, np.repeat(labels, lengths))

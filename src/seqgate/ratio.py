@@ -19,7 +19,7 @@ odds * exp(-z), and clamping f to [c, 1 - c] is clamping the logit z to
 
 Two paths share one arithmetic. ``artifact.ratio_statistic`` turns a model
 into its per-prefix statistic, for the streaming monitor: it reads the step
-table and the constants once, so each call is one length, one index and the
+models and the constants once, so each call is one length, one index and the
 logit loop. ``replay`` evaluates whole processes of many trajectories, for
 thresholds and the experiment harness. Both sum the logit left to right,
 clamp it and take ``math.exp`` of its negation, so they return
@@ -38,18 +38,17 @@ import numpy as np
 from .artifact import FitConfig, RatioModel
 from .errors import EmptyPrefix, InvalidTrajectory, NoOverlap, SingleClassData
 from .kernels import fit_logistic
-from .trajectories import CalibrationSet
 
 
-def estimate_prior(dre: CalibrationSet) -> float:
+def estimate_prior(dre) -> float:
     """Empirical frequency of label-1 trajectories."""
-    labels = dre.labels()
+    labels = [item.label for item in dre]
     if len(set(labels)) < 2:
         raise SingleClassData("prior estimation needs both labels present")
     return sum(labels) / len(labels)
 
 
-def compute_tmax(dre: CalibrationSet) -> int:
+def compute_tmax(dre) -> int:
     """Largest t whose prefix set {trajectories with length >= t} still
     contains both labels."""
     max_len = {0: 0, 1: 0}
@@ -83,7 +82,7 @@ def padded_scores(trajectories, width: int):
     return columns, lengths
 
 
-def fit_ratio_model(dre: CalibrationSet, cfg: FitConfig = FitConfig()) -> RatioModel:
+def fit_ratio_model(dre, cfg: FitConfig = FitConfig()) -> RatioModel:
     """Fit one prefix classifier per step t = 1..t_max.
 
     Step t's Newton fit starts from step t-1's model, with weight 0 on the
@@ -93,7 +92,7 @@ def fit_ratio_model(dre: CalibrationSet, cfg: FitConfig = FitConfig()) -> RatioM
     prior_1 = estimate_prior(dre)
     t_max = compute_tmax(dre)
     columns, lengths = padded_scores([item.scores for item in dre], t_max)
-    labels = np.array(dre.labels())
+    labels = np.array([item.label for item in dre])
     step_models = []
     start = None
     for t in range(1, t_max + 1):
@@ -107,6 +106,13 @@ def fit_ratio_model(dre: CalibrationSet, cfg: FitConfig = FitConfig()) -> RatioM
     return RatioModel(step_models, prior_1, t_max, cfg)
 
 
+def offsets(sequences) -> np.ndarray:
+    """Start index of each sequence in the concatenation of all of them, the
+    layout ``replay`` returns."""
+    lengths = np.fromiter(map(len, sequences), int, count=len(sequences))
+    return np.cumsum(lengths) - lengths
+
+
 def replay(model: RatioModel, trajectories) -> np.ndarray:
     """Ratio process of every trajectory, concatenated in input order.
 
@@ -114,9 +120,10 @@ def replay(model: RatioModel, trajectories) -> np.ndarray:
     j-th term from the row of j-th scores, so every value equals
     ratio_statistic on that prefix exactly. Columns are padded longest
     first, so the ones still running at step t are a leading slice. Past
-    t_max each process repeats its step-t_max value. No trajectories give an
-    empty array. A nan value, which never crosses a threshold and so would
-    accept in silence, raises InvalidTrajectory.
+    t_max each process repeats its step-t_max value, so the buffer holds at
+    most t_max values per trajectory. No trajectories give an empty array.
+    A nan value, which never crosses a threshold and so would accept in
+    silence, raises InvalidTrajectory.
     """
     lengths = np.fromiter(map(len, trajectories), int, count=len(trajectories))
     if not lengths.size:
@@ -129,7 +136,7 @@ def replay(model: RatioModel, trajectories) -> np.ndarray:
     columns, _ = padded_scores([trajectories[i] for i in order.tolist()], k)
     running = lengths.size - np.searchsorted(np.sort(lengths), np.arange(1, k + 1))
     bound, odds = model.logit_bound, model.prior_odds
-    values = np.empty((lengths.size, longest))
+    values = np.empty((lengths.size, k))
     with np.errstate(over="ignore", invalid="ignore"):
         for t, live in enumerate(running.tolist(), start=1):
             step = model.step_models[t - 1]
@@ -140,10 +147,15 @@ def replay(model: RatioModel, trajectories) -> np.ndarray:
             values[order[:live], t - 1] = odds * np.fromiter(
                 map(math.exp, z.tolist()), float, count=live
             )
-    values[:, k:] = values[:, k - 1 : k]
-    out = values[np.arange(longest) < lengths[:, None]]
+    out = values[np.arange(k) < lengths[:, None]]
     if np.isnan(out).any():
         raise InvalidTrajectory("ratio statistic is nan", field="scores")
+    if longest > k:
+        # the step-t_max value once, plus once per step past t_max
+        heads = np.minimum(lengths, k)
+        repeats = np.ones(out.size, int)
+        repeats[np.cumsum(heads) - 1] += lengths - heads
+        out = np.repeat(out, repeats)
     return out
 
 

@@ -21,7 +21,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .artifact import count, number, probability
 from .errors import OutOfRange
 from .monitor import DecisionRule
-from .trajectories import CalibrationSet, LabeledTrajectory, seed_state, seed_words
+from .trajectories import LabeledTrajectory, seed_state, seed_words
 
 
 @dataclass(frozen=True)
@@ -52,26 +52,6 @@ class SyntheticSpec:
         probability(self.prior_1, "prior_1")
 
 
-def _draw(spec: SyntheticSpec, label: int, rng: np.random.Generator, ident: str):
-    length = int(rng.geometric(spec.stop_prob))
-    mu = spec.mu_null if label == 1 else spec.mu_alt
-    try:
-        scores = rng.normal(mu, spec.sigma, size=length)
-    except (ValueError, MemoryError):  # numpy refuses an array this long
-        raise OutOfRange(
-            f"stop_prob={spec.stop_prob!r} drew a trajectory of {length} scores,"
-            " too many to hold"
-        ) from None
-    return LabeledTrajectory(id=ident, scores=scores.tolist(), label=label)
-
-
-def sample_trajectory(spec: SyntheticSpec, label: int, seed: int) -> LabeledTrajectory:
-    """One trajectory with the given label; deterministic in ``seed``, a count >= 0."""
-    seed = count(seed, "seed", lower=0)
-    rng = np.random.default_rng(seed)
-    return _draw(spec, label, rng, f"synth-{label}-{seed}")
-
-
 def item_states(seed: int, n: int) -> np.ndarray:
     """Row i is ``SeedSequence((seed, i)).generate_state(4, np.uint64)``, for
     every i in range(n), computed in one pass over the items.
@@ -100,7 +80,7 @@ class _ItemSeed(ISeedSequence):
 
 def sample_dataset(
     spec: SyntheticSpec, n: int, seed: int, label: Optional[int] = None
-) -> CalibrationSet:
+) -> tuple:
     """n trajectories with labels drawn from prior_1 (or forced to ``label``).
 
     ``seed`` is a ``count`` from 0. Item i draws from
@@ -113,8 +93,16 @@ def sample_dataset(
     for i, state in enumerate(item_states(seed, n)):
         rng = np.random.Generator(np.random.PCG64(_ItemSeed(state)))
         y = label if label is not None else int(rng.random() < spec.prior_1)
-        items.append(_draw(spec, y, rng, f"synth-{seed}-{i:06d}"))
-    return CalibrationSet(items)
+        length = int(rng.geometric(spec.stop_prob))
+        try:
+            scores = rng.normal(spec.mu_null if y == 1 else spec.mu_alt, spec.sigma, length)
+        except (ValueError, MemoryError):  # numpy refuses an array this long
+            raise OutOfRange(
+                f"stop_prob={spec.stop_prob!r} drew a trajectory of {length} scores,"
+                " too many to hold"
+            ) from None
+        items.append(LabeledTrajectory(f"synth-{seed}-{i:06d}", scores.tolist(), y))
+    return tuple(items)
 
 
 def log_ratio_increments(spec: SyntheticSpec, scores) -> np.ndarray:

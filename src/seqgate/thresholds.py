@@ -13,11 +13,10 @@ import numpy as np
 
 from .artifact import RatioModel, ThresholdSpec, pac_index
 from .errors import NoNullTrajectories, OutOfRange
-from .ratio import replay
-from .trajectories import CalibrationSet, offsets
+from .ratio import offsets, replay
 
 
-def null_maxima(model: RatioModel, thresh_set: CalibrationSet) -> list:
+def null_maxima(model: RatioModel, thresh_set) -> list:
     """Trajectory-wise maximum of the estimated ratio process, nulls only."""
     nulls = [item.scores for item in thresh_set if item.label == 1]
     if not nulls:

@@ -1,6 +1,7 @@
 """Core data types: labeled score trajectories, valid by construction
-because each checks its own invariants when built, calibration sets, and
-the seeded stratified splits every downstream stage consumes.
+because each checks its own invariants when built, and the seeded
+stratified splits every downstream stage consumes. A dataset is a tuple of
+trajectories; every stage accepts any sequence of them.
 
 Splits and derived seeds come from this module's own port of numpy's
 ``SeedSequence`` hash (NEP 19, after O'Neill's ``seed_seq``) and of its
@@ -20,9 +21,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from numbers import Real
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from .artifact import DEFAULT_DRE_FRACTION, count, probability
 from .errors import DegenerateSplit, InvalidTrajectory
@@ -109,25 +108,6 @@ class LabeledTrajectory:
 
     def __len__(self) -> int:
         return len(self.scores)
-
-
-@dataclass(frozen=True)
-class CalibrationSet:
-    """An ordered collection of labeled trajectories."""
-
-    items: tuple
-
-    def __init__(self, items: Sequence[LabeledTrajectory]):
-        object.__setattr__(self, "items", tuple(items))
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def labels(self) -> list:
-        return [item.label for item in self.items]
 
 
 @dataclass(frozen=True)
@@ -250,12 +230,6 @@ class SplitStream:
         return order
 
 
-def offsets(sequences) -> np.ndarray:
-    """Start index of each sequence in the concatenation of all of them."""
-    lengths = np.fromiter(map(len, sequences), int, count=len(sequences))
-    return np.cumsum(lengths) - lengths
-
-
 def _per_label_take(counts: dict, k: int) -> dict:
     """Allocate the first-side quota across labels, keeping at least one item
     of each label on both sides (required by every downstream fitting stage)."""
@@ -272,8 +246,9 @@ def _per_label_take(counts: dict, k: int) -> dict:
     return {1: k - k0, 0: k0}
 
 
-def split_calibration(cal: CalibrationSet, cfg: SplitConfig):
-    """Seeded stratified partition of ``cal`` into two disjoint sets.
+def split_calibration(cal, cfg: SplitConfig):
+    """Seeded stratified partition of the trajectories ``cal`` into two
+    disjoint tuples, each in ``cal``'s order.
 
     The first side holds round(dre_fraction * n) items; both sides keep at
     least one trajectory of each label, else DegenerateSplit is raised. The
@@ -284,7 +259,7 @@ def split_calibration(cal: CalibrationSet, cfg: SplitConfig):
     if n == 0:
         raise DegenerateSplit("cannot split an empty calibration set")
     k = int(math.floor(cfg.dre_fraction * n + 0.5))
-    labels = cal.labels()
+    labels = [item.label for item in cal]
     take = _per_label_take({1: labels.count(1), 0: labels.count(0)}, k)
 
     stream = SplitStream(cfg.seed)
@@ -292,8 +267,7 @@ def split_calibration(cal: CalibrationSet, cfg: SplitConfig):
     for label in (1, 0):
         members = [i for i, y in enumerate(labels) if y == label]
         chosen.update(stream.permutation(members)[: take[label]])
-    items = cal.items
     return (
-        CalibrationSet(items[i] for i in range(n) if i in chosen),
-        CalibrationSet(items[i] for i in range(n) if i not in chosen),
+        tuple(item for i, item in enumerate(cal) if i in chosen),
+        tuple(item for i, item in enumerate(cal) if i not in chosen),
     )

@@ -21,7 +21,7 @@ import numpy as np
 from seqgate.errors import DimensionMismatch
 from seqgate.artifact import DEFAULT_PROB_CLAMP, ratio_statistic
 from seqgate.monitor import MonitorState
-from seqgate.trajectories import CalibrationSet, LabeledTrajectory, _per_label_take
+from seqgate.trajectories import LabeledTrajectory, _per_label_take
 
 
 def exact_binomial_pmf(n: int, p: Fraction) -> list:
@@ -181,7 +181,7 @@ def sample_dataset_oracle(spec, n, seed, label=None):
         mu = spec.mu_null if y == 1 else spec.mu_alt
         scores = rng.normal(mu, spec.sigma, size=length).tolist()
         items.append(LabeledTrajectory(id=f"synth-{seed}-{i:06d}", scores=scores, label=y))
-    return CalibrationSet(items)
+    return tuple(items)
 
 
 def derive_seed_oracle(master, *key):
@@ -201,13 +201,14 @@ def split_calibration_oracle(cal, cfg):
     ``default_rng(cfg.seed)``: the same permutation calls in the same order,
     each side in input order."""
     k = int(floor(cfg.dre_fraction * len(cal) + 0.5))
-    take = _per_label_take({y: cal.labels().count(y) for y in (1, 0)}, k)
+    labels = [item.label for item in cal]
+    take = _per_label_take({y: labels.count(y) for y in (1, 0)}, k)
     rng = np.random.default_rng(cfg.seed)
     chosen = set()
     for label in (1, 0):
-        idx = [i for i, item in enumerate(cal.items) if item.label == label]
+        idx = [i for i, item in enumerate(cal) if item.label == label]
         order = rng.permutation(len(idx))
         chosen.update(idx[j] for j in order[: take[label]])
-    first = [item for i, item in enumerate(cal.items) if i in chosen]
-    second = [item for i, item in enumerate(cal.items) if i not in chosen]
-    return CalibrationSet(first), CalibrationSet(second)
+    first = tuple(item for i, item in enumerate(cal) if i in chosen)
+    second = tuple(item for i, item in enumerate(cal) if i not in chosen)
+    return first, second

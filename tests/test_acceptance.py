@@ -310,19 +310,17 @@ def test_criterion_11_paper_protocol_hook(tmp_path):
 
         # token-curve protocol on token-bearing data
         items = sample_dataset(SyntheticSpec(), 300, seed=321)
-        from seqgate.trajectories import CalibrationSet, LabeledTrajectory
+        from seqgate.trajectories import LabeledTrajectory
 
-        with_tokens = CalibrationSet(
-            [
-                LabeledTrajectory(
-                    id=item.id,
-                    scores=list(item.scores),
-                    label=item.label,
-                    tokens=[120 * (t + 1) for t in range(len(item))],
-                )
-                for item in items
-            ]
-        )
+        with_tokens = [
+            LabeledTrajectory(
+                id=item.id,
+                scores=list(item.scores),
+                label=item.label,
+                tokens=[120 * (t + 1) for t in range(len(item))],
+            )
+            for item in items
+        ]
         tok_path = tmp_path / "tokens.jsonl"
         write_dataset(with_tokens, tok_path)
         tok_out = tmp_path / "tokens.csv"

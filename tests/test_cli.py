@@ -19,7 +19,7 @@ from seqgate.artifact import ville_threshold
 from seqgate.cli import cli_dispatch
 from seqgate.dataio import load_calibration, save_calibration, write_dataset
 from seqgate.synthetic import SyntheticSpec, sample_dataset
-from seqgate.trajectories import CalibrationSet, LabeledTrajectory
+from seqgate.trajectories import LabeledTrajectory
 
 
 @pytest.fixture()
@@ -173,7 +173,7 @@ def test_summary_lines_go_to_the_given_stdout(tmp_path, capsys):
         for i in base
     ]
     data = tmp_path / "data.jsonl"
-    write_dataset(CalibrationSet(items), data)
+    write_dataset(items, data)
     games = tmp_path / "games.jsonl"
     games.write_text('{"id":"g1","centipawns":[30],"result":"draw"}\n')
     grid = ["--data", str(data), "--alphas", "0.3", "--methods", "raw"]
@@ -223,7 +223,7 @@ def test_tokens_cli(tmp_path):
             )
         )
     path = tmp_path / "tok.jsonl"
-    write_dataset(CalibrationSet(items), path)
+    write_dataset(items, path)
     out = tmp_path / "tokens.csv"
     code = cli_dispatch(
         [
@@ -375,10 +375,10 @@ def test_empty_or_repeated_list_fails_closed(tmp_path, capsys, argv):
     data = tmp_path / "tok.jsonl"
     base = sample_dataset(SyntheticSpec(), 120, seed=9)
     write_dataset(
-        CalibrationSet(
+        [
             LabeledTrajectory(item.id, item.scores, item.label, range(1, len(item) + 1))
             for item in base
-        ),
+        ],
         data,
     )
     out = tmp_path / "o.csv"
@@ -610,9 +610,7 @@ NAN_STATISTIC_RUNS = {
 def test_batch_nan_statistic_fails_closed(tmp_path, capsys, command):
     # every trajectory's step-2 logit is inf - inf under the patched fit: the
     # batch paths stop with the monitor's error line and no numpy warning
-    data = CalibrationSet(
-        [LabeledTrajectory(f"x{i}", [1e308, 1e308], i % 2) for i in range(80)]
-    )
+    data = [LabeledTrajectory(f"x{i}", [1e308, 1e308], i % 2) for i in range(80)]
     path = tmp_path / "data.jsonl"
     write_dataset(data, path)
     argv = NAN_STATISTIC_RUNS[command] + [
@@ -914,6 +912,11 @@ def test_calibrate_artifact_of_each_kind_loads_as_saved(tmp_path, data_file, kin
 def contract_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("contract")
     data, model, label = d / "data.jsonl", d / "model.json", d / "label.jsonl"
+    games = d / "games.jsonl"
+    games.write_text(
+        '{"id": "g1", "centipawns": [30, -12, 250], "result": "white_win"}\n'
+        '{"id": "g2", "centipawns": [-40, -300], "result": "draw"}\n'
+    )
     quiet = io.StringIO()
     argv = ["synth", "--n", "400", "--seed", "1", "--out", str(data)]
     assert cli_dispatch(argv, stdout=quiet) == 0
@@ -921,20 +924,23 @@ def contract_files(tmp_path_factory):
     assert cli_dispatch(argv + ["--out", str(model)], stdout=quiet) == 0
     head = data.read_text().splitlines(keepends=True)[:2]
     label.write_text("".join(head) + '{"id": "bad", "scores": [0.5], "label": 2}\n')
-    return {"{data}": str(data), "{model}": str(model), "{label}": str(label)}
+    return {
+        "{data}": str(data), "{model}": str(model), "{label}": str(label),
+        "{games}": str(games),
+    }
 
 
 Row = namedtuple("Row", "argv stdin blocked code stream pattern")
 DATA, OUT = ["--data", "{data}"], ["--out", "{out}"]
 
 # The CLI's exit-code and error-line contract, one row per case that no test
-# above asserts. A row holds the argv, whose arguments "{data}", "{label}" and
-# "{model}" name the contract_files and "{out}" the row's output file; the
-# stdin; the import made to fail (None, "numpy" or "numpy.random"); the exit
-# code; and a pattern that stdout ("out"), stderr ("err") or the output file
-# ("file") must match. Every row also asserts no Traceback and no
-# RuntimeWarning, and a failing row one stderr line "ERROR <CODE>: ..." under
-# 300 characters and no output file.
+# above asserts. A row holds the argv, whose arguments "{data}", "{label}",
+# "{model}" and "{games}" name the contract_files and "{out}" the row's
+# output file; the stdin; the import made to fail (None, "numpy" or
+# "numpy.random"); the exit code; and a pattern that stdout ("out"), stderr
+# ("err") or the output file ("file") must match. Every row also asserts no
+# Traceback and no RuntimeWarning, and a failing row one stderr line
+# "ERROR <CODE>: ..." under 300 characters and no output file.
 CONTRACT = {
     # splits and derived seeds load no numpy.random
     "calibrate without numpy.random": Row(
@@ -953,6 +959,12 @@ CONTRACT = {
     "monitor nan score without numpy": Row(
         ["monitor", "--model", "{model}"], "nan\n",
         "numpy", 1, "err", r"^ERROR INVALID_TRAJECTORY: non-finite score",
+    ),
+    # dataio and trajectories load no numpy: one trajectory per game
+    "chess without numpy": Row(
+        ["chess", "--games", "{games}", *OUT], "",
+        "numpy", 0, "file",
+        r'\A\{"id": "g1", [^\n]*"label": 1\}\n\{"id": "g2", [^\n]*"label": 0\}\n\Z',
     ),
     # one row per fraction, method and alpha; the degenerate fraction adds none
     "ablate row count": Row(

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from seqgate.artifact import ville_threshold
+from seqgate.artifact import ThresholdSpec, ville_threshold
 from seqgate.dataio import (
     centipawn_to_prob,
     chess_to_dataset,
@@ -23,22 +23,22 @@ from seqgate.dataio import (
 from seqgate.errors import InvalidTrajectory, ParseError
 from seqgate.ratio import fit_ratio_model
 from seqgate.synthetic import SyntheticSpec, sample_dataset
-from seqgate.trajectories import CalibrationSet, LabeledTrajectory
+from seqgate.trajectories import LabeledTrajectory
 
 
 def test_read_dataset_basic():
     stream = io.StringIO('{"id":"a","scores":[0.9,0.8],"label":1}\n')
     data = read_dataset(stream)
     assert len(data) == 1
-    assert data.items[0].scores == (0.9, 0.8)
-    assert data.items[0].label == 1
-    assert data.items[0].tokens is None
+    assert data[0].scores == (0.9, 0.8)
+    assert data[0].label == 1
+    assert data[0].tokens is None
 
 
 def test_read_dataset_with_tokens():
     stream = io.StringIO('{"id":"b","scores":[0.5],"label":0,"tokens":[12]}\n')
     data = read_dataset(stream)
-    assert data.items[0].tokens == (12,)
+    assert data[0].tokens == (12,)
 
 
 def test_read_dataset_missing_label():
@@ -151,7 +151,7 @@ REFUSED = [
 
 @pytest.mark.parametrize("scores, label", BUILDS)
 def test_a_built_trajectory_reads_back_equal(tmp_path, scores, label):
-    data = CalibrationSet([LabeledTrajectory("a", scores, label)])
+    data = (LabeledTrajectory("a", scores, label),)
     path = tmp_path / "data.jsonl"
     write_dataset(data, path)
     assert read_dataset(path) == data
@@ -209,7 +209,7 @@ def test_chess_labels():
     data = chess_to_dataset(games)
     labels = {item.id: item.label for item in data}
     assert labels == {"g1": 1, "g2": 0, "g3": 0}
-    assert data.items[2].scores == (0.5, 0.5, 0.5)
+    assert data[2].scores == (0.5, 0.5, 0.5)
 
 
 def test_chess_bad_result():
@@ -258,6 +258,29 @@ def test_calibration_artifact_roundtrip(tmp_path):
     assert model2 == model  # bit-exact weights via repr round-trip
     assert spec2 == spec
     assert meta == {"note": "test"}
+
+
+@pytest.mark.parametrize(
+    "threshold, metadata, error",
+    [
+        # 5.0 is not 1/0.1, so the loader would refuse the file
+        (ThresholdSpec("ville", 0.1, 5.0), None, ParseError),
+        (ville_threshold(0.2), {"when": object()}, TypeError),
+        (ville_threshold(0.2), [1], ParseError),
+    ],
+    ids=[
+        "threshold the loader refuses", "metadata that is not JSON",
+        "metadata that is no JSON object",
+    ],
+)
+def test_a_refused_save_leaves_the_old_artifact(tmp_path, threshold, metadata, error):
+    model = fit_ratio_model(sample_dataset(SyntheticSpec(), 150, seed=14))
+    path = tmp_path / "model.json"
+    save_calibration(path, model, ville_threshold(0.1), {"note": "old"})
+    before = path.read_bytes()
+    with pytest.raises(error):
+        save_calibration(path, model, threshold, metadata)
+    assert path.read_bytes() == before
 
 
 def test_calibration_artifact_rejects_other_files(tmp_path):

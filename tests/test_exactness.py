@@ -48,10 +48,10 @@ from seqgate.monitor import (
     ratio_rule,
     raw_score_rule,
 )
-from seqgate.ratio import eval_process, padded_scores, replay
+from seqgate.ratio import eval_process, offsets, padded_scores, replay
 from seqgate.synthetic import SyntheticSpec, sample_dataset
 from seqgate.thresholds import pac_threshold
-from seqgate.trajectories import CalibrationSet, LabeledTrajectory, derive_seed, offsets
+from seqgate.trajectories import LabeledTrajectory, derive_seed
 
 EXACT = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -425,9 +425,7 @@ def test_pooled_isotonic_equals_fraction_pav(seed):
 @given(model_and_trajectories(min_n=16, max_n=30))
 def test_harness_first_crossing_equals_run_offline(drawn):
     model, trajectories = drawn
-    data = CalibrationSet(
-        [LabeledTrajectory(f"x{i}", t, i % 2) for i, t in enumerate(trajectories)]
-    )
+    data = [LabeledTrajectory(f"x{i}", t, i % 2) for i, t in enumerate(trajectories)]
     cfg = ExperimentConfig(
         alpha_grid=(0.3, 0.5), n_splits=1, cal_fraction=0.5, delta=0.5
     )
@@ -471,14 +469,13 @@ def test_token_study_equals_run_offline(drawn, draws):
         # scores of at least 0.05 are never strictly below raw's alpha 0.05
         scores = [abs(s) + 0.05 for s in t]
         items.append(LabeledTrajectory(f"x{i}", scores, i % 2, list(accumulate(spent))))
-    data = CalibrationSet(items)
     cfg = ExperimentConfig(
         alpha_grid=(0.05, 0.5), n_splits=1, cal_fraction=0.5, delta=0.5
     )
     with mock.patch.object(harness, "fit_ratio_model", lambda dre: model):
-        arts = _SplitArtifacts(data, cfg, derive_seed(cfg.seed, 0))
-        points = harness.token_study(data, cfg)
-    test = arts.test.items
+        arts = _SplitArtifacts(items, cfg, derive_seed(cfg.seed, 0))
+        points = harness.token_study(items, cfg)
+    test = arts.test
     n_test = len(test)
     cells, never = {}, 0
     for alpha in cfg.alpha_grid:

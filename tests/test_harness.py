@@ -24,8 +24,9 @@ from seqgate.harness import (
     _percentile,
 )
 from seqgate.monitor import raw_score_rule
+from seqgate.ratio import fit_ratio_model
 from seqgate.synthetic import SyntheticSpec, sample_dataset
-from seqgate.trajectories import CalibrationSet, LabeledTrajectory, derive_seed
+from seqgate.trajectories import LabeledTrajectory, derive_seed
 
 
 def tokenized(items):
@@ -37,7 +38,7 @@ def tokenized(items):
                 id=item.id, scores=list(item.scores), label=item.label, tokens=tokens
             )
         )
-    return CalibrationSet(out)
+    return tuple(out)
 
 
 @pytest.fixture(scope="module")
@@ -79,11 +80,10 @@ def test_never_rejecting_method_scores_zero():
         LabeledTrajectory(id=f"x{i}", scores=[0.8, 0.9], label=i % 2)
         for i in range(40)
     ]
-    data = CalibrationSet(items)
     cfg = ExperimentConfig(
         alpha_grid=(0.2,), n_splits=1, cal_fraction=0.5, seed=3, methods=("raw",)
     )
-    far, power = evaluate_split(data, cfg, derive_seed(3, 0))[("raw", 0.2)]
+    far, power = evaluate_split(items, cfg, derive_seed(3, 0))[("raw", 0.2)]
     assert far == 0.0 and power == 0.0
 
 
@@ -92,11 +92,10 @@ def test_always_rejecting_method_scores_one():
         LabeledTrajectory(id=f"x{i}", scores=[0.001, 0.002], label=i % 2)
         for i in range(40)
     ]
-    data = CalibrationSet(items)
     cfg = ExperimentConfig(
         alpha_grid=(0.2,), n_splits=1, cal_fraction=0.5, seed=3, methods=("raw",)
     )
-    far, power = evaluate_split(data, cfg, derive_seed(3, 0))[("raw", 0.2)]
+    far, power = evaluate_split(items, cfg, derive_seed(3, 0))[("raw", 0.2)]
     assert far == 1.0 and power == 1.0
 
 
@@ -122,8 +121,6 @@ def test_evaluate_split_matches_run_offline(synth_data):
     dre, _ = split_calibration(
         cal, SplitConfig(cfg.dre_fraction, derive_seed(split_seed, 1))
     )
-    from seqgate.ratio import fit_ratio_model
-
     model = fit_ratio_model(dre)
     rules = {
         "evaluator_ville": ratio_rule(model, ville_threshold(0.3).value),
@@ -140,6 +137,13 @@ def test_evaluate_split_matches_run_offline(synth_data):
             run_offline(rule, item)[0].decision == "rejected" for item in alts
         ) / len(alts)
         assert result[(method, 0.3)] == (far, power)
+
+
+def test_stages_take_a_plain_list_of_trajectories(synth_data):
+    data = list(synth_data)
+    assert fit_ratio_model(data) == fit_ratio_model(synth_data)
+    cfg = ExperimentConfig(alpha_grid=(0.3,), n_splits=2, seed=4)
+    assert run_experiment(data, cfg) == run_experiment(synth_data, cfg)
 
 
 def test_single_split_collapses_interval(synth_data):
@@ -282,17 +286,15 @@ def test_token_study_definitional_two_trajectories():
             id="a", scores=[0.9, 0.01, 0.9], label=0, tokens=[5, 7, 50]
         ),
     ] * 4
-    data = CalibrationSet(
-        [
-            LabeledTrajectory(
-                id=f"{item.id}{i}",
-                scores=list(item.scores),
-                label=item.label,
-                tokens=list(item.tokens),
-            )
-            for i, item in enumerate(items)
-        ]
-    )
+    data = [
+        LabeledTrajectory(
+            id=f"{item.id}{i}",
+            scores=list(item.scores),
+            label=item.label,
+            tokens=list(item.tokens),
+        )
+        for i, item in enumerate(items)
+    ]
     cfg = ExperimentConfig(
         alpha_grid=(0.1,), n_splits=1, cal_fraction=0.5, seed=9, methods=("raw",)
     )
@@ -310,17 +312,15 @@ def test_token_study_definitional_two_trajectories():
 
 def test_token_study_zero_rejections_keeps_budget(synth_data):
     # clip scores away from the threshold so the raw rule can never fire
-    clipped = CalibrationSet(
-        [
-            LabeledTrajectory(
-                id=item.id,
-                scores=[max(s, 0.05) for s in item.scores],
-                label=item.label,
-                tokens=[100 * (t + 1) for t in range(len(item))],
-            )
-            for item in synth_data.items[:200]
-        ]
-    )
+    clipped = [
+        LabeledTrajectory(
+            id=item.id,
+            scores=[max(s, 0.05) for s in item.scores],
+            label=item.label,
+            tokens=[100 * (t + 1) for t in range(len(item))],
+        )
+        for item in synth_data[:200]
+    ]
     cfg = ExperimentConfig(
         alpha_grid=(0.001,), n_splits=1, cal_fraction=0.4, seed=17, methods=("raw",)
     )
@@ -331,7 +331,7 @@ def test_token_study_zero_rejections_keeps_budget(synth_data):
 
 
 def test_token_csv_shape(synth_data):
-    data = tokenized(synth_data.items[:200])
+    data = tokenized(synth_data[:200])
     cfg = ExperimentConfig(
         alpha_grid=(0.2,), n_splits=1, cal_fraction=0.4, seed=17, methods=("raw",)
     )
@@ -457,11 +457,10 @@ def test_token_study_oracle_rule_hits_upper_envelope():
                 id=f"a{i}", scores=[0.01, 0.9], label=0, tokens=[80, 300]
             )
         )
-    data = CalibrationSet(items)
     cfg = ExperimentConfig(
         alpha_grid=(0.1,), n_splits=1, cal_fraction=0.5, seed=5, methods=("raw",)
     )
-    baseline, raw_point = token_study(data, cfg)
+    baseline, raw_point = token_study(items, cfg)
     n_alt = round((1 - baseline.accuracy) * 6)
     assert raw_point.accuracy == baseline.accuracy
     assert raw_point.tokens_used == baseline.tokens_used - n_alt * (300 - 80)

@@ -16,7 +16,7 @@ from seqgate.monitor import (
     raw_score_rule,
 )
 from seqgate.synthetic import SyntheticSpec, sample_dataset, true_ratio_rule
-from seqgate.trajectories import CalibrationSet, LabeledTrajectory
+from seqgate.trajectories import LabeledTrajectory
 
 
 def score_echo_model(t_max):
@@ -163,8 +163,7 @@ def test_make_calibrated_rule_separated_scores():
     ] + [
         LabeledTrajectory(id=f"a{i}", scores=[0.1, 0.12], label=0) for i in range(10)
     ]
-    cal = CalibrationSet(items)
-    rule = calibrated_score_rule(pooled_isotonic(cal), 0.2)
+    rule = calibrated_score_rule(pooled_isotonic(items), 0.2)
     assert rule.value([0.1]) == pytest.approx(0.0, abs=1e-12)
     assert rule.value([0.9]) == pytest.approx(1.0, abs=1e-12)
     for item in items:
@@ -178,7 +177,7 @@ def test_make_calibrated_rule_alpha_zero_never_rejects():
         LabeledTrajectory(id="n", scores=[0.9], label=1),
         LabeledTrajectory(id="a", scores=[0.1], label=0),
     ]
-    rule = calibrated_score_rule(pooled_isotonic(CalibrationSet(items)), 0.0)
+    rule = calibrated_score_rule(pooled_isotonic(items), 0.0)
     for item in items:
         status, _ = run_offline(rule, item)
         assert status.decision == "accepted"
@@ -188,7 +187,7 @@ def test_make_calibrated_rule_constant_scores_hit_base_rate():
     items = [
         LabeledTrajectory(id=f"x{i}", scores=[0.5, 0.5], label=i % 2) for i in range(8)
     ]
-    rule = calibrated_score_rule(pooled_isotonic(CalibrationSet(items)), 0.1)
+    rule = calibrated_score_rule(pooled_isotonic(items), 0.1)
     assert rule.value([0.02]) == pytest.approx(0.5)
     assert rule.value([0.97]) == pytest.approx(0.5)
 
@@ -198,7 +197,7 @@ def test_calibrated_rule_keeps_an_exact_block_mean_at_alpha():
     # so a rule at alpha 0.2 does not reject (a float running mean gave
     # 0.19999999999999998, which did)
     items = [LabeledTrajectory(f"x{i}", [0.5], int(i >= 8)) for i in range(10)]
-    model = pooled_isotonic(CalibrationSet(items))
+    model = pooled_isotonic(items)
     assert model.values == (0.2,)
     rule = calibrated_score_rule(model, 0.2)
     assert not rule.fires(rule.value([0.5]))
@@ -207,7 +206,7 @@ def test_calibrated_rule_keeps_an_exact_block_mean_at_alpha():
 def test_make_calibrated_rule_single_class():
     items = [LabeledTrajectory(id="n", scores=[0.9], label=1)]
     with pytest.raises(SingleClassData):
-        calibrated_score_rule(pooled_isotonic(CalibrationSet(items)), 0.1)
+        calibrated_score_rule(pooled_isotonic(items), 0.1)
 
 
 def test_single_shot_rejection():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import lru_cache
 from unittest import mock
 
@@ -7,7 +8,7 @@ import pytest
 from oracles import eval_ratio, predict_proba
 
 from seqgate.errors import EmptyPrefix, InvalidTrajectory, NoOverlap, SingleClassData
-from seqgate.artifact import FitConfig, LogisticModel, RatioModel
+from seqgate.artifact import FitConfig, LogisticModel, RatioModel, ratio_statistic
 from seqgate.kernels import fit_logistic
 from seqgate.ratio import (
     compute_tmax,
@@ -17,15 +18,13 @@ from seqgate.ratio import (
     replay,
 )
 from seqgate.synthetic import SyntheticSpec, sample_dataset, true_ratio_process
-from seqgate.trajectories import CalibrationSet, LabeledTrajectory
+from seqgate.trajectories import LabeledTrajectory
 
 
 def make_set(entries):
-    return CalibrationSet(
-        [
-            LabeledTrajectory(id=f"t{i}", scores=[0.5] * length, label=y)
-            for i, (length, y) in enumerate(entries)
-        ]
+    return tuple(
+        LabeledTrajectory(id=f"t{i}", scores=[0.5] * length, label=y)
+        for i, (length, y) in enumerate(entries)
     )
 
 
@@ -86,7 +85,7 @@ def test_fit_ratio_model_separates_first_step():
                 id=f"a{i}", scores=[0.1 + 0.01 * rng.normal()], label=0
             )
         )
-    model = fit_ratio_model(CalibrationSet(items))
+    model = fit_ratio_model(items)
     assert predict_proba(model.step_models[0], [0.9]) > 0.5
     assert predict_proba(model.step_models[0], [0.1]) < 0.5
 
@@ -329,14 +328,50 @@ def test_replay_of_no_trajectories_is_empty():
     assert values.dtype == float and values.shape == (0,)
 
 
+def test_replay_raises_on_an_empty_prefix():
+    model = constant_model([2.0])
+    with pytest.raises(EmptyPrefix):
+        replay(model, [[0.5], []])
+    with pytest.raises(EmptyPrefix):
+        eval_process(model, [])
+
+
+def test_replay_past_t_max_equals_the_statistic_bit_for_bit():
+    # a 4-step model and trajectories of 1 to 13 scores, not sorted by
+    # length: every value past t_max repeats the step-t_max one, as the
+    # streaming statistic freezes it
+    rng = np.random.default_rng(8)
+    steps = [LogisticModel(rng.normal(size=t).tolist(), rng.normal()) for t in range(1, 5)]
+    model = RatioModel(steps, 0.6, 4, FitConfig())
+    trajectories = [rng.normal(size=n).tolist() for n in (3, 13, 1, 4, 9, 5, 13, 2)]
+    value = ratio_statistic(model)
+    expected = [value(s[:t]) for s in trajectories for t in range(1, len(s) + 1)]
+    assert replay(model, trajectories).tolist() == expected
+
+
+def test_replay_holds_at_most_t_max_values_per_trajectory():
+    # 2,000 three-score trajectories and one of 20,000 under a 7-step model:
+    # a buffer as wide as the longest trajectory would take 320 MB
+    model = constant_model([0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    trajectories = [[0.5] * 3] * 2000 + [[0.5] * 20_000]
+    tracemalloc.start()
+    try:
+        values = replay(model, trajectories)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
+    assert values.size == 26_000
+    head = values[6_000:6_007].tolist()
+    assert values[6_000:].tolist() == head + head[-1:] * 19_993
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_fit_ratio_model_names_the_step_whose_fit_overflows():
     # step 1 fits on first scores alone, which are ordinary; step 2's
     # Hessian sums 1e308 squared
     entries = [[0.2, 0.3], [0.7, 0.6], [0.4, 0.5], [0.6, 1e308]]
-    dre = CalibrationSet(
-        [LabeledTrajectory(f"t{i}", s, i % 2) for i, s in enumerate(entries)]
-    )
+    dre = [LabeledTrajectory(f"t{i}", s, i % 2) for i, s in enumerate(entries)]
     with pytest.raises(InvalidTrajectory, match="^step 2: .*Hessian") as exc:
         fit_ratio_model(dre)
     assert exc.value.field == "scores"

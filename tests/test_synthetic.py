@@ -13,7 +13,6 @@ from seqgate.synthetic import (
     SyntheticSpec,
     item_states,
     sample_dataset,
-    sample_trajectory,
     toy_marginal_example,
     true_ratio_process,
     true_ratio_rule,
@@ -50,14 +49,13 @@ def test_spec_fields_must_be_finite_numbers(field, value):
 
 def test_stop_prob_one_gives_single_step():
     spec = SyntheticSpec(stop_prob=1.0)
-    for seed in range(20):
-        assert len(sample_trajectory(spec, 1, seed)) == 1
+    assert [len(item) for item in sample_dataset(spec, 20, seed=0, label=1)] == [1] * 20
 
 
 def test_sampling_deterministic():
     spec = SyntheticSpec()
-    t1 = sample_trajectory(spec, 0, seed=123)
-    t2 = sample_trajectory(spec, 0, seed=123)
+    t1 = sample_dataset(spec, 1, seed=123, label=0)
+    t2 = sample_dataset(spec, 1, seed=123, label=0)
     assert t1 == t2
     d1 = sample_dataset(spec, 25, seed=5)
     d2 = sample_dataset(spec, 25, seed=5)
@@ -68,7 +66,7 @@ def test_dataset_prefix_stability():
     spec = SyntheticSpec()
     d_small = sample_dataset(spec, 10, seed=5)
     d_big = sample_dataset(spec, 20, seed=5)
-    assert d_big.items[:10] == d_small.items
+    assert d_big[:10] == d_small
 
 
 # 2**96 + 12345 has four entropy words, so i is a fifth word past the pool
@@ -114,13 +112,6 @@ def test_sample_dataset_rejects_a_seed_that_is_no_non_negative_int(seed):
         sample_dataset(SyntheticSpec(), 3, seed)
     with pytest.raises(OutOfRange, match="^seed must be an integer >= 0"):
         item_states(seed, 3)
-
-
-@pytest.mark.parametrize("seed", [-1, 2.5, "7", True])
-def test_sample_trajectory_rejects_a_seed_that_is_no_non_negative_int(seed):
-    # True would otherwise be seed 1, named synth-1-True; 2.5 a numpy TypeError
-    with pytest.raises(OutOfRange, match="^seed must be an integer >= 0"):
-        sample_trajectory(SyntheticSpec(), 1, seed)
 
 
 def test_item_states_refuses_n_past_one_entropy_word():
@@ -175,7 +166,7 @@ def test_true_ratio_swap_inverts():
 
 def test_true_ratio_rule_matches_process():
     spec = SyntheticSpec()
-    traj = sample_trajectory(spec, 1, seed=77)
+    (traj,) = sample_dataset(spec, 1, seed=77, label=1)
     rule = true_ratio_rule(spec, threshold=10.0)
     proc = true_ratio_process(spec, traj.scores)
     for t in range(1, len(traj) + 1):

@@ -24,9 +24,9 @@ from seqgate.artifact import (
     ville_threshold,
 )
 from seqgate.monitor import MonitorState, ratio_rule
-from seqgate.ratio import fit_ratio_model, replay
+from seqgate.ratio import fit_ratio_model, offsets, replay
 from seqgate.thresholds import null_maxima, pac_threshold
-from seqgate.trajectories import CalibrationSet, LabeledTrajectory, SplitConfig, offsets
+from seqgate.trajectories import LabeledTrajectory, SplitConfig
 from seqgate.trajectories import split_calibration
 
 
@@ -61,7 +61,7 @@ def test_null_maxima_takes_trajectory_max():
     traj = LabeledTrajectory(
         id="n", scores=[-math.log(0.5), -math.log(2.0), -math.log(1.0)], label=1
     )
-    maxima = null_maxima(model, CalibrationSet([traj]))
+    maxima = null_maxima(model, [traj])
     assert maxima == pytest.approx([2.0], rel=1e-12)
 
 
@@ -72,7 +72,7 @@ def test_null_maxima_ignores_alternatives():
         LabeledTrajectory(id="b", scores=[-math.log(3.0)], label=0),
         LabeledTrajectory(id="c", scores=[-math.log(3.0)], label=1),
     ]
-    maxima = null_maxima(model, CalibrationSet(nulls))
+    maxima = null_maxima(model, nulls)
     assert maxima == pytest.approx([1.0, 3.0], rel=1e-12)
 
 
@@ -86,15 +86,13 @@ def test_null_maxima_nan_statistic_fails_closed():
         LabeledTrajectory(id="b", scores=[1e308, 1e308], label=1),
     ]
     with pytest.raises(InvalidTrajectory):
-        null_maxima(model, CalibrationSet(nulls))
+        null_maxima(model, nulls)
 
 
 def test_null_maxima_requires_nulls():
     model = _score_echo_model(1)
     with pytest.raises(NoNullTrajectories):
-        null_maxima(
-            model, CalibrationSet([LabeledTrajectory(id="x", scores=[0.5], label=0)])
-        )
+        null_maxima(model, [LabeledTrajectory(id="x", scores=[0.5], label=0)])
 
 
 def test_pac_index_examples():
@@ -169,7 +167,7 @@ def shared_opening(n, seed):
         label = i % 2
         tail = [rng.gauss(1.5 if label else -1.5, 1.0) for _ in range(rng.randint(1, 16))]
         items.append(LabeledTrajectory(f"s{i}", [0.0] + tail, label))
-    return CalibrationSet(items)
+    return tuple(items)
 
 
 def test_pac_threshold_on_a_shared_opening_keeps_its_level():
@@ -202,7 +200,7 @@ def binary_scores(n, seed, label=None):
         p = 0.7 if lab else 0.4
         scores = [float(rng.random() < p) for _ in range(rng.randint(1, 7))]
         items.append(LabeledTrajectory(f"b{i}", scores, lab))
-    return CalibrationSet(items)
+    return tuple(items)
 
 
 def test_pac_coverage_on_discrete_scores():

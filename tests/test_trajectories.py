@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from oracles import derive_seed_oracle, permutations_oracle, split_calibration_oracle
 from seqgate.errors import DegenerateSplit, InvalidTrajectory, OutOfRange
 from seqgate.trajectories import (
-    CalibrationSet,
     LabeledTrajectory,
     SplitConfig,
     SplitStream,
@@ -17,11 +16,9 @@ from seqgate.trajectories import (
 
 
 def make_set(labels, length=3):
-    return CalibrationSet(
-        [
-            LabeledTrajectory(id=f"t{i}", scores=[0.5] * length, label=y)
-            for i, y in enumerate(labels)
-        ]
+    return tuple(
+        LabeledTrajectory(id=f"t{i}", scores=[0.5] * length, label=y)
+        for i, y in enumerate(labels)
     )
 
 
@@ -110,7 +107,7 @@ def test_split_degenerate_one_item_of_a_label():
 
 def test_split_degenerate_empty():
     with pytest.raises(DegenerateSplit):
-        split_calibration(CalibrationSet([]), SplitConfig(0.5, seed=0))
+        split_calibration((), SplitConfig(0.5, seed=0))
 
 
 def test_per_label_take_keeps_both_labels_on_both_sides():
