@@ -114,7 +114,7 @@ class _SplitArtifacts:
         # per-step statistic values of every test trajectory, concatenated
         scores = [item.scores for item in test]
         self.starts = offsets(scores)
-        self.raw = np.fromiter(chain.from_iterable(scores), float)
+        self.raw = np.fromiter(chain.from_iterable(scores), float, sum(map(len, scores)))
 
         if any(m in _RATIO_METHODS for m in cfg.methods):
             dre, thresh = split_calibration(

@@ -8,10 +8,10 @@ fit starts from the previous step's model; a positive L2 penalty makes the
 objective strictly convex, so the start moves the fit only within the
 gradient tolerance.
 
-Fitting and batch evaluation read trajectories through one padded score
-matrix (``padded_scores``): column i holds the first scores of trajectory i,
-zero past its end, beside a vector of lengths. Step t is fit on the first t
-rows of the columns of trajectories at least t long.
+Batch fit and replay hold one float per kept score (``score_rows``): row j
+holds the (j+1)-th score of every trajectory longer than j, in the order
+given, and all rows are views of one flat array. Step t is fit on rows
+0..t-1 of the trajectories at least t long.
 
 The plug-in ratio (1 - f)/f * prior_1/(1 - prior_1) with f = sigmoid(z) is
 odds * exp(-z), and clamping f to [c, 1 - c] is clamping the logit z to
@@ -60,45 +60,53 @@ def compute_tmax(dre) -> int:
     return t_max
 
 
-def padded_scores(trajectories, width: int):
-    """(width, n) matrix whose column i holds the first ``width`` scores of
-    trajectory i, zero past its end, and the (n,) vector of full lengths.
+def score_rows(trajectories, width: int):
+    """Row j = 0..width-1 holds the (j+1)-th score of every trajectory
+    longer than j, in the order given, and the (n,) vector of full lengths.
 
-    Row j is then the j-th score of every trajectory, one contiguous
-    feature; the transpose is a fit's feature matrix.
-    The heads are read in one pass and written in one masked assignment to
-    the transpose, whose row-major order is trajectory by trajectory.
+    The rows are consecutive views of one flat float array: the heads read
+    in one pass, reordered by one stable argsort of each score's position.
     """
-    n = len(trajectories)
-    lengths = np.fromiter(map(len, trajectories), int, count=n)
+    lengths = np.fromiter(map(len, trajectories), int, count=len(trajectories))
     heads = np.minimum(lengths, width)
     values = np.fromiter(
         chain.from_iterable(map(itemgetter(slice(width)), trajectories)),
         float,
         count=int(heads.sum()),
     )
-    columns = np.zeros((width, n))
-    columns.T[np.arange(width) < heads[:, None]] = values
-    return columns, lengths
+    position = np.arange(values.size)
+    position -= np.repeat(np.cumsum(heads) - heads, heads)
+    order = np.argsort(position, kind="stable")
+    # row j ends after the scores at positions 0..j
+    ends = np.cumsum(np.bincount(position, minlength=width))
+    del position  # before the gather, so the peak holds three arrays, not four
+    return np.split(values[order], ends[:-1]), lengths
 
 
 def fit_ratio_model(dre, cfg: FitConfig = FitConfig()) -> RatioModel:
     """Fit one prefix classifier per step t = 1..t_max.
 
-    Step t's Newton fit starts from step t-1's model, with weight 0 on the
+    Step t's features are step t-1's of the trajectories still running plus
+    row t-1. Its Newton fit starts from step t-1's model, with weight 0 on the
     new score: that is the previous fit's logit on every row, and adjacent
     steps' optima lie close, so it takes fewer steps than a start from zeros.
     """
     prior_1 = estimate_prior(dre)
     t_max = compute_tmax(dre)
-    columns, lengths = padded_scores([item.scores for item in dre], t_max)
+    rows, lengths = score_rows([item.scores for item in dre], t_max)
     labels = np.array([item.label for item in dre])
+    columns = np.empty((0, lengths.size))
     step_models = []
     start = None
-    for t in range(1, t_max + 1):
-        keep = lengths >= t
+    for t, row in enumerate(rows, start=1):
+        live = np.flatnonzero(lengths >= t)
+        lengths, labels, previous = lengths[live], labels[live], columns
+        columns = np.empty((t, live.size))
+        # "clip" lets take write straight into the slice, unbuffered
+        np.take(previous, live, axis=1, out=columns[:-1], mode="clip")
+        columns[-1] = row
         try:
-            step = fit_logistic(columns[:t, keep].T, labels[keep], cfg, start)
+            step = fit_logistic(columns.T, labels, cfg, start)
         except InvalidTrajectory as exc:
             raise InvalidTrajectory(f"step {t}: {exc}", field="scores") from None
         step_models.append(step)
@@ -118,12 +126,13 @@ def replay(model: RatioModel, trajectories) -> np.ndarray:
 
     Step t sums the logits of every trajectory at least t long at once, the
     j-th term from the row of j-th scores, so every value equals
-    ratio_statistic on that prefix exactly. Columns are padded longest
-    first, so the ones still running at step t are a leading slice. Past
-    t_max each process repeats its step-t_max value, so the buffer holds at
-    most t_max values per trajectory. No trajectories give an empty array.
-    A nan value, which never crosses a threshold and so would accept in
-    silence, raises InvalidTrajectory.
+    ratio_statistic on that prefix exactly. Rows are laid out longest
+    first, so the ones still running at step t are a leading slice, and
+    each value goes straight to its place in the output. Past t_max each
+    process repeats its step-t_max value, so the layout holds at most t_max
+    values per trajectory. No trajectories give an empty array. A nan
+    value, which never crosses a threshold and so would accept in silence,
+    raises InvalidTrajectory.
     """
     lengths = np.fromiter(map(len, trajectories), int, count=len(trajectories))
     if not lengths.size:
@@ -133,28 +142,29 @@ def replay(model: RatioModel, trajectories) -> np.ndarray:
     longest = int(lengths.max())
     k = min(longest, model.t_max)
     order = np.argsort(-lengths, kind="stable")
-    columns, _ = padded_scores([trajectories[i] for i in order.tolist()], k)
-    running = lengths.size - np.searchsorted(np.sort(lengths), np.arange(1, k + 1))
+    rows, _ = score_rows([trajectories[i] for i in order.tolist()], k)
+    heads = np.minimum(lengths, k)
+    ends = np.cumsum(heads)
+    out = np.empty(int(ends[-1]))
+    firsts = (ends - heads)[order]  # where each row entry's step 1 goes
     bound, odds = model.logit_bound, model.prior_odds
-    values = np.empty((lengths.size, k))
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, live in enumerate(running.tolist(), start=1):
+        for t, row in enumerate(rows, start=1):
+            live = row.size
             step = model.step_models[t - 1]
             z = 0.0
-            for w, v in zip(step.weights, columns[:t, :live]):
-                z = z + w * v
+            for w, v in zip(step.weights, rows[:t]):
+                z = z + w * v[:live]
             z = -np.clip(z + step.intercept, -bound, bound)
-            values[order[:live], t - 1] = odds * np.fromiter(
+            out[firsts[:live] + (t - 1)] = odds * np.fromiter(
                 map(math.exp, z.tolist()), float, count=live
             )
-    out = values[np.arange(k) < lengths[:, None]]
     if np.isnan(out).any():
         raise InvalidTrajectory("ratio statistic is nan", field="scores")
     if longest > k:
         # the step-t_max value once, plus once per step past t_max
-        heads = np.minimum(lengths, k)
         repeats = np.ones(out.size, int)
-        repeats[np.cumsum(heads) - 1] += lengths - heads
+        repeats[ends - 1] += lengths - heads
         out = np.repeat(out, repeats)
     return out
 

@@ -3,6 +3,7 @@
 These deliberately avoid the code paths they check: binomial tails use
 exact rational arithmetic, isotonic fits enumerate all block partitions
 or pool adjacent violators in Fractions,
+the position-major score layout is built score by score in lists,
 gradients come from central finite differences, and first crossings come
 from streaming one score at a time through a MonitorState. Step-model
 probabilities come from the clamped sigmoid of the logit, which the
@@ -155,6 +156,16 @@ def eval_ratio(model, prefix) -> float:
     """The package's own plug-in ratio at the end of one prefix: a shorthand
     for ratio_statistic, not an independent oracle."""
     return ratio_statistic(model)(prefix)
+
+
+def score_rows_oracle(trajectories, width):
+    """ratio.score_rows as plain lists built score by score: row j takes
+    the (j+1)-th score of each trajectory longer than j, in input order."""
+    rows = [[] for _ in range(width)]
+    for trajectory in trajectories:
+        for j, score in enumerate(trajectory[:width]):
+            rows[j].append(score)
+    return rows, [len(t) for t in trajectories]
 
 
 def run_offline(rule, traj):

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import eval_ratio, isotonic_fraction_oracle, predict_proba, run_offline
+from oracles import score_rows_oracle
 
 from seqgate import harness
 from seqgate.artifact import THRESHOLD_KINDS, FitConfig, LogisticModel, RatioModel
@@ -48,7 +49,7 @@ from seqgate.monitor import (
     ratio_rule,
     raw_score_rule,
 )
-from seqgate.ratio import eval_process, offsets, padded_scores, replay
+from seqgate.ratio import eval_process, offsets, replay, score_rows
 from seqgate.synthetic import SyntheticSpec, sample_dataset
 from seqgate.thresholds import pac_threshold
 from seqgate.trajectories import LabeledTrajectory, derive_seed
@@ -508,15 +509,6 @@ def test_token_study_equals_run_offline(drawn, draws):
     ]
 
 
-def padded_reference(trajectories, width):
-    """padded_scores built column by column, one trajectory at a time."""
-    columns = np.zeros((width, len(trajectories)))
-    for i, trajectory in enumerate(trajectories):
-        head = trajectory[:width]
-        columns[: len(head), i] = head
-    return columns, np.array([len(t) for t in trajectories], dtype=int)
-
-
 @EXACT
 @given(
     st.lists(st.lists(st.floats(allow_nan=False), max_size=12), max_size=10),
@@ -524,14 +516,19 @@ def padded_reference(trajectories, width):
 )
 @example([[0.5, -0.0, 2.0], [], [1.0]], 1)
 @example([[1.0, 2.0, 3.0, 4.0], [5.0], [6.0, 7.0]], 2)
-def test_padded_scores_equals_per_column_reference(trajectories, width):
+def test_score_rows_equals_per_position_reference(trajectories, width):
     # ragged lengths, empty trajectories, lengths above width and width 1
-    columns, lengths = padded_scores([tuple(t) for t in trajectories], width)
-    expected_columns, expected_lengths = padded_reference(trajectories, width)
-    assert columns.shape == (width, len(trajectories))
-    assert columns.flags.c_contiguous
-    assert columns.tobytes() == expected_columns.tobytes()
-    assert lengths.tolist() == expected_lengths.tolist()
+    rows, lengths = score_rows([tuple(t) for t in trajectories], width)
+    expected_rows, expected_lengths = score_rows_oracle(trajectories, width)
+    assert len(rows) == width
+    # one float per kept score: the rows are consecutive views of one array
+    flat = rows[0].base
+    assert all(row.base is flat for row in rows)
+    assert flat.tobytes() == b"".join(row.tobytes() for row in rows)
+    for row, expected in zip(rows, expected_rows):
+        assert row.dtype == float
+        assert row.tobytes() == np.array(expected, dtype=float).tobytes()
+    assert lengths.tolist() == expected_lengths
 
 
 def same(a, b):

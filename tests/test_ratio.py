@@ -91,8 +91,8 @@ def test_fit_ratio_model_separates_first_step():
 
 
 def test_fit_ratio_model_steps_equal_list_feature_fits():
-    # the padded-matrix path fits each step on exactly the list-of-prefixes
-    # data, each step started from the previous step's model
+    # the position-major layout fits each step on exactly the
+    # list-of-prefixes data, each step started from the previous step's model
     data = sample_dataset(SyntheticSpec(stop_prob=0.05), 200, seed=6)
     model = fit_ratio_model(data)
     assert model.t_max > 20
@@ -364,6 +364,48 @@ def test_replay_holds_at_most_t_max_values_per_trajectory():
     assert values.size == 26_000
     head = values[6_000:6_007].tolist()
     assert values[6_000:].tolist() == head + head[-1:] * 19_993
+
+
+def traced_peak(fn):
+    """(fn's result, tracemalloc peak in bytes while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_replay_holds_one_float_per_kept_score():
+    # 2,000 three-score trajectories and one of 80 under an 80-step model:
+    # a padded (n, t_max) buffer would take 2.8 MB
+    model = constant_model([1.0 + t / 80 for t in range(80)])
+    trajectories = [[0.5] * 3] * 2000 + [[0.5] * 80]
+    values, peak = traced_peak(lambda: replay(model, trajectories))
+    assert peak < 2**20, peak
+    value = ratio_statistic(model)
+    assert values[:3].tolist() == [value([0.5] * t) for t in (1, 2, 3)]
+    assert values[6000:].tolist() == [value([0.5] * t) for t in range(1, 81)]
+
+
+def test_fit_ratio_model_holds_one_float_per_kept_score():
+    # 2,000 two-score trajectories and one of 200 scores of each label:
+    # a padded (t_max, n) matrix would take 4.4 MB
+    rng = np.random.default_rng(4)
+    data = [
+        LabeledTrajectory(f"s{i}", rng.normal(i % 2, 1.0, 2).tolist(), i % 2)
+        for i in range(2000)
+    ] + [LabeledTrajectory(f"l{y}", rng.normal(y, 1.0, 200).tolist(), y) for y in (0, 1)]
+    model, peak = traced_peak(lambda: fit_ratio_model(data))
+    assert model.t_max == 200
+    assert peak < 2 * 2**20, peak
+    start = None
+    for t, step_model in enumerate(model.step_models[:4], start=1):
+        rows = [item for item in data if len(item) >= t]
+        feats = [item.scores[:t] for item in rows]
+        labels = [item.label for item in rows]
+        assert step_model == fit_logistic(feats, labels, model.fit_config, start)
+        start = step_model.weights + (0.0, step_model.intercept)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
