@@ -22,9 +22,11 @@ from typing import Optional, Sequence
 from .errors import EmptyPrefix, InsufficientCalibration, OutOfRange, ParseError
 
 DEFAULT_PROB_CLAMP = 1e-6
-# calibrate's flag defaults, here so that the CLI parser needs no numpy
+# the CLI's and the experiment's defaults, here so that the parser needs no numpy
 DEFAULT_DELTA = 0.05
 DEFAULT_DRE_FRACTION = 0.5
+DEFAULT_CAL_FRACTION = 0.2
+DEFAULT_SPLITS = 50
 THRESHOLD_KINDS = ("pac", "ville", "bonferroni")
 # the largest pac n_null: pac_index sums up to n terms, about 1 s per million
 MAX_NULL_SAMPLES = 10**6

@@ -13,8 +13,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .artifact import DEFAULT_DELTA, DEFAULT_DRE_FRACTION, THRESHOLD_KINDS, count
-from .artifact import json_object, load_calibration
+from .artifact import DEFAULT_CAL_FRACTION, DEFAULT_DELTA, DEFAULT_DRE_FRACTION
+from .artifact import DEFAULT_SPLITS, THRESHOLD_KINDS, count, json_object
+from .artifact import load_calibration, save_calibration
 from .errors import InsufficientCalibration, ParseError, SeqgateError
 from .monitor import KNOWN_METHODS, MonitorState, ratio_rule
 
@@ -67,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="FAR/power curves over repeated splits")
     p.set_defaults(run=_cmd_evaluate)
     _add_experiment_args(p)
-    p.add_argument("--splits", type=int, default=50)
+    p.add_argument("--splits", type=int, default=DEFAULT_SPLITS)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("tokens", help="token-budget study on one split")
@@ -79,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_ablate)
     _add_experiment_args(p)
     p.add_argument("--fractions", type=_float_list, required=True)
-    p.add_argument("--splits", type=int, default=50)
+    p.add_argument("--splits", type=int, default=DEFAULT_SPLITS)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("synth", help="emit a synthetic dataset with known truth")
@@ -101,7 +102,7 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--alphas", type=_float_list, required=True, help="comma-separated grid in (0,1)"
     )
-    p.add_argument("--cal-fraction", type=float, default=0.2)
+    p.add_argument("--cal-fraction", type=float, default=DEFAULT_CAL_FRACTION)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--dre-fraction", type=float, default=DEFAULT_DRE_FRACTION)
     p.add_argument(
@@ -156,7 +157,7 @@ def _cmd_calibrate(args, stdin, stdout) -> int:
         "dre_fraction": args.dre_fraction,
         "seed": args.seed,
     }
-    dataio.save_calibration(args.out, model, spec, metadata)
+    save_calibration(args.out, model, spec, metadata)
     print(
         f"calibrated t_max={model.t_max} threshold_kind={spec.kind} "
         f"value={spec.value!r} -> {args.out}", file=stdout

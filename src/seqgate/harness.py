@@ -11,17 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .artifact import bonferroni_threshold, count, probability, ville_threshold
+from .artifact import DEFAULT_CAL_FRACTION, DEFAULT_DELTA, DEFAULT_DRE_FRACTION
+from .artifact import DEFAULT_SPLITS, bonferroni_threshold, count, probability
+from .artifact import ville_threshold
 from .errors import DegenerateSplit, InsufficientCalibration, MissingTokens, OutOfRange
 from .kernels import apply_isotonic
 from .monitor import KNOWN_METHODS, calibrated_score_rule, pooled_isotonic
 from .monitor import ratio_rule, raw_score_rule
-from .ratio import fit_ratio_model, offsets, replay
+from .ratio import fit_ratio_model, flatten, replay
 from .thresholds import null_maxima, pac_threshold
 from .trajectories import SplitConfig, derive_seed, split_calibration
 
@@ -36,12 +37,12 @@ class ExperimentConfig:
     from 0."""
 
     alpha_grid: tuple
-    n_splits: int = 50
-    cal_fraction: float = 0.2
-    delta: float = 0.05
+    n_splits: int = DEFAULT_SPLITS
+    cal_fraction: float = DEFAULT_CAL_FRACTION
+    delta: float = DEFAULT_DELTA
     seed: int = 0
     methods: tuple = KNOWN_METHODS
-    dre_fraction: float = 0.5
+    dre_fraction: float = DEFAULT_DRE_FRACTION
 
     def __post_init__(self):
         object.__setattr__(self, "alpha_grid", tuple(self.alpha_grid))
@@ -113,8 +114,7 @@ class _SplitArtifacts:
 
         # per-step statistic values of every test trajectory, concatenated
         scores = [item.scores for item in test]
-        self.starts = offsets(scores)
-        self.raw = np.fromiter(chain.from_iterable(scores), float, sum(map(len, scores)))
+        self.raw, self.starts, _ = flatten(scores)
 
         if any(m in _RATIO_METHODS for m in cfg.methods):
             dre, thresh = split_calibration(

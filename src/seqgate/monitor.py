@@ -7,14 +7,14 @@ the same ``fires`` to whole replayed processes at once, so streaming and
 batch decisions agree exactly. The ratio rule's statistic is
 ``artifact.ratio_statistic``, which reads the model once when the rule is
 built, so a streamed step pays only for its own prefix. numpy and
-``kernels`` load only in ``pooled_isotonic`` and ``calibrated_score_rule``.
+``kernels`` load only in ``pooled_isotonic`` and ``calibrated_score_rule``,
+and ``ratio`` only in the first.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -73,10 +73,9 @@ def pooled_isotonic(cal) -> IsotonicModel:
     import numpy as np
 
     from .kernels import fit_isotonic
+    from .ratio import flatten
 
-    scores = [item.scores for item in cal]
-    lengths = np.fromiter(map(len, scores), int, count=len(scores))
-    xs = np.fromiter(chain.from_iterable(scores), float, count=int(lengths.sum()))
+    xs, _, lengths = flatten([item.scores for item in cal])
     labels = [item.label for item in cal]
     if len(set(labels)) < 2:
         raise SingleClassData("calibrated rule needs both labels present")

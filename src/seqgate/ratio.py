@@ -8,10 +8,10 @@ fit starts from the previous step's model; a positive L2 penalty makes the
 objective strictly convex, so the start moves the fit only within the
 gradient tolerance.
 
-Batch fit and replay hold one float per kept score (``score_rows``): row j
-holds the (j+1)-th score of every trajectory longer than j, in the order
-given, and all rows are views of one flat array. Step t is fit on rows
-0..t-1 of the trajectories at least t long.
+Every batch stage holds its scores one way (``flatten``): each trajectory's
+kept scores back to back in one float array, with each one's start. Fit and
+replay walk the same step-t prefix matrices of it (``prefixes``): step t is
+fit, and evaluated, on the first t scores of the trajectories at least t long.
 
 The plug-in ratio (1 - f)/f * prior_1/(1 - prior_1) with f = sigmoid(z) is
 odds * exp(-z), and clamping f to [c, 1 - c] is clamping the logit z to
@@ -60,53 +60,55 @@ def compute_tmax(dre) -> int:
     return t_max
 
 
-def score_rows(trajectories, width: int):
-    """Row j = 0..width-1 holds the (j+1)-th score of every trajectory
-    longer than j, in the order given, and the (n,) vector of full lengths.
+def flatten(sequences, width=None):
+    """Each sequence's first ``width`` values (all, by default) back to back
+    in one float array, each sequence's start in it, and each full length."""
+    lengths = np.fromiter(map(len, sequences), int, count=len(sequences))
+    heads = lengths if width is None else np.minimum(lengths, width)
+    if width is not None:
+        sequences = map(itemgetter(slice(width)), sequences)
+    values = np.fromiter(chain.from_iterable(sequences), float, count=int(heads.sum()))
+    return values, np.cumsum(heads) - heads, lengths
 
-    The rows are consecutive views of one flat float array: the heads read
-    in one pass, reordered by one stable argsort of each score's position.
+
+def prefixes(values, first, lengths, width: int):
+    """For t = 1..width, the indices of the sequences at least t long and
+    the (t, n_t) matrix of their first t values, from ``flatten``'s layout.
+
+    Step t's matrix is step t-1's columns of the sequences still running
+    plus one gather of their t-th values, so each step copies its matrix
+    once and no step holds more than two of them.
     """
-    lengths = np.fromiter(map(len, trajectories), int, count=len(trajectories))
-    heads = np.minimum(lengths, width)
-    values = np.fromiter(
-        chain.from_iterable(map(itemgetter(slice(width)), trajectories)),
-        float,
-        count=int(heads.sum()),
-    )
-    position = np.arange(values.size)
-    position -= np.repeat(np.cumsum(heads) - heads, heads)
-    order = np.argsort(position, kind="stable")
-    # row j ends after the scores at positions 0..j
-    ends = np.cumsum(np.bincount(position, minlength=width))
-    del position  # before the gather, so the peak holds three arrays, not four
-    return np.split(values[order], ends[:-1]), lengths
+    live = np.arange(lengths.size)
+    columns = np.empty((0, lengths.size))
+    for t in range(1, width + 1):
+        keep = np.flatnonzero(lengths >= t)
+        live, lengths, first, previous = live[keep], lengths[keep], first[keep], columns
+        columns = np.empty((t, live.size))
+        # "clip" lets take write straight into the slice, unbuffered
+        np.take(previous, keep, axis=1, out=columns[:-1], mode="clip")
+        np.take(values, first + (t - 1), out=columns[-1], mode="clip")
+        yield live, columns
 
 
 def fit_ratio_model(dre, cfg: FitConfig = FitConfig()) -> RatioModel:
     """Fit one prefix classifier per step t = 1..t_max.
 
-    Step t's features are step t-1's of the trajectories still running plus
-    row t-1. Its Newton fit starts from step t-1's model, with weight 0 on the
-    new score: that is the previous fit's logit on every row, and adjacent
-    steps' optima lie close, so it takes fewer steps than a start from zeros.
+    Step t is fit on ``prefixes``' step-t matrix, one row per trajectory
+    still running, in the order given. Its Newton fit starts from step t-1's
+    model, with weight 0 on the new score: that is the previous fit's logit
+    on every row, and adjacent steps' optima lie close, so it takes fewer
+    steps than a start from zeros.
     """
     prior_1 = estimate_prior(dre)
     t_max = compute_tmax(dre)
-    rows, lengths = score_rows([item.scores for item in dre], t_max)
+    values, first, lengths = flatten([item.scores for item in dre], t_max)
     labels = np.array([item.label for item in dre])
-    columns = np.empty((0, lengths.size))
     step_models = []
     start = None
-    for t, row in enumerate(rows, start=1):
-        live = np.flatnonzero(lengths >= t)
-        lengths, labels, previous = lengths[live], labels[live], columns
-        columns = np.empty((t, live.size))
-        # "clip" lets take write straight into the slice, unbuffered
-        np.take(previous, live, axis=1, out=columns[:-1], mode="clip")
-        columns[-1] = row
+    for t, (live, columns) in enumerate(prefixes(values, first, lengths, t_max), 1):
         try:
-            step = fit_logistic(columns.T, labels, cfg, start)
+            step = fit_logistic(columns.T, labels[live], cfg, start)
         except InvalidTrajectory as exc:
             raise InvalidTrajectory(f"step {t}: {exc}", field="scores") from None
         step_models.append(step)
@@ -114,57 +116,43 @@ def fit_ratio_model(dre, cfg: FitConfig = FitConfig()) -> RatioModel:
     return RatioModel(step_models, prior_1, t_max, cfg)
 
 
-def offsets(sequences) -> np.ndarray:
-    """Start index of each sequence in the concatenation of all of them, the
-    layout ``replay`` returns."""
-    lengths = np.fromiter(map(len, sequences), int, count=len(sequences))
-    return np.cumsum(lengths) - lengths
-
-
 def replay(model: RatioModel, trajectories) -> np.ndarray:
     """Ratio process of every trajectory, concatenated in input order.
 
-    Step t sums the logits of every trajectory at least t long at once, the
-    j-th term from the row of j-th scores, so every value equals
-    ratio_statistic on that prefix exactly. Rows are laid out longest
-    first, so the ones still running at step t are a leading slice, and
-    each value goes straight to its place in the output. Past t_max each
-    process repeats its step-t_max value, so the layout holds at most t_max
-    values per trajectory. No trajectories give an empty array. A nan
-    value, which never crosses a threshold and so would accept in silence,
-    raises InvalidTrajectory.
+    Step t sums the logits of every trajectory at least t long at once, over
+    the rows of ``prefixes``' step-t matrix, so every value equals
+    ratio_statistic on that prefix exactly, and goes straight to its place
+    in the output. Past t_max each process repeats its step-t_max value, so
+    the layout holds at most t_max values per trajectory. No trajectories
+    give an empty array. A nan value, which never crosses a threshold and
+    so would accept in silence, raises InvalidTrajectory.
     """
-    lengths = np.fromiter(map(len, trajectories), int, count=len(trajectories))
+    values, first, lengths = flatten(trajectories, model.t_max)
     if not lengths.size:
         return np.empty(0)
     if lengths.min() == 0:
         raise EmptyPrefix("cannot evaluate the ratio on an empty prefix")
     longest = int(lengths.max())
     k = min(longest, model.t_max)
-    order = np.argsort(-lengths, kind="stable")
-    rows, _ = score_rows([trajectories[i] for i in order.tolist()], k)
-    heads = np.minimum(lengths, k)
-    ends = np.cumsum(heads)
-    out = np.empty(int(ends[-1]))
-    firsts = (ends - heads)[order]  # where each row entry's step 1 goes
+    out = np.empty(values.size)
     bound, odds = model.logit_bound, model.prior_odds
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, row in enumerate(rows, start=1):
-            live = row.size
+        for t, (live, columns) in enumerate(prefixes(values, first, lengths, k), 1):
             step = model.step_models[t - 1]
             z = 0.0
-            for w, v in zip(step.weights, rows[:t]):
-                z = z + w * v[:live]
+            for w, v in zip(step.weights, columns):
+                z = z + w * v
             z = -np.clip(z + step.intercept, -bound, bound)
-            out[firsts[:live] + (t - 1)] = odds * np.fromiter(
-                map(math.exp, z.tolist()), float, count=live
+            out[first[live] + (t - 1)] = odds * np.fromiter(
+                map(math.exp, z.tolist()), float, count=live.size
             )
     if np.isnan(out).any():
         raise InvalidTrajectory("ratio statistic is nan", field="scores")
     if longest > k:
         # the step-t_max value once, plus once per step past t_max
+        heads = np.minimum(lengths, k)
         repeats = np.ones(out.size, int)
-        repeats[ends - 1] += lengths - heads
+        repeats[first + heads - 1] += lengths - heads
         out = np.repeat(out, repeats)
     return out
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .artifact import RatioModel, ThresholdSpec, pac_index
 from .errors import NoNullTrajectories, OutOfRange
-from .ratio import offsets, replay
+from .ratio import flatten, replay
 
 
 def null_maxima(model: RatioModel, thresh_set) -> list:
@@ -21,7 +21,7 @@ def null_maxima(model: RatioModel, thresh_set) -> list:
     nulls = [item.scores for item in thresh_set if item.label == 1]
     if not nulls:
         raise NoNullTrajectories("threshold calibration needs label-1 trajectories")
-    return np.maximum.reduceat(replay(model, nulls), offsets(nulls)).tolist()
+    return np.maximum.reduceat(replay(model, nulls), flatten(nulls)[1]).tolist()
 
 
 def pac_threshold(maxima, alpha: float, delta: float) -> ThresholdSpec:

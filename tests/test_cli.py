@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ import seqgate
 from seqgate import artifact, harness, ratio
 from seqgate.artifact import THRESHOLD_KINDS, FitConfig, LogisticModel, RatioModel
 from seqgate.artifact import ville_threshold
-from seqgate.cli import cli_dispatch
+from seqgate.cli import _build_parser, cli_dispatch
 from seqgate.dataio import load_calibration, save_calibration, write_dataset
 from seqgate.synthetic import SyntheticSpec, sample_dataset
 from seqgate.trajectories import LabeledTrajectory
@@ -906,6 +907,20 @@ def test_calibrate_artifact_of_each_kind_loads_as_saved(tmp_path, data_file, kin
     assert spec.kind == kind
     save_calibration(tmp_path / "again.json", model, spec, metadata)
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "tokens", "ablate"])
+def test_experiment_flag_defaults_are_the_config_defaults(command):
+    argv = [command, "--data", "d.jsonl", "--alphas", "0.1", "--out", "o.csv"]
+    if command == "ablate":
+        argv += ["--fractions", "0.2"]
+    args = _build_parser().parse_args(argv)
+    config = {f.name: f.default for f in dataclasses.fields(harness.ExperimentConfig)}
+    for name in ("cal_fraction", "delta", "dre_fraction", "seed"):
+        assert getattr(args, name) == config[name], name
+    if command != "tokens":  # tokens runs one split and has no --splits
+        assert args.splits == config["n_splits"]
+    assert tuple(args.methods.split(",")) == config["methods"]
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import eval_ratio, isotonic_fraction_oracle, predict_proba, run_offline
-from oracles import score_rows_oracle
+from oracles import prefixes_oracle
 
 from seqgate import harness
 from seqgate.artifact import THRESHOLD_KINDS, FitConfig, LogisticModel, RatioModel
@@ -49,7 +49,7 @@ from seqgate.monitor import (
     ratio_rule,
     raw_score_rule,
 )
-from seqgate.ratio import eval_process, offsets, replay, score_rows
+from seqgate.ratio import eval_process, flatten, prefixes, replay
 from seqgate.synthetic import SyntheticSpec, sample_dataset
 from seqgate.thresholds import pac_threshold
 from seqgate.trajectories import LabeledTrajectory, derive_seed
@@ -117,7 +117,8 @@ def test_threshold_at_a_batch_value_rejects_at_that_step(drawn):
         step = process.index(max(process)) + 1
         rule = ratio_rule(model, process[step - 1])
         _, offline = run_offline(rule, LabeledTrajectory("x", trajectory, 1))
-        batch = _first_steps(rule.fires(replay(model, [trajectory])), offsets([trajectory]))
+        fired = rule.fires(replay(model, [trajectory]))
+        batch = _first_steps(fired, flatten([trajectory])[1])
         assert offline == step and batch.tolist() == [step]
 
 
@@ -368,7 +369,7 @@ def test_harness_and_monitor_agree_on_a_dataset_file(tmp_path, kind, seed):
     values = replay(model, scores)
     if kind == "pac":
         assert (np.nextafter(values, np.inf) == spec.value).any()
-    steps = _first_steps(rule.fires(values), offsets(scores)).tolist()
+    steps = _first_steps(rule.fires(values), flatten(scores)[1]).tolist()
     assert steps == [monitored_first_step(rule, t) for t in scores]
     assert 0 < steps.count(0) < len(steps)
 
@@ -516,19 +517,29 @@ def test_token_study_equals_run_offline(drawn, draws):
 )
 @example([[0.5, -0.0, 2.0], [], [1.0]], 1)
 @example([[1.0, 2.0, 3.0, 4.0], [5.0], [6.0, 7.0]], 2)
-def test_score_rows_equals_per_position_reference(trajectories, width):
-    # ragged lengths, empty trajectories, lengths above width and width 1
-    rows, lengths = score_rows([tuple(t) for t in trajectories], width)
-    expected_rows, expected_lengths = score_rows_oracle(trajectories, width)
-    assert len(rows) == width
-    # one float per kept score: the rows are consecutive views of one array
-    flat = rows[0].base
-    assert all(row.base is flat for row in rows)
-    assert flat.tobytes() == b"".join(row.tobytes() for row in rows)
-    for row, expected in zip(rows, expected_rows):
-        assert row.dtype == float
-        assert row.tobytes() == np.array(expected, dtype=float).tobytes()
-    assert lengths.tolist() == expected_lengths
+@example([[-0.0, 2.0], [], [1.0, -0.0]], 4)
+def test_flatten_and_prefixes_equal_per_score_reference(sequences, width):
+    # ragged lengths, empty sequences, lengths above width, width 1 and
+    # steps past every length, which hold no sequence
+    values, first, lengths = flatten([tuple(s) for s in sequences], width)
+    expected_values, expected_steps = prefixes_oracle(sequences, width)
+    assert values.dtype == float
+    assert values.tobytes() == np.array(expected_values, dtype=float).tobytes()
+    heads = [min(len(s), width) for s in sequences]
+    assert first.tolist() == list(accumulate(heads, initial=0))[:-1]
+    assert lengths.tolist() == [len(s) for s in sequences]
+    whole, starts, _ = flatten(sequences)  # every score, the harness's layout
+    assert whole.tobytes() == np.array([v for s in sequences for v in s], float).tobytes()
+    assert starts.tolist() == list(accumulate(map(len, sequences), initial=0))[:-1]
+    steps = list(prefixes(values, first, lengths, width))
+    assert len(steps) == width
+    for t, ((live, columns), (expected_live, expected_rows)) in enumerate(
+        zip(steps, expected_steps), start=1
+    ):
+        assert live.tolist() == expected_live
+        assert columns.dtype == float and columns.shape == (t, len(expected_live))
+        expected = np.array(expected_rows, dtype=float).reshape(t, len(expected_live))
+        assert columns.tobytes() == expected.tobytes()
 
 
 def same(a, b):

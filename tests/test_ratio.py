@@ -388,6 +388,18 @@ def test_replay_holds_one_float_per_kept_score():
     assert values[6000:].tolist() == [value([0.5] * t) for t in range(1, 81)]
 
 
+def test_replay_of_a_dense_batch_holds_two_prefix_matrices_beside_its_scores():
+    # 2,000 trajectories of 80 scores under an 80-step model: the kept
+    # scores, the output and steps 79 and 80's prefix matrices are each
+    # about one kept-score array, plus each step's logit temporaries
+    model = constant_model([1.0 + t / 80 for t in range(80)])
+    trajectories = [[0.5] * 80] * 2000
+    values, peak = traced_peak(lambda: replay(model, trajectories))
+    assert peak < 4.5 * values.nbytes, peak / values.nbytes
+    value = ratio_statistic(model)
+    assert values[:80].tolist() == [value([0.5] * t) for t in range(1, 81)]
+
+
 def test_fit_ratio_model_holds_one_float_per_kept_score():
     # 2,000 two-score trajectories and one of 200 scores of each label:
     # a padded (t_max, n) matrix would take 4.4 MB

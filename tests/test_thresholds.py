@@ -24,7 +24,7 @@ from seqgate.artifact import (
     ville_threshold,
 )
 from seqgate.monitor import MonitorState, ratio_rule
-from seqgate.ratio import fit_ratio_model, offsets, replay
+from seqgate.ratio import fit_ratio_model, flatten, replay
 from seqgate.thresholds import null_maxima, pac_threshold
 from seqgate.trajectories import LabeledTrajectory, SplitConfig
 from seqgate.trajectories import split_calibration
@@ -186,7 +186,7 @@ def test_pac_threshold_on_a_shared_opening_keeps_its_level():
     assert state.finalize().decision == "accepted"
     # held-out successful trajectories cross the threshold at most alpha of the time
     nulls = [item.scores for item in shared_opening(2000, 1) if item.label == 1]
-    crossed = np.maximum.reduceat(replay(model, nulls), offsets(nulls)) >= spec.value
+    crossed = np.maximum.reduceat(replay(model, nulls), flatten(nulls)[1]) >= spec.value
     assert crossed.mean() <= 0.2
 
 
