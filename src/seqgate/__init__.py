@@ -18,7 +18,7 @@ _EXPORTS = {
     "artifact": (
         "FitConfig", "LogisticModel", "RatioModel", "ThresholdSpec", "binomial_sf",
         "bonferroni_threshold", "load_calibration", "min_null_samples", "pac_index",
-        "ratio_statistic", "save_calibration", "ville_threshold",
+        "pac_threshold", "ratio_statistic", "save_calibration", "ville_threshold",
     ),
     "errors": (
         "DegenerateSplit", "DimensionMismatch", "EmptyPrefix",
@@ -36,13 +36,12 @@ _EXPORTS = {
         "pooled_isotonic", "ratio_rule", "raw_score_rule",
     ),
     "ratio": (
-        "compute_tmax", "estimate_prior", "eval_process", "fit_ratio_model",
+        "compute_tmax", "estimate_prior", "eval_process", "fit_ratio_model", "null_maxima",
     ),
     "synthetic": (
         "SyntheticSpec", "sample_dataset", "toy_marginal_example", "true_ratio_process",
         "true_ratio_rule",
     ),
-    "thresholds": ("null_maxima", "pac_threshold"),
     "trajectories": (
         "LabeledTrajectory", "SplitConfig", "split_calibration",
     ),

@@ -291,6 +291,25 @@ def pac_index(n: int, alpha: float, delta: float) -> int:
     return k
 
 
+def pac_threshold(maxima, alpha: float, delta: float) -> ThresholdSpec:
+    """The float just above the order statistic M_(k), k = pac_index(n, alpha,
+    delta), of the null maxima: the bound covers Pr[M > M_(k)], and rules
+    reject at >=, so null maxima tied at M_(k) must not reject."""
+    n = len(maxima)
+    # sorted orders a list holding nan arbitrarily
+    if any(map(math.isnan, maxima)):
+        raise OutOfRange("maxima must not be nan")
+    k = pac_index(n, alpha, delta)
+    return ThresholdSpec(
+        kind="pac",
+        alpha=alpha,
+        value=math.nextafter(sorted(maxima)[k - 1], math.inf),
+        delta=delta,
+        n_null=n,
+        k_index=k,
+    )
+
+
 @contextmanager
 def _opened(path_or_stream, mode):
     """A path opened as UTF-8 text with newlines untranslated, or a stream

@@ -129,14 +129,13 @@ def _experiment_config(args, n_splits: int):
 
 def _cmd_calibrate(args, stdin, stdout) -> int:
     from . import dataio
-    from .artifact import bonferroni_threshold, probability, ville_threshold
-    from .ratio import fit_ratio_model
-    from .thresholds import null_maxima, pac_threshold
+    from .artifact import bonferroni_threshold, pac_threshold, probability, ville_threshold
+    from .ratio import fit_ratio_model, null_maxima
     from .trajectories import SplitConfig, split_calibration
 
     # every kind: only pac reads delta, but a bad value is never accepted
     probability(args.delta, "delta")
-    data = dataio.read_dataset(args.data)
+    data, digest = dataio.read_digested(args.data)
     dre, thresh_set = split_calibration(
         data, SplitConfig(args.dre_fraction, args.seed)
     )
@@ -150,7 +149,7 @@ def _cmd_calibrate(args, stdin, stdout) -> int:
         spec = pac_threshold(maxima, args.alpha, args.delta)
     metadata = {
         "data": str(args.data),
-        "data_digest": dataio.data_digest(args.data),
+        "data_digest": digest,
         "n_trajectories": len(data),
         "n_dre": len(dre),
         "n_threshold": len(thresh_set),

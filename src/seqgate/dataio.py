@@ -10,6 +10,7 @@ object, fails as ParseError. The artifact's ``save_calibration`` and
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import sys
@@ -132,11 +133,25 @@ def chess_to_dataset(games) -> tuple:
     )
 
 
-def data_digest(path) -> str:
-    """``"sha256:"`` and the hex SHA-256 of the file's bytes, as
-    ``sha256sum`` prints it. The file is read in 64 KiB chunks into
-    CPython's built-in SHA-256, as the stdlib's ``random`` does: hashlib
-    would load OpenSSL's libcrypto, several MB of resident memory."""
+class _Digesting(io.BufferedReader):
+    """A file opened for binary reading that feeds each chunk ``read1``
+    returns to ``digest``; a text layer reads its buffer through ``read1``."""
+
+    def __init__(self, path, digest):
+        super().__init__(io.FileIO(path))
+        self.digest = digest
+
+    def read1(self, size=-1):
+        chunk = super().read1(size)
+        self.digest.update(chunk)
+        return chunk
+
+
+def read_digested(path) -> tuple:
+    """``read_dataset(path)`` and ``"sha256:"`` plus the hex SHA-256 of the
+    file's bytes, as ``sha256sum`` prints it, hashed as the reader decodes
+    them from its one open. It is CPython's built-in SHA-256: hashlib would
+    load OpenSSL's libcrypto, several MB of resident memory."""
     try:
         from _sha2 import sha256  # Python 3.12+
     except ImportError:
@@ -145,10 +160,8 @@ def data_digest(path) -> str:
         except ImportError:  # a build without the built-in hashes
             from hashlib import sha256
     digest = sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return "sha256:" + digest.hexdigest()
+    with io.TextIOWrapper(_Digesting(path, digest), encoding="utf-8", newline="") as fh:
+        return read_dataset(fh), "sha256:" + digest.hexdigest()
 
 
 def write_csv(path_or_stream, cls, rows, lead=None) -> None:

@@ -17,13 +17,12 @@ import numpy as np
 
 from .artifact import DEFAULT_CAL_FRACTION, DEFAULT_DELTA, DEFAULT_DRE_FRACTION
 from .artifact import DEFAULT_SPLITS, bonferroni_threshold, count, probability
-from .artifact import ville_threshold
+from .artifact import pac_threshold, ville_threshold
 from .errors import DegenerateSplit, InsufficientCalibration, MissingTokens, OutOfRange
 from .kernels import apply_isotonic
 from .monitor import KNOWN_METHODS, calibrated_score_rule, pooled_isotonic
 from .monitor import ratio_rule, raw_score_rule
-from .ratio import fit_ratio_model, flatten, replay
-from .thresholds import null_maxima, pac_threshold
+from .ratio import fit_ratio_model, flatten, null_maxima, replay
 from .trajectories import SplitConfig, derive_seed, split_calibration
 
 _RATIO_METHODS = {"evaluator_pac", "evaluator_ville", "bonferroni"}

@@ -100,9 +100,13 @@ class MonitorState:
 
     def __init__(self, rule: DecisionRule):
         self.rule = rule
-        self.step = 0
         self.observed: list = []
         self.status = ACTIVE
+
+    @property
+    def step(self) -> int:
+        """The number of scores observed."""
+        return len(self.observed)
 
     def observe(self, score: float) -> Status:
         status = self.status
@@ -122,7 +126,6 @@ class MonitorState:
             raise InvalidTrajectory(
                 f"statistic is nan after score {score!r}", field="scores"
             )
-        self.step += 1
         if rule.fires(stat):
             status = self.status = Status("rejected", self.step)
         return status

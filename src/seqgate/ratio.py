@@ -21,7 +21,7 @@ Two paths share one arithmetic. ``artifact.ratio_statistic`` turns a model
 into its per-prefix statistic, for the streaming monitor: it reads the step
 models and the constants once, so each call is one length, one index and the
 logit loop. ``replay`` evaluates whole processes of many trajectories, for
-thresholds and the experiment harness. Both sum the logit left to right,
+``null_maxima`` and the experiment harness. Both sum the logit left to right,
 clamp it and take ``math.exp`` of its negation, so they return
 bit-identical values on any platform: the statistic in plain float
 arithmetic, ``replay`` with numpy arrays for the sums and the clamp.
@@ -36,7 +36,8 @@ from operator import itemgetter
 import numpy as np
 
 from .artifact import FitConfig, RatioModel
-from .errors import EmptyPrefix, InvalidTrajectory, NoOverlap, SingleClassData
+from .errors import EmptyPrefix, InvalidTrajectory, NoNullTrajectories, NoOverlap
+from .errors import SingleClassData
 from .kernels import fit_logistic
 
 
@@ -155,6 +156,15 @@ def replay(model: RatioModel, trajectories) -> np.ndarray:
         repeats[first + heads - 1] += lengths - heads
         out = np.repeat(out, repeats)
     return out
+
+
+def null_maxima(model: RatioModel, thresh_set) -> list:
+    """Trajectory-wise maximum of the estimated ratio process, nulls only."""
+    nulls = [item.scores for item in thresh_set if item.label == 1]
+    if not nulls:
+        raise NoNullTrajectories("threshold calibration needs label-1 trajectories")
+    lengths = np.fromiter(map(len, nulls), int, count=len(nulls))
+    return np.maximum.reduceat(replay(model, nulls), np.cumsum(lengths) - lengths).tolist()
 
 
 def eval_process(model: RatioModel, scores) -> list:

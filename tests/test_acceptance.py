@@ -24,7 +24,7 @@ from oracles import (
     run_offline,
 )
 
-from seqgate.artifact import binomial_sf, pac_index
+from seqgate.artifact import binomial_sf, pac_index, pac_threshold
 from seqgate.cli import cli_dispatch
 from seqgate.dataio import centipawn_to_prob, write_dataset
 from seqgate.errors import InsufficientCalibration
@@ -48,7 +48,6 @@ from seqgate.synthetic import (
     toy_marginal_example,
     true_ratio_process,
 )
-from seqgate.thresholds import pac_threshold
 from seqgate.trajectories import SplitConfig, derive_seed, split_calibration
 
 

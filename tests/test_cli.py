@@ -657,7 +657,7 @@ def test_degenerate_fit_fails_closed(tmp_path, capsys, command):
 BATCH_MODULES = ("numpy",) + tuple(
     f"seqgate.{name}"
     for name in (
-        "kernels", "ratio", "thresholds", "trajectories", "dataio", "harness",
+        "kernels", "ratio", "trajectories", "dataio", "harness",
         "synthetic",
     )
 )
@@ -678,15 +678,16 @@ print(json.dumps([results, sorted(m for m, v in sys.modules.items() if v is not 
 """
 
 
-def run_child(cases, blocked=()):
+def run_child(cases, blocked=(), script=CHILD):
     """Run each (argv, stdin) case through cli_dispatch in one fresh
     interpreter, with the imports of ``blocked`` made to fail and a
     RuntimeWarning made an error. Returns each case's (code, stdout, stderr)
-    and the names of the modules loaded at the end."""
+    and the names of the modules loaded at the end, or what ``script``
+    prints as JSON, given the cases on stdin."""
     src = str(Path(seqgate.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     done = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-c", CHILD, *blocked],
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", script, *blocked],
         input=json.dumps(cases), capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
     )
@@ -757,6 +758,32 @@ def test_calibrate_digests_the_data_without_openssl(tmp_path, data_file):
     for kind in THRESHOLD_KINDS:
         _, _, meta = load_calibration(tmp_path / f"{kind}.json")
         assert meta["data_digest"] == expected, kind
+
+
+OPENS_CHILD = """
+import io, json, sys
+from seqgate.cli import cli_dispatch
+argv = json.load(sys.stdin)
+path, opens = argv[argv.index("--data") + 1], []
+
+def hook(event, args):
+    if event == "open" and args[0] == path:
+        opens.append(args[1])
+
+sys.addaudithook(hook)
+print(json.dumps([cli_dispatch(argv, stdout=io.StringIO()), opens]))
+"""
+
+
+def test_calibrate_opens_the_data_once(tmp_path, data_file):
+    # every file open raises the "open" audit event; a hook cannot be
+    # removed, so it is added in a child interpreter
+    argv = [
+        "calibrate", "--data", str(data_file), "--alpha", "0.2",
+        "--out", str(tmp_path / "model.json"),
+    ]
+    code, opens = run_child(argv, script=OPENS_CHILD)
+    assert code == 0 and opens == ["r"], opens
 
 
 def test_every_export_resolves():

@@ -12,10 +12,10 @@ from seqgate.artifact import ThresholdSpec, ville_threshold
 from seqgate.dataio import (
     centipawn_to_prob,
     chess_to_dataset,
-    data_digest,
     load_calibration,
     read_chess_games,
     read_dataset,
+    read_digested,
     save_calibration,
     write_csv,
     write_dataset,
@@ -240,12 +240,21 @@ def test_chess_empty_centipawns():
 
 @pytest.mark.parametrize("size", [0, 1, 65536, 65537, 200_003])
 def test_data_digest_is_the_sha256_of_the_bytes(tmp_path, size):
-    # sizes on either side of the 64 KiB read; bytes that are no UTF-8 text
-    data = random.Random(size).randbytes(size)
-    path = tmp_path / "data.bin"
+    # sizes on either side of a multiple of the text layer's 8 KiB reads;
+    # two-byte characters in the ids, which a read can split, then blank lines
+    rng, data = random.Random(size), b""
+    while True:
+        record = {"id": f"\u00fc{len(data)}", "scores": [rng.random()], "label": 1}
+        line = (json.dumps(record, ensure_ascii=False) + "\n").encode()
+        if len(data) + len(line) > size:
+            break
+        data += line
+    data += b"\n" * (size - len(data))
+    path = tmp_path / "data.jsonl"
     path.write_bytes(data)
-    assert data_digest(path) == "sha256:" + hashlib.sha256(data).hexdigest()
-    assert data_digest(str(path)) == data_digest(path)
+    digest = "sha256:" + hashlib.sha256(data).hexdigest()
+    assert read_digested(path) == (read_dataset(path), digest)
+    assert read_digested(str(path)) == (read_dataset(path), digest)
 
 
 def test_calibration_artifact_roundtrip(tmp_path):

@@ -27,7 +27,8 @@ from oracles import prefixes_oracle
 from seqgate import harness
 from seqgate.artifact import THRESHOLD_KINDS, FitConfig, LogisticModel, RatioModel
 from seqgate.artifact import ThresholdSpec
-from seqgate.artifact import load_calibration, pac_index, ratio_statistic, ville_threshold
+from seqgate.artifact import load_calibration, pac_index, pac_threshold, ratio_statistic
+from seqgate.artifact import ville_threshold
 from seqgate.cli import cli_dispatch
 from seqgate.harness import NEVER_TERMINATE, ExperimentConfig, TokenCurvePoint
 from seqgate.harness import _first_steps, _SplitArtifacts
@@ -51,7 +52,6 @@ from seqgate.monitor import (
 )
 from seqgate.ratio import eval_process, flatten, prefixes, replay
 from seqgate.synthetic import SyntheticSpec, sample_dataset
-from seqgate.thresholds import pac_threshold
 from seqgate.trajectories import LabeledTrajectory, derive_seed
 
 EXACT = settings(max_examples=80, deadline=None, derandomize=True, database=None)

@@ -239,9 +239,8 @@ def test_alpha_monotonicity_of_decisions():
     spec = SyntheticSpec()
     test = sample_dataset(spec, 80, seed=52)
     cal = sample_dataset(spec, 200, seed=51)
-    from seqgate.ratio import fit_ratio_model
-    from seqgate.artifact import ville_threshold
-    from seqgate.thresholds import pac_threshold, null_maxima
+    from seqgate.ratio import fit_ratio_model, null_maxima
+    from seqgate.artifact import pac_threshold, ville_threshold
     from seqgate.trajectories import SplitConfig, split_calibration
 
     dre, thr = split_calibration(cal, SplitConfig(0.5, 1))

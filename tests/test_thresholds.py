@@ -21,11 +21,11 @@ from seqgate.artifact import (
     bonferroni_threshold,
     min_null_samples,
     pac_index,
+    pac_threshold,
     ville_threshold,
 )
 from seqgate.monitor import MonitorState, ratio_rule
-from seqgate.ratio import fit_ratio_model, flatten, replay
-from seqgate.thresholds import null_maxima, pac_threshold
+from seqgate.ratio import eval_process, fit_ratio_model, flatten, null_maxima, replay
 from seqgate.trajectories import LabeledTrajectory, SplitConfig
 from seqgate.trajectories import split_calibration
 
@@ -74,6 +74,19 @@ def test_null_maxima_ignores_alternatives():
     ]
     maxima = null_maxima(model, nulls)
     assert maxima == pytest.approx([1.0, 3.0], rel=1e-12)
+
+
+def test_null_maxima_of_a_null_longer_than_t_max():
+    # past t_max the process repeats its step-2 value 4.0, so a start taken
+    # from the first t_max scores would give the next null's maximum as 4.0
+    model = _score_echo_model(2)
+    nulls = [
+        LabeledTrajectory(id="a", scores=[-math.log(0.5), -math.log(4.0), 5.0, 5.0], label=1),
+        LabeledTrajectory(id="b", scores=[-math.log(1.5)], label=1),
+    ]
+    maxima = null_maxima(model, nulls)
+    assert maxima == [max(eval_process(model, item.scores)) for item in nulls]
+    assert maxima == pytest.approx([4.0, 1.5], rel=1e-12)
 
 
 def test_null_maxima_nan_statistic_fails_closed():
