@@ -42,9 +42,7 @@ _EXPORTS = {
         "SyntheticSpec", "sample_dataset", "toy_marginal_example", "true_ratio_process",
         "true_ratio_rule",
     ),
-    "trajectories": (
-        "LabeledTrajectory", "SplitConfig", "split_calibration",
-    ),
+    "trajectories": ("LabeledTrajectory", "split_calibration"),
     "dataio": (
         "centipawn_to_prob", "chess_to_dataset", "read_chess_games", "read_dataset",
         "write_dataset",

@@ -217,7 +217,11 @@ class ThresholdSpec:
 def ville_threshold(alpha: float) -> ThresholdSpec:
     """Universal threshold 1/alpha."""
     probability(alpha, "alpha")
-    return ThresholdSpec(kind="ville", alpha=alpha, value=1.0 / alpha)
+    # a subnormal alpha overflows 1/alpha to inf, a threshold that never rejects
+    value = 1.0 / alpha
+    if not math.isfinite(value):
+        raise OutOfRange(f"1 / alpha must be a finite float, alpha={alpha}")
+    return ThresholdSpec(kind="ville", alpha=alpha, value=value)
 
 
 def bonferroni_threshold(alpha: float, t_cal_max: int) -> ThresholdSpec:

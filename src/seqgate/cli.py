@@ -131,14 +131,15 @@ def _cmd_calibrate(args, stdin, stdout) -> int:
     from . import dataio
     from .artifact import bonferroni_threshold, pac_threshold, probability, ville_threshold
     from .ratio import fit_ratio_model, null_maxima
-    from .trajectories import SplitConfig, split_calibration
+    from .trajectories import split_calibration
 
-    # every kind: only pac reads delta, but a bad value is never accepted
+    # checked before the data is read; only pac reads delta, but a bad value
+    # is never accepted
     probability(args.delta, "delta")
+    probability(args.dre_fraction, "dre_fraction")
+    probability(args.alpha, "alpha")
     data, digest = dataio.read_digested(args.data)
-    dre, thresh_set = split_calibration(
-        data, SplitConfig(args.dre_fraction, args.seed)
-    )
+    dre, thresh_set = split_calibration(data, args.dre_fraction, args.seed)
     model = fit_ratio_model(dre)
     if args.threshold == "ville":
         spec = ville_threshold(args.alpha)

@@ -1,11 +1,12 @@
-"""File formats: JSON-lines trajectory datasets, chess game conversion, the
-versioned calibration artifact bundling a fitted ratio model with its
-decision threshold, and the CSV tables of the experiment harness.
+"""File formats: JSON-lines trajectory datasets, chess game conversion and
+the CSV tables of the experiment harness.
 
 Each function takes a path, opened here as UTF-8, or an open text stream,
 which is left open. Input that is not UTF-8, or a line that is not a JSON
-object, fails as ParseError. The artifact's ``save_calibration`` and
-``load_calibration`` live in ``artifact``.
+object, fails as ParseError. The versioned calibration artifact lives in
+``artifact``; ``load_calibration`` and ``save_calibration`` are re-exported
+here only because the benchmark (``perfbench/run.py``) calls
+``dataio.load_calibration``.
 """
 
 from __future__ import annotations

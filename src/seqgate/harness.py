@@ -23,7 +23,7 @@ from .kernels import apply_isotonic
 from .monitor import KNOWN_METHODS, calibrated_score_rule, pooled_isotonic
 from .monitor import ratio_rule, raw_score_rule
 from .ratio import fit_ratio_model, flatten, null_maxima, replay
-from .trajectories import SplitConfig, derive_seed, split_calibration
+from .trajectories import derive_seed, split_calibration
 
 _RATIO_METHODS = {"evaluator_pac", "evaluator_ville", "bonferroni"}
 NEVER_TERMINATE = "never_terminate"
@@ -103,9 +103,7 @@ class _SplitArtifacts:
     """Everything fitted once per split and shared by all methods."""
 
     def __init__(self, data, cfg: ExperimentConfig, split_seed: int):
-        cal, test = split_calibration(
-            data, SplitConfig(cfg.cal_fraction, derive_seed(split_seed, 0))
-        )
+        cal, test = split_calibration(data, cfg.cal_fraction, derive_seed(split_seed, 0))
         self.cal = cal
         self.test = test
         self.t_cal_max = max(map(len, cal))
@@ -117,7 +115,7 @@ class _SplitArtifacts:
 
         if any(m in _RATIO_METHODS for m in cfg.methods):
             dre, thresh = split_calibration(
-                cal, SplitConfig(cfg.dre_fraction, derive_seed(split_seed, 1))
+                cal, cfg.dre_fraction, derive_seed(split_seed, 1)
             )
             self.ratio_model = fit_ratio_model(dre)
             self.null_maxima = null_maxima(self.ratio_model, thresh)

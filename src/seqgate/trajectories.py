@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from numbers import Real
 from typing import Optional
 
-from .artifact import DEFAULT_DRE_FRACTION, count, probability
+from .artifact import count, probability
 from .errors import DegenerateSplit, InvalidTrajectory
 
 
@@ -108,19 +108,6 @@ class LabeledTrajectory:
 
     def __len__(self) -> int:
         return len(self.scores)
-
-
-@dataclass(frozen=True)
-class SplitConfig:
-    """Fraction of items routed to the first (ratio-fitting) side, a
-    ``probability``, plus a seed, a ``count`` from 0."""
-
-    dre_fraction: float = DEFAULT_DRE_FRACTION
-    seed: int = 0
-
-    def __post_init__(self):
-        probability(self.dre_fraction, "dre_fraction")
-        count(self.seed, "seed", lower=0)
 
 
 # numpy's SeedSequence hash constants (NEP 19) and PCG64's multiplier
@@ -246,23 +233,26 @@ def _per_label_take(counts: dict, k: int) -> dict:
     return {1: k - k0, 0: k0}
 
 
-def split_calibration(cal, cfg: SplitConfig):
+def split_calibration(cal, fraction: float, seed: int):
     """Seeded stratified partition of the trajectories ``cal`` into two
     disjoint tuples, each in ``cal``'s order.
 
-    The first side holds round(dre_fraction * n) items; both sides keep at
-    least one trajectory of each label, else DegenerateSplit is raised. The
-    label-1 items, then the label-0 items, are permuted on one
-    ``SplitStream(cfg.seed)``, the draws of ``default_rng(cfg.seed)``.
+    The first side holds round(fraction * n) items, ``fraction`` a
+    ``probability``; both sides keep at least one trajectory of each label,
+    else DegenerateSplit is raised. The label-1 items, then the label-0
+    items, are permuted on one ``SplitStream(seed)``, the draws of
+    ``default_rng(seed)``, ``seed`` a ``count`` from 0.
     """
+    probability(fraction, "fraction")
+    count(seed, "seed", lower=0)
     n = len(cal)
     if n == 0:
         raise DegenerateSplit("cannot split an empty calibration set")
-    k = int(math.floor(cfg.dre_fraction * n + 0.5))
+    k = int(math.floor(fraction * n + 0.5))
     labels = [item.label for item in cal]
     take = _per_label_take({1: labels.count(1), 0: labels.count(0)}, k)
 
-    stream = SplitStream(cfg.seed)
+    stream = SplitStream(seed)
     chosen = set()
     for label in (1, 0):
         members = [i for i, y in enumerate(labels) if y == label]

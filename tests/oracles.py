@@ -210,14 +210,14 @@ def permutations_oracle(seed, sizes):
     return [rng.permutation(n).tolist() for n in sizes]
 
 
-def split_calibration_oracle(cal, cfg):
+def split_calibration_oracle(cal, fraction, seed):
     """trajectories.split_calibration written item by item on numpy's
-    ``default_rng(cfg.seed)``: the same permutation calls in the same order,
+    ``default_rng(seed)``: the same permutation calls in the same order,
     each side in input order."""
-    k = int(floor(cfg.dre_fraction * len(cal) + 0.5))
+    k = int(floor(fraction * len(cal) + 0.5))
     labels = [item.label for item in cal]
     take = _per_label_take({y: labels.count(y) for y in (1, 0)}, k)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     chosen = set()
     for label in (1, 0):
         idx = [i for i, item in enumerate(cal) if item.label == label]

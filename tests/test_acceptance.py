@@ -48,7 +48,7 @@ from seqgate.synthetic import (
     toy_marginal_example,
     true_ratio_process,
 )
-from seqgate.trajectories import SplitConfig, derive_seed, split_calibration
+from seqgate.trajectories import derive_seed, split_calibration
 
 
 @contextmanager
@@ -215,9 +215,8 @@ def test_criterion_08_power_and_conservativeness_ordering():
             methods=methods,
         )
         result = evaluate_split(data, cfg, derive_seed(cfg.seed, 0))
-        _, test = split_calibration(
-            data, SplitConfig(cfg.cal_fraction, derive_seed(derive_seed(cfg.seed, 0), 0))
-        )
+        split_seed = derive_seed(derive_seed(cfg.seed, 0), 0)
+        _, test = split_calibration(data, cfg.cal_fraction, split_seed)
         n_null = sum(item.label == 1 for item in test)
         n_alt = len(test) - n_null
 

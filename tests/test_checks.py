@@ -27,7 +27,7 @@ from seqgate.dataio import write_dataset
 from seqgate.errors import InvalidTrajectory, OutOfRange
 from seqgate.harness import ExperimentConfig
 from seqgate.synthetic import SyntheticSpec, sample_dataset
-from seqgate.trajectories import LabeledTrajectory, SplitConfig
+from seqgate.trajectories import LabeledTrajectory, split_calibration
 
 # the last value of each list is in type but out of range
 PROBABILITY = [math.nan, math.inf, True, "0.5", 1.5]
@@ -53,6 +53,11 @@ def _logistic_model(field, value):
     return LogisticModel(**{"weights": (0.0,), "intercept": 0.0, field: value})
 
 
+def _split(field, value):
+    cal = [LabeledTrajectory(f"t{i}", [0.5], label) for i, label in enumerate([1, 1, 0, 0])]
+    return split_calibration(cal, **{"fraction": 0.5, "seed": 0, field: value})
+
+
 def _two_step_model(second):
     return RatioModel((LogisticModel((0.5,), 0.0), second), 0.5, 2, FitConfig())
 
@@ -63,7 +68,7 @@ CALLS = {
     "RatioModel": lambda f, v: _ratio_model(**{f: v}),
     "TwoStepRatioModel": lambda f, v: _two_step_model(v),
     "ExperimentConfig": _experiment,
-    "SplitConfig": lambda f, v: SplitConfig(**{f: v}),
+    "split_calibration": _split,
     "SyntheticSpec": lambda f, v: SyntheticSpec(**{f: v}),
     "ville_threshold": lambda f, v: ville_threshold(v),
     "bonferroni_threshold": lambda f, v: bonferroni_threshold(
@@ -94,8 +99,8 @@ FIELDS = [
     ("ExperimentConfig", "delta", PROBABILITY),
     ("ExperimentConfig", "dre_fraction", PROBABILITY),
     ("ExperimentConfig", "seed", SEED),
-    ("SplitConfig", "dre_fraction", PROBABILITY),
-    ("SplitConfig", "seed", SEED),
+    ("split_calibration", "fraction", PROBABILITY),
+    ("split_calibration", "seed", SEED),
     ("SyntheticSpec", "mu_null", NUMBER + [0.3]),
     ("SyntheticSpec", "mu_alt", NUMBER),
     ("SyntheticSpec", "sigma", NUMBER + [0.0]),
@@ -203,6 +208,8 @@ CLI_CASES = [
     (EVALUATE[:4] + ["nan"], 1, "OUT_OF_RANGE"),
     (EVALUATE[:4] + ["0.3,0.1"], 1, "OUT_OF_RANGE"),
     (EVALUATE[:4] + [","], 1, "OUT_OF_RANGE"),
+    # 1 / alpha overflows to a ville threshold that never rejects
+    (EVALUATE[:4] + ["1e-310,0.1", "--methods", "evaluator_ville"], 1, "OUT_OF_RANGE"),
     (EVALUATE[:4] + ["abc"], 2, None),
     (["tokens", "--data", DATA, "--alphas", "1.5"], 1, "OUT_OF_RANGE"),
     (EVALUATE + ["--delta", "0"], 1, "OUT_OF_RANGE"),

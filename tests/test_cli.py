@@ -513,6 +513,20 @@ def test_missing_data_file(tmp_path, capsys):
     assert "ERROR IO_ERROR" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [(["--alpha", "0"], "alpha"), (["--alpha", "0.2", "--dre-fraction", "1.5"], "dre_fraction")],
+)
+def test_calibrate_checks_flags_before_reading_data(tmp_path, capsys, flags, name):
+    # the data file is missing: only a check made before the read can win
+    missing = str(tmp_path / "nope.jsonl")
+    out = tmp_path / "m.json"
+    assert cli_dispatch(["calibrate", "--data", missing, *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ERROR OUT_OF_RANGE: {name} must lie strictly in (0, 1)"), err
+    assert not out.exists()
+
+
 def test_calibrate_ville_and_bonferroni_artifacts(tmp_path, data_file):
     ville_path = tmp_path / "ville.json"
     code = cli_dispatch(

@@ -103,7 +103,7 @@ def test_evaluate_split_matches_run_offline(synth_data):
     # the harness fast path must agree with literal rule replay
     from seqgate.monitor import calibrated_score_rule, pooled_isotonic, ratio_rule
     from seqgate.artifact import ville_threshold
-    from seqgate.trajectories import SplitConfig, split_calibration
+    from seqgate.trajectories import split_calibration
 
     cfg = ExperimentConfig(
         alpha_grid=(0.3,),
@@ -115,12 +115,8 @@ def test_evaluate_split_matches_run_offline(synth_data):
     split_seed = derive_seed(cfg.seed, 0)
     result = evaluate_split(synth_data, cfg, split_seed)
 
-    cal, test = split_calibration(
-        synth_data, SplitConfig(cfg.cal_fraction, derive_seed(split_seed, 0))
-    )
-    dre, _ = split_calibration(
-        cal, SplitConfig(cfg.dre_fraction, derive_seed(split_seed, 1))
-    )
+    cal, test = split_calibration(synth_data, cfg.cal_fraction, derive_seed(split_seed, 0))
+    dre, _ = split_calibration(cal, cfg.dre_fraction, derive_seed(split_seed, 1))
     model = fit_ratio_model(dre)
     rules = {
         "evaluator_ville": ratio_rule(model, ville_threshold(0.3).value),
@@ -393,10 +389,10 @@ def test_true_ratio_rule_controls_far_through_monitor():
     # the monitor over a split's test side, keeps FAR within binomial noise
     spec = SyntheticSpec()
     from seqgate.synthetic import true_ratio_rule
-    from seqgate.trajectories import SplitConfig, split_calibration
+    from seqgate.trajectories import split_calibration
 
     data = sample_dataset(spec, 2500, seed=29)
-    _, test = split_calibration(data, SplitConfig(0.2, seed=1))
+    _, test = split_calibration(data, 0.2, 1)
     nulls = [item for item in test if item.label == 1]
     for alpha in (0.1, 0.3, 0.5):
         rule = true_ratio_rule(spec, 1.0 / alpha)

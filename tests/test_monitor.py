@@ -241,9 +241,9 @@ def test_alpha_monotonicity_of_decisions():
     cal = sample_dataset(spec, 200, seed=51)
     from seqgate.ratio import fit_ratio_model, null_maxima
     from seqgate.artifact import pac_threshold, ville_threshold
-    from seqgate.trajectories import SplitConfig, split_calibration
+    from seqgate.trajectories import split_calibration
 
-    dre, thr = split_calibration(cal, SplitConfig(0.5, 1))
+    dre, thr = split_calibration(cal, 0.5, 1)
     model = fit_ratio_model(dre)
     maxima = null_maxima(model, thr)
 
@@ -268,8 +268,8 @@ def test_alpha_monotonicity_of_decisions():
 
 
 def test_observed_length_tracks_step():
-    state = MonitorState(raw_score_rule(0.01))
-    for i, s in enumerate((0.5, 0.6, 0.7), start=1):
+    state, scores = MonitorState(raw_score_rule(0.01)), (0.5, 0.6, 0.7)
+    for i, s in enumerate(scores, start=1):
         state.observe(s)
         assert state.step == i
-        assert len(state.observed) == state.step
+        assert state.observed == list(scores[:i])

@@ -26,8 +26,7 @@ from seqgate.artifact import (
 )
 from seqgate.monitor import MonitorState, ratio_rule
 from seqgate.ratio import eval_process, fit_ratio_model, flatten, null_maxima, replay
-from seqgate.trajectories import LabeledTrajectory, SplitConfig
-from seqgate.trajectories import split_calibration
+from seqgate.trajectories import LabeledTrajectory, split_calibration
 
 
 def test_ville_threshold_values():
@@ -41,6 +40,10 @@ def test_ville_threshold_out_of_range():
         ville_threshold(1.5)
     with pytest.raises(OutOfRange):
         ville_threshold(0.0)
+    # 1 / alpha overflows below about 5.6e-309: a threshold that never rejects
+    with pytest.raises(OutOfRange, match="1 / alpha must be a finite float"):
+        ville_threshold(1e-310)
+    assert ville_threshold(6e-309).value == 1.0 / 6e-309
 
 
 def _score_echo_model(t_max):
@@ -186,7 +189,7 @@ def shared_opening(n, seed):
 def test_pac_threshold_on_a_shared_opening_keeps_its_level():
     # most null maxima tie at the shared step-1 statistic; a threshold equal
     # to it would reject every trajectory at t = 1
-    dre, thresh_set = split_calibration(shared_opening(600, 0), SplitConfig(0.5, 0))
+    dre, thresh_set = split_calibration(shared_opening(600, 0), 0.5, 0)
     model = fit_ratio_model(dre)
     maxima = null_maxima(model, thresh_set)
     spec = pac_threshold(maxima, alpha=0.2, delta=0.05)

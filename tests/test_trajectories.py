@@ -7,7 +7,6 @@ from oracles import derive_seed_oracle, permutations_oracle, split_calibration_o
 from seqgate.errors import DegenerateSplit, InvalidTrajectory, OutOfRange
 from seqgate.trajectories import (
     LabeledTrajectory,
-    SplitConfig,
     SplitStream,
     _per_label_take,
     derive_seed,
@@ -65,7 +64,7 @@ def test_validate_rejects_negative_tokens():
 
 def test_split_sizes_and_partition():
     cal = make_set([1] * 5 + [0] * 5)
-    first, second = split_calibration(cal, SplitConfig(0.5, seed=7))
+    first, second = split_calibration(cal, 0.5, 7)
     assert len(first) == 5 and len(second) == 5
     ids_first = {item.id for item in first}
     ids_second = {item.id for item in second}
@@ -75,39 +74,39 @@ def test_split_sizes_and_partition():
 
 def test_split_stratifies_small_sets():
     cal = make_set([1, 1, 0, 0])
-    first, second = split_calibration(cal, SplitConfig(0.5, seed=3))
+    first, second = split_calibration(cal, 0.5, 3)
     assert sorted(item.label for item in first) == [0, 1]
     assert sorted(item.label for item in second) == [0, 1]
 
 
 def test_split_deterministic():
     cal = make_set([1, 0] * 8)
-    a1, b1 = split_calibration(cal, SplitConfig(0.3, seed=11))
-    a2, b2 = split_calibration(cal, SplitConfig(0.3, seed=11))
+    a1, b1 = split_calibration(cal, 0.3, 11)
+    a2, b2 = split_calibration(cal, 0.3, 11)
     assert [i.id for i in a1] == [i.id for i in a2]
     assert [i.id for i in b1] == [i.id for i in b2]
 
 
 def test_split_different_seeds_differ():
     cal = make_set([1, 0] * 20)
-    a1, _ = split_calibration(cal, SplitConfig(0.5, seed=1))
-    a2, _ = split_calibration(cal, SplitConfig(0.5, seed=2))
+    a1, _ = split_calibration(cal, 0.5, 1)
+    a2, _ = split_calibration(cal, 0.5, 2)
     assert {i.id for i in a1} != {i.id for i in a2}
 
 
 def test_split_degenerate_single_label():
     with pytest.raises(DegenerateSplit):
-        split_calibration(make_set([1, 1, 1, 1]), SplitConfig(0.5, seed=0))
+        split_calibration(make_set([1, 1, 1, 1]), 0.5, 0)
 
 
 def test_split_degenerate_one_item_of_a_label():
     with pytest.raises(DegenerateSplit):
-        split_calibration(make_set([1, 1, 1, 0]), SplitConfig(0.5, seed=0))
+        split_calibration(make_set([1, 1, 1, 0]), 0.5, 0)
 
 
 def test_split_degenerate_empty():
     with pytest.raises(DegenerateSplit):
-        split_calibration((), SplitConfig(0.5, seed=0))
+        split_calibration((), 0.5, 0)
 
 
 def test_per_label_take_keeps_both_labels_on_both_sides():
@@ -140,7 +139,7 @@ def test_split_partition_property_random():
         if not (2 <= k <= len(cal) - 2):
             continue
         try:
-            first, second = split_calibration(cal, SplitConfig(frac, seed=trial))
+            first, second = split_calibration(cal, frac, trial)
         except DegenerateSplit:
             continue
         assert len(first) == k
@@ -148,14 +147,15 @@ def test_split_partition_property_random():
         assert {i.id for i in first}.isdisjoint({i.id for i in second})
         for side in (first, second):
             assert {item.label for item in side} == {0, 1}
-        assert (first, second) == split_calibration_oracle(cal, SplitConfig(frac, seed=trial))
+        assert (first, second) == split_calibration_oracle(cal, frac, trial)
 
 
-def test_split_config_validates_fraction():
-    with pytest.raises(OutOfRange):
-        SplitConfig(0.0, seed=1)
-    with pytest.raises(OutOfRange):
-        SplitConfig(1.0, seed=1)
+def test_split_validates_fraction():
+    cal = make_set([1, 1, 0, 0])
+    with pytest.raises(OutOfRange, match="^fraction"):
+        split_calibration(cal, 0.0, 1)
+    with pytest.raises(OutOfRange, match="^fraction"):
+        split_calibration(cal, 1.0, 1)
 
 
 # seeds of one to seven 32-bit words; past four, the words overflow the pool
@@ -211,8 +211,7 @@ def test_permutation_shuffles_the_values_given():
 def test_split_equals_numpy_oracle(seed):
     cal = make_set([1, 0, 0, 1, 1] * 40)
     for frac in (0.2, 0.5, 0.73):
-        cfg = SplitConfig(frac, seed=seed)
-        assert split_calibration(cal, cfg) == split_calibration_oracle(cal, cfg)
+        assert split_calibration(cal, frac, seed) == split_calibration_oracle(cal, frac, seed)
 
 
 @pytest.mark.parametrize("seed", [-1, 2.5, "3", True])
