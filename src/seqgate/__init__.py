@@ -23,8 +23,8 @@ _EXPORTS = {
     "errors": (
         "DegenerateSplit", "DimensionMismatch", "EmptyPrefix",
         "InsufficientCalibration", "InvalidTrajectory", "LengthMismatch",
-        "MissingTokens", "MonitorClosed", "NoNullTrajectories", "NoOverlap",
-        "OutOfRange", "ParseError", "SeqgateError", "SingleClassData",
+        "MissingTokens", "MonitorClosed", "NoNullTrajectories", "OutOfRange",
+        "ParseError", "SeqgateError", "SingleClassData",
     ),
     "harness": (
         "AblationResult", "CurvePoint", "ExperimentConfig", "TokenCurvePoint",
@@ -35,9 +35,7 @@ _EXPORTS = {
         "DecisionRule", "MonitorState", "Status", "calibrated_score_rule",
         "pooled_isotonic", "ratio_rule", "raw_score_rule",
     ),
-    "ratio": (
-        "compute_tmax", "estimate_prior", "eval_process", "fit_ratio_model", "null_maxima",
-    ),
+    "ratio": ("eval_process", "fit_ratio_model", "null_maxima"),
     "synthetic": (
         "SyntheticSpec", "sample_dataset", "toy_marginal_example", "true_ratio_process",
         "true_ratio_rule",

@@ -134,18 +134,17 @@ def _cmd_calibrate(args, stdin, stdout) -> int:
     from .trajectories import split_calibration
 
     # checked before the data is read; only pac reads delta, but a bad value
-    # is never accepted
+    # is never accepted, and the ville threshold needs only alpha
     probability(args.delta, "delta")
     probability(args.dre_fraction, "dre_fraction")
     probability(args.alpha, "alpha")
+    spec = ville_threshold(args.alpha) if args.threshold == "ville" else None
     data, digest = dataio.read_digested(args.data)
     dre, thresh_set = split_calibration(data, args.dre_fraction, args.seed)
     model = fit_ratio_model(dre)
-    if args.threshold == "ville":
-        spec = ville_threshold(args.alpha)
-    elif args.threshold == "bonferroni":
+    if args.threshold == "bonferroni":
         spec = bonferroni_threshold(args.alpha, max(len(item) for item in data))
-    else:
+    elif args.threshold == "pac":
         maxima = null_maxima(model, thresh_set)
         spec = pac_threshold(maxima, args.alpha, args.delta)
     metadata = {
@@ -190,8 +189,8 @@ def _cmd_monitor(args, stdin, stdout) -> int:
 def _cmd_evaluate(args, stdin, stdout) -> int:
     from . import dataio, harness
 
-    data = dataio.read_dataset(args.data)
     cfg = _experiment_config(args, args.splits)
+    data = dataio.read_dataset(args.data)
     points = harness.run_experiment(data, cfg)
     dataio.write_csv(args.out, harness.CurvePoint, points)
     print(f"wrote {len(points)} curve points -> {args.out}", file=stdout)
@@ -201,8 +200,8 @@ def _cmd_evaluate(args, stdin, stdout) -> int:
 def _cmd_tokens(args, stdin, stdout) -> int:
     from . import dataio, harness
 
-    data = dataio.read_dataset(args.data)
     cfg = _experiment_config(args, 1)
+    data = dataio.read_dataset(args.data)
     points = harness.token_study(data, cfg)
     dataio.write_csv(args.out, harness.TokenCurvePoint, points)
     print(f"wrote {len(points)} token points -> {args.out}", file=stdout)
@@ -212,8 +211,8 @@ def _cmd_tokens(args, stdin, stdout) -> int:
 def _cmd_ablate(args, stdin, stdout) -> int:
     from . import dataio, harness
 
-    data = dataio.read_dataset(args.data)
     cfg = _experiment_config(args, args.splits)
+    data = dataio.read_dataset(args.data)
     results = harness.calibration_ablation(data, cfg, args.fractions)
     for res in results:
         if res.error is not None:

@@ -49,10 +49,6 @@ class LengthMismatch(SeqgateError):
     pass
 
 
-class NoOverlap(SeqgateError):
-    pass
-
-
 class EmptyPrefix(SeqgateError):
     pass
 

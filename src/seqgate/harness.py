@@ -110,8 +110,7 @@ class _SplitArtifacts:
         self.null = np.array([item.label for item in test]) == 1
 
         # per-step statistic values of every test trajectory, concatenated
-        scores = [item.scores for item in test]
-        self.raw, self.starts, _ = flatten(scores)
+        self.raw, self.starts, lengths = flatten([item.scores for item in test])
 
         if any(m in _RATIO_METHODS for m in cfg.methods):
             dre, thresh = split_calibration(
@@ -119,7 +118,7 @@ class _SplitArtifacts:
             )
             self.ratio_model = fit_ratio_model(dre)
             self.null_maxima = null_maxima(self.ratio_model, thresh)
-            self.ratio = replay(self.ratio_model, scores)
+            self.ratio = replay(self.ratio_model, self.raw, self.starts, lengths)
 
         if "calibrated" in cfg.methods:
             self.iso_model = pooled_isotonic(cal)
@@ -253,9 +252,10 @@ def calibration_ablation(data, cfg: ExperimentConfig, fractions) -> list:
     fractions = tuple(fractions)
     if not fractions or len(set(fractions)) < len(fractions):
         raise OutOfRange(f"fractions must be distinct and non-empty: {fractions}")
+    # every fraction is checked before any runs
+    subs = [replace(cfg, cal_fraction=fraction) for fraction in fractions]
     results = []
-    for fraction in fractions:
-        sub = replace(cfg, cal_fraction=fraction)
+    for fraction, sub in zip(fractions, subs):
         try:
             curves = tuple(run_experiment(data, sub))
             results.append(AblationResult(cal_fraction=fraction, curves=curves))

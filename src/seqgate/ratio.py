@@ -8,10 +8,13 @@ fit starts from the previous step's model; a positive L2 penalty makes the
 objective strictly convex, so the start moves the fit only within the
 gradient tolerance.
 
-Every batch stage holds its scores one way (``flatten``): each trajectory's
-kept scores back to back in one float array, with each one's start. Fit and
-replay walk the same step-t prefix matrices of it (``prefixes``): step t is
-fit, and evaluated, on the first t scores of the trajectories at least t long.
+Every batch dataset is flattened once (``flatten``): each trajectory's
+scores back to back in one float array, with each one's start and length,
+and every stage reads that layout. Fit and replay walk the same step-t
+prefix matrices of it (``prefixes``): step t is fit, and evaluated, on the
+first t scores of the trajectories at least t long. ``replay`` writes the
+statistic at every position of the layout, so its output lines up with the
+scores it was given.
 
 The plug-in ratio (1 - f)/f * prior_1/(1 - prior_1) with f = sigmoid(z) is
 odds * exp(-z), and clamping f to [c, 1 - c] is clamping the logit z to
@@ -31,45 +34,20 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
 from .artifact import FitConfig, RatioModel
-from .errors import EmptyPrefix, InvalidTrajectory, NoNullTrajectories, NoOverlap
-from .errors import SingleClassData
+from .errors import EmptyPrefix, InvalidTrajectory, NoNullTrajectories, SingleClassData
 from .kernels import fit_logistic
 
 
-def estimate_prior(dre) -> float:
-    """Empirical frequency of label-1 trajectories."""
-    labels = [item.label for item in dre]
-    if len(set(labels)) < 2:
-        raise SingleClassData("prior estimation needs both labels present")
-    return sum(labels) / len(labels)
-
-
-def compute_tmax(dre) -> int:
-    """Largest t whose prefix set {trajectories with length >= t} still
-    contains both labels."""
-    max_len = {0: 0, 1: 0}
-    for item in dre:
-        max_len[item.label] = max(max_len[item.label], len(item))
-    t_max = min(max_len[0], max_len[1])
-    if t_max < 1:
-        raise NoOverlap("need score sequences of both labels")
-    return t_max
-
-
-def flatten(sequences, width=None):
-    """Each sequence's first ``width`` values (all, by default) back to back
-    in one float array, each sequence's start in it, and each full length."""
+def flatten(sequences):
+    """Every sequence's values back to back in one float array, each
+    sequence's start in it, and each length."""
     lengths = np.fromiter(map(len, sequences), int, count=len(sequences))
-    heads = lengths if width is None else np.minimum(lengths, width)
-    if width is not None:
-        sequences = map(itemgetter(slice(width)), sequences)
-    values = np.fromiter(chain.from_iterable(sequences), float, count=int(heads.sum()))
-    return values, np.cumsum(heads) - heads, lengths
+    values = np.fromiter(chain.from_iterable(sequences), float, count=int(lengths.sum()))
+    return values, np.cumsum(lengths) - lengths, lengths
 
 
 def prefixes(values, first, lengths, width: int):
@@ -101,10 +79,15 @@ def fit_ratio_model(dre, cfg: FitConfig = FitConfig()) -> RatioModel:
     on every row, and adjacent steps' optima lie close, so it takes fewer
     steps than a start from zeros.
     """
-    prior_1 = estimate_prior(dre)
-    t_max = compute_tmax(dre)
-    values, first, lengths = flatten([item.scores for item in dre], t_max)
-    labels = np.array([item.label for item in dre])
+    labels = np.array([item.label for item in dre], int)
+    n_1 = int(np.count_nonzero(labels))
+    if n_1 in (0, labels.size):
+        raise SingleClassData("prior estimation needs both labels present")
+    # the int count over the int size, the division of sum(labels) / len(labels)
+    prior_1 = n_1 / labels.size
+    values, first, lengths = flatten([item.scores for item in dre])
+    # the largest t at which both labels still have a trajectory running
+    t_max = int(min(lengths[labels == 0].max(), lengths[labels == 1].max()))
     step_models = []
     start = None
     for t, (live, columns) in enumerate(prefixes(values, first, lengths, t_max), 1):
@@ -117,18 +100,18 @@ def fit_ratio_model(dre, cfg: FitConfig = FitConfig()) -> RatioModel:
     return RatioModel(step_models, prior_1, t_max, cfg)
 
 
-def replay(model: RatioModel, trajectories) -> np.ndarray:
-    """Ratio process of every trajectory, concatenated in input order.
+def replay(model: RatioModel, values, first, lengths) -> np.ndarray:
+    """Ratio process of every trajectory in ``flatten``'s layout: the
+    statistic at every position of ``values``.
 
     Step t sums the logits of every trajectory at least t long at once, over
     the rows of ``prefixes``' step-t matrix, so every value equals
     ratio_statistic on that prefix exactly, and goes straight to its place
-    in the output. Past t_max each process repeats its step-t_max value, so
-    the layout holds at most t_max values per trajectory. No trajectories
-    give an empty array. A nan value, which never crosses a threshold and
-    so would accept in silence, raises InvalidTrajectory.
+    in the output. A position past t_max reads its trajectory's step-t_max
+    value, as the statistic freezes there. No trajectories give an empty
+    array. A nan value, which never crosses a threshold and so would accept
+    in silence, raises InvalidTrajectory.
     """
-    values, first, lengths = flatten(trajectories, model.t_max)
     if not lengths.size:
         return np.empty(0)
     if lengths.min() == 0:
@@ -147,14 +130,15 @@ def replay(model: RatioModel, trajectories) -> np.ndarray:
             out[first[live] + (t - 1)] = odds * np.fromiter(
                 map(math.exp, z.tolist()), float, count=live.size
             )
+    if longest > k:
+        # a position past t_max reads its trajectory's step-t_max position,
+        # which a running maximum over the increasing starts carries along
+        source = np.zeros(out.size, int)
+        source[first] = first + (k - 1)
+        np.maximum.accumulate(source, out=source)
+        out = out[np.minimum(np.arange(out.size), source, out=source)]
     if np.isnan(out).any():
         raise InvalidTrajectory("ratio statistic is nan", field="scores")
-    if longest > k:
-        # the step-t_max value once, plus once per step past t_max
-        heads = np.minimum(lengths, k)
-        repeats = np.ones(out.size, int)
-        repeats[first + heads - 1] += lengths - heads
-        out = np.repeat(out, repeats)
     return out
 
 
@@ -163,10 +147,10 @@ def null_maxima(model: RatioModel, thresh_set) -> list:
     nulls = [item.scores for item in thresh_set if item.label == 1]
     if not nulls:
         raise NoNullTrajectories("threshold calibration needs label-1 trajectories")
-    lengths = np.fromiter(map(len, nulls), int, count=len(nulls))
-    return np.maximum.reduceat(replay(model, nulls), np.cumsum(lengths) - lengths).tolist()
+    values, first, lengths = flatten(nulls)
+    return np.maximum.reduceat(replay(model, values, first, lengths), first).tolist()
 
 
 def eval_process(model: RatioModel, scores) -> list:
     """Estimated ratio at every step of one score sequence."""
-    return replay(model, [scores]).tolist()
+    return replay(model, *flatten([scores])).tolist()

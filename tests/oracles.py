@@ -159,16 +159,14 @@ def eval_ratio(model, prefix) -> float:
 
 
 def prefixes_oracle(sequences, width):
-    """ratio.flatten and ratio.prefixes as plain lists built score by score:
-    the first ``width`` scores of each sequence back to back, and for each
-    step t = 1..width the indices of the sequences at least t long with one
-    row per position j < t of their (j+1)-th scores, in input order."""
-    values = [score for sequence in sequences for score in sequence[:width]]
+    """ratio.prefixes as plain lists built score by score: for each step
+    t = 1..width the indices of the sequences at least t long with one row
+    per position j < t of their (j+1)-th scores, in input order."""
     steps = []
     for t in range(1, width + 1):
         live = [i for i, sequence in enumerate(sequences) if len(sequence) >= t]
         steps.append((live, [[sequences[i][j] for i in live] for j in range(t)]))
-    return values, steps
+    return steps
 
 
 def run_offline(rule, traj):

@@ -189,6 +189,7 @@ def data_file(tmp_path_factory):
 
 
 DATA = object()
+MISSING = object()  # a data file that does not exist: only checks before the read win
 EVALUATE = ["evaluate", "--data", DATA, "--alphas", "0.1,0.3", "--splits", "2"]
 CALIBRATE = ["calibrate", "--data", DATA, "--alpha", "0.2"]
 SYNTH = ["synth", "--n", "5", "--spec"]
@@ -224,6 +225,10 @@ CLI_CASES = [
     (EVALUATE + ["--dre-fraction", "0"], 1, "OUT_OF_RANGE"),
     (EVALUATE + ["--dre-fraction", "inf"], 1, "OUT_OF_RANGE"),
     (["ablate"] + EVALUATE[1:] + ["--fractions", "0.2,1.5"], 1, "OUT_OF_RANGE"),
+    (["evaluate", "--data", MISSING, "--alphas", "1.5"], 1, "OUT_OF_RANGE"),
+    (["tokens", "--data", MISSING, "--alphas", "0.1", "--methods", "nope"], 1, "OUT_OF_RANGE"),
+    (["ablate", "--data", MISSING, "--alphas", "0.1", "--fractions", "0.2", "--splits", "0"],
+     1, "OUT_OF_RANGE"),
     (SYNTH + ['{"prior_1": 1.0}'], 1, "PARSE_ERROR"),
     (SYNTH + ['{"prior_1": NaN}'], 1, "PARSE_ERROR"),
     (SYNTH + ['{"prior_1": true}'], 1, "PARSE_ERROR"),
@@ -240,7 +245,8 @@ CLI_CASES = [
 )
 def test_bad_flag_values_fail_closed(tmp_path, data_file, capsys, argv, exit_code, error):
     out = tmp_path / "out"
-    argv = [str(data_file) if a is DATA else a for a in argv] + ["--out", str(out)]
+    files = {DATA: str(data_file), MISSING: str(tmp_path / "missing.jsonl")}
+    argv = [files.get(a, a) for a in argv] + ["--out", str(out)]
     assert cli_dispatch(argv) == exit_code
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -527,6 +527,18 @@ def test_calibrate_checks_flags_before_reading_data(tmp_path, capsys, flags, nam
     assert not out.exists()
 
 
+def test_calibrate_checks_the_ville_threshold_before_reading_data(tmp_path, capsys):
+    # 1 / alpha overflows: the ville value needs only alpha, so it fails
+    # before the missing data file is read
+    missing = str(tmp_path / "nope.jsonl")
+    out = tmp_path / "m.json"
+    argv = ["calibrate", "--data", missing, "--alpha", "1e-310", "--threshold", "ville"]
+    assert cli_dispatch(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ERROR OUT_OF_RANGE: 1 / alpha must be a finite float"), err
+    assert not out.exists()
+
+
 def test_calibrate_ville_and_bonferroni_artifacts(tmp_path, data_file):
     ville_path = tmp_path / "ville.json"
     code = cli_dispatch(

@@ -105,7 +105,7 @@ def test_streaming_values_equal_batch_values(drawn):
     model, trajectories = drawn
     streamed = [streamed_values(model, t) for t in trajectories]
     assert streamed == [eval_process(model, t) for t in trajectories]
-    assert replay(model, trajectories).tolist() == sum(streamed, [])
+    assert replay(model, *flatten(trajectories)).tolist() == sum(streamed, [])
 
 
 @EXACT
@@ -117,7 +117,7 @@ def test_threshold_at_a_batch_value_rejects_at_that_step(drawn):
         step = process.index(max(process)) + 1
         rule = ratio_rule(model, process[step - 1])
         _, offline = run_offline(rule, LabeledTrajectory("x", trajectory, 1))
-        fired = rule.fires(replay(model, [trajectory]))
+        fired = rule.fires(replay(model, *flatten([trajectory])))
         batch = _first_steps(fired, flatten([trajectory])[1])
         assert offline == step and batch.tolist() == [step]
 
@@ -153,7 +153,7 @@ def test_streaming_equals_batch_at_the_logit_clamp():
         infinite = [[10.0], [-10.0, 10.0, 1.0], [1.0, 1.0, -10.0, 10.0]]
         for model, trajectories in ((unit, clamped), (huge, infinite)):
             streamed = [streamed_values(model, t) for t in trajectories]
-            assert replay(model, trajectories).tolist() == sum(streamed, [])
+            assert replay(model, *flatten(trajectories)).tolist() == sum(streamed, [])
         top = unit.prior_odds * math.exp(bound)
         bottom = unit.prior_odds * math.exp(-bound)
         assert streamed_values(unit, [-bound, -outside, bound, outside]) == [
@@ -165,7 +165,7 @@ def test_streaming_equals_batch_at_the_logit_clamp():
 def assert_rule_value_equals_eval_ratio_and_replay(model, trajectories):
     """The rule's statistic, eval_ratio and replay agree on every prefix."""
     value = ratio_rule(model, math.inf).value
-    batch = replay(model, trajectories).tolist()
+    batch = replay(model, *flatten(trajectories)).tolist()
     prefixes = [t[:j] for t in trajectories for j in range(1, len(t) + 1)]
     assert [value(p) for p in prefixes] == [eval_ratio(model, p) for p in prefixes]
     assert [value(p) for p in prefixes] == batch
@@ -248,7 +248,7 @@ def test_nan_statistic_fails_closed_on_both_paths():
         with pytest.raises(InvalidTrajectory):
             state.observe(1e308)
         with pytest.raises(InvalidTrajectory):
-            replay(model, trajectories)
+            replay(model, *flatten(trajectories))
 
 
 # a non-finite score, or two huge ones whose logit terms can overflow to
@@ -312,7 +312,7 @@ def replay_outcome(model, threshold, stream):
     for t in range(1, len(stream) + 1):
         try:
             prefix = LabeledTrajectory("x", stream[:t], 1).scores
-            value = replay(model, [prefix])[-1]
+            value = replay(model, *flatten([prefix]))[-1]
         except SeqgateError as exc:
             return "ERROR", exc.code, t
         if value >= threshold:
@@ -366,10 +366,11 @@ def test_harness_and_monitor_agree_on_a_dataset_file(tmp_path, kind, seed):
     rule = ratio_rule(model, spec.value)
     scores = [item.scores for item in read_dataset(path)]
     assert max(map(len, scores)) > model.t_max
-    values = replay(model, scores)
+    layout = flatten(scores)
+    values = replay(model, *layout)
     if kind == "pac":
         assert (np.nextafter(values, np.inf) == spec.value).any()
-    steps = _first_steps(rule.fires(values), flatten(scores)[1]).tolist()
+    steps = _first_steps(rule.fires(values), layout[1]).tolist()
     assert steps == [monitored_first_step(rule, t) for t in scores]
     assert 0 < steps.count(0) < len(steps)
 
@@ -390,7 +391,7 @@ def test_harness_and_monitor_fail_closed_alike_on_error_cases(tmp_path, scores):
     assert library_outcome(OVERFLOW_MODEL, 10.0, scores) == expected
     assert cli_outcome(model_path, scores) == expected
     with pytest.raises(InvalidTrajectory):
-        replay(OVERFLOW_MODEL, [item.scores for item in read_dataset(path)])
+        replay(OVERFLOW_MODEL, *flatten([item.scores for item in read_dataset(path)]))
 
 
 def pooled_reference(cal):
@@ -521,16 +522,12 @@ def test_token_study_equals_run_offline(drawn, draws):
 def test_flatten_and_prefixes_equal_per_score_reference(sequences, width):
     # ragged lengths, empty sequences, lengths above width, width 1 and
     # steps past every length, which hold no sequence
-    values, first, lengths = flatten([tuple(s) for s in sequences], width)
-    expected_values, expected_steps = prefixes_oracle(sequences, width)
+    values, first, lengths = flatten([tuple(s) for s in sequences])
+    expected_steps = prefixes_oracle(sequences, width)
     assert values.dtype == float
-    assert values.tobytes() == np.array(expected_values, dtype=float).tobytes()
-    heads = [min(len(s), width) for s in sequences]
-    assert first.tolist() == list(accumulate(heads, initial=0))[:-1]
+    assert values.tobytes() == np.array([v for s in sequences for v in s], float).tobytes()
+    assert first.tolist() == list(accumulate(map(len, sequences), initial=0))[:-1]
     assert lengths.tolist() == [len(s) for s in sequences]
-    whole, starts, _ = flatten(sequences)  # every score, the harness's layout
-    assert whole.tobytes() == np.array([v for s in sequences for v in s], float).tobytes()
-    assert starts.tolist() == list(accumulate(map(len, sequences), initial=0))[:-1]
     steps = list(prefixes(values, first, lengths, width))
     assert len(steps) == width
     for t, ((live, columns), (expected_live, expected_rows)) in enumerate(

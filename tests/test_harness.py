@@ -4,12 +4,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from oracles import run_offline
 
 import seqgate
+from seqgate import harness
 from seqgate.dataio import write_csv
 from seqgate.errors import MissingTokens, OutOfRange
 from seqgate.harness import (
@@ -355,6 +357,14 @@ def test_ablation_reports_failures_without_aborting(synth_data):
     results = calibration_ablation(synth_data, cfg, [0.003, 0.3])
     assert results[0].error is not None and results[0].curves == ()
     assert results[1].error is None and len(results[1].curves) == 1
+
+
+def test_ablation_checks_every_fraction_before_running_any(synth_data):
+    cfg = ExperimentConfig(alpha_grid=(0.3,), n_splits=1, methods=("raw",))
+    with mock.patch.object(harness, "run_experiment") as run:
+        with pytest.raises(OutOfRange, match="cal_fraction"):
+            calibration_ablation(synth_data, cfg, (0.2, 1.5))
+    assert run.call_count == 0
 
 
 def test_ablation_without_fractions_is_out_of_range(synth_data):

@@ -7,16 +7,10 @@ import numpy as np
 import pytest
 from oracles import eval_ratio, predict_proba
 
-from seqgate.errors import EmptyPrefix, InvalidTrajectory, NoOverlap, SingleClassData
+from seqgate.errors import EmptyPrefix, InvalidTrajectory, SingleClassData
 from seqgate.artifact import FitConfig, LogisticModel, RatioModel, ratio_statistic
 from seqgate.kernels import fit_logistic
-from seqgate.ratio import (
-    compute_tmax,
-    estimate_prior,
-    eval_process,
-    fit_ratio_model,
-    replay,
-)
+from seqgate.ratio import eval_process, fit_ratio_model, flatten, replay
 from seqgate.synthetic import SyntheticSpec, sample_dataset, true_ratio_process
 from seqgate.trajectories import LabeledTrajectory
 
@@ -43,24 +37,25 @@ def constant_model(per_step_ratios, prior_1=0.5):
     )
 
 
-def test_estimate_prior():
-    assert estimate_prior(make_set([(1, 1), (1, 0), (1, 1), (1, 1)])) == 0.75
-    assert estimate_prior(make_set([(1, 1), (1, 0)])) == 0.5
+def test_fit_ratio_model_prior_is_the_label_1_share():
+    assert fit_ratio_model(make_set([(1, 1), (1, 0), (1, 1), (1, 1)])).prior_1 == 0.75
+    assert fit_ratio_model(make_set([(1, 1), (1, 0)])).prior_1 == 0.5
 
 
-def test_estimate_prior_single_class():
+def test_fit_ratio_model_single_class():
     with pytest.raises(SingleClassData):
-        estimate_prior(make_set([(1, 1), (1, 1)]))
+        fit_ratio_model(make_set([(1, 1), (1, 1)]))
 
 
-def test_compute_tmax_limited_by_shorter_label():
-    assert compute_tmax(make_set([(3, 1), (5, 0)])) == 3
-    assert compute_tmax(make_set([(2, 1), (2, 0)])) == 2
+def test_fit_ratio_model_t_max_limited_by_shorter_label():
+    assert fit_ratio_model(make_set([(3, 1), (5, 0)])).t_max == 3
+    assert fit_ratio_model(make_set([(2, 1), (2, 0)])).t_max == 2
 
 
-def test_compute_tmax_no_overlap():
-    with pytest.raises(NoOverlap):
-        compute_tmax(make_set([(4, 1)]))
+def test_fit_ratio_model_needs_both_labels():
+    for data in (make_set([(4, 1)]), ()):
+        with pytest.raises(SingleClassData, match="needs both labels present"):
+            fit_ratio_model(data)
 
 
 def test_fit_ratio_model_shapes():
@@ -317,21 +312,21 @@ def test_replay_nan_statistic_fails_closed():
     # a nan value never crosses a threshold, so it would accept in silence;
     # numpy's overflow and invalid warnings stay off stderr
     model = overflow_model()
-    assert replay(model, [[1e308]]).tolist() == [eval_ratio(model, [1e308])]
+    assert replay(model, *flatten([[1e308]])).tolist() == [eval_ratio(model, [1e308])]
     for trajectories in ([[1e308, 1e308]], [[0.5, 0.5, 0.5], [1e308, 1e308], [0.5]]):
         with pytest.raises(InvalidTrajectory):
-            replay(model, trajectories)
+            replay(model, *flatten(trajectories))
 
 
 def test_replay_of_no_trajectories_is_empty():
-    values = replay(overflow_model(), [])
+    values = replay(overflow_model(), *flatten([]))
     assert values.dtype == float and values.shape == (0,)
 
 
 def test_replay_raises_on_an_empty_prefix():
     model = constant_model([2.0])
     with pytest.raises(EmptyPrefix):
-        replay(model, [[0.5], []])
+        replay(model, *flatten([[0.5], []]))
     with pytest.raises(EmptyPrefix):
         eval_process(model, [])
 
@@ -346,17 +341,17 @@ def test_replay_past_t_max_equals_the_statistic_bit_for_bit():
     trajectories = [rng.normal(size=n).tolist() for n in (3, 13, 1, 4, 9, 5, 13, 2)]
     value = ratio_statistic(model)
     expected = [value(s[:t]) for s in trajectories for t in range(1, len(s) + 1)]
-    assert replay(model, trajectories).tolist() == expected
+    assert replay(model, *flatten(trajectories)).tolist() == expected
 
 
-def test_replay_holds_at_most_t_max_values_per_trajectory():
+def test_replay_holds_no_padded_buffer_and_repeats_the_step_value_past_t_max():
     # 2,000 three-score trajectories and one of 20,000 under a 7-step model:
     # a buffer as wide as the longest trajectory would take 320 MB
     model = constant_model([0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     trajectories = [[0.5] * 3] * 2000 + [[0.5] * 20_000]
     tracemalloc.start()
     try:
-        values = replay(model, trajectories)
+        values = replay(model, *flatten(trajectories))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -381,7 +376,7 @@ def test_replay_holds_one_float_per_kept_score():
     # a padded (n, t_max) buffer would take 2.8 MB
     model = constant_model([1.0 + t / 80 for t in range(80)])
     trajectories = [[0.5] * 3] * 2000 + [[0.5] * 80]
-    values, peak = traced_peak(lambda: replay(model, trajectories))
+    values, peak = traced_peak(lambda: replay(model, *flatten(trajectories)))
     assert peak < 2**20, peak
     value = ratio_statistic(model)
     assert values[:3].tolist() == [value([0.5] * t) for t in (1, 2, 3)]
@@ -394,7 +389,7 @@ def test_replay_of_a_dense_batch_holds_two_prefix_matrices_beside_its_scores():
     # about one kept-score array, plus each step's logit temporaries
     model = constant_model([1.0 + t / 80 for t in range(80)])
     trajectories = [[0.5] * 80] * 2000
-    values, peak = traced_peak(lambda: replay(model, trajectories))
+    values, peak = traced_peak(lambda: replay(model, *flatten(trajectories)))
     assert peak < 4.5 * values.nbytes, peak / values.nbytes
     value = ratio_statistic(model)
     assert values[:80].tolist() == [value([0.5] * t) for t in range(1, 81)]

@@ -193,7 +193,7 @@ def test_pac_threshold_on_a_shared_opening_keeps_its_level():
     model = fit_ratio_model(dre)
     maxima = null_maxima(model, thresh_set)
     spec = pac_threshold(maxima, alpha=0.2, delta=0.05)
-    opening = replay(model, [(0.0,)])[0]
+    opening = replay(model, *flatten([(0.0,)]))[0]
     assert sorted(maxima)[spec.k_index - 1] == opening
     assert spec.value > opening
     rule = ratio_rule(model, spec.value)
@@ -202,7 +202,8 @@ def test_pac_threshold_on_a_shared_opening_keeps_its_level():
     assert state.finalize().decision == "accepted"
     # held-out successful trajectories cross the threshold at most alpha of the time
     nulls = [item.scores for item in shared_opening(2000, 1) if item.label == 1]
-    crossed = np.maximum.reduceat(replay(model, nulls), flatten(nulls)[1]) >= spec.value
+    layout = flatten(nulls)
+    crossed = np.maximum.reduceat(replay(model, *layout), layout[1]) >= spec.value
     assert crossed.mean() <= 0.2
 
 
