@@ -41,10 +41,7 @@ _EXPORTS = {
         "true_ratio_rule",
     ),
     "trajectories": ("LabeledTrajectory", "split_calibration"),
-    "dataio": (
-        "centipawn_to_prob", "chess_to_dataset", "read_chess_games", "read_dataset",
-        "write_dataset",
-    ),
+    "dataio": ("centipawn_to_prob", "read_chess", "read_dataset", "write_dataset"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -173,6 +173,8 @@ def _cmd_monitor(args, stdin, stdout) -> int:
         if not text:
             continue
         try:
+            if "_" in text:  # float reads the digit separator in "0_5"; JSON does not
+                raise ValueError
             score = float(text)
         except ValueError:
             raise ParseError(f"not a number: {text!r}") from None
@@ -212,6 +214,7 @@ def _cmd_ablate(args, stdin, stdout) -> int:
     from . import dataio, harness
 
     cfg = _experiment_config(args, args.splits)
+    harness.ablation_configs(cfg, args.fractions)  # a bad fraction fails before the read
     data = dataio.read_dataset(args.data)
     results = harness.calibration_ablation(data, cfg, args.fractions)
     for res in results:
@@ -267,9 +270,9 @@ def _cmd_synth(args, stdin, stdout) -> int:
 def _cmd_chess(args, stdin, stdout) -> int:
     from . import dataio
 
-    games = dataio.read_chess_games(args.games)
-    dataio.write_dataset(dataio.chess_to_dataset(games), args.out)
-    print(f"converted {len(games)} games -> {args.out}", file=stdout)
+    data = dataio.read_chess(args.games)
+    dataio.write_dataset(data, args.out)
+    print(f"converted {len(data)} games -> {args.out}", file=stdout)
     return EXIT_OK
 
 

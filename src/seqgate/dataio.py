@@ -1,5 +1,5 @@
-"""File formats: JSON-lines trajectory datasets, chess game conversion and
-the CSV tables of the experiment harness.
+"""File formats: JSON-lines trajectory datasets, chess game records read
+into a dataset, and the CSV tables of the experiment harness.
 
 Each function takes a path, opened here as UTF-8, or an open text stream,
 which is left open. Input that is not UTF-8, or a line that is not a JSON
@@ -15,7 +15,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 from .artifact import _opened, json_object, load_calibration, save_calibration
 from .errors import InvalidTrajectory, ParseError
@@ -24,13 +24,6 @@ from .trajectories import LabeledTrajectory
 CHESS_RESULTS = ("white_win", "black_win", "draw")
 # published logistic slope for converting engine centipawns to a win chance
 CENTIPAWN_SCALE = 0.00368208
-
-
-@dataclass(frozen=True)
-class ChessGameRecord:
-    id: str
-    centipawns: tuple
-    result: str
 
 
 def _require(record: dict, field: str, line: int):
@@ -71,17 +64,15 @@ def read_dataset(path_or_stream) -> tuple:
     return tuple(items)
 
 
-def trajectory_to_record(item: LabeledTrajectory) -> dict:
-    record = {"id": item.id, "scores": list(item.scores), "label": item.label}
-    if item.tokens is not None:
-        record["tokens"] = list(item.tokens)
-    return record
-
-
 def write_dataset(data, path_or_stream) -> None:
+    """One JSON object per trajectory, keyed id, scores, label and, when the
+    trajectory has them, tokens."""
     with _opened(path_or_stream, "w") as fh:
         for item in data:
-            fh.write(json.dumps(trajectory_to_record(item)) + "\n")
+            record = {"id": item.id, "scores": list(item.scores), "label": item.label}
+            if item.tokens is not None:
+                record["tokens"] = list(item.tokens)
+            fh.write(json.dumps(record) + "\n")
 
 
 def centipawn_to_prob(s: float) -> float:
@@ -94,9 +85,12 @@ def centipawn_to_prob(s: float) -> float:
     return 0.5 * (2.0 * ez / (1.0 + ez))
 
 
-def read_chess_games(path_or_stream) -> list:
-    """Parse JSONL chess records: id, centipawns (White-positive), result."""
-    games = []
+def read_chess(path_or_stream) -> tuple:
+    """Parse JSONL chess records (id, centipawns White-positive, result) into
+    the dataset of their trajectories. The null hypothesis is a White win:
+    label 1 iff result == white_win (draws count as the alternative), and
+    the scores are the per-move win chances."""
+    items = []
     for line_no, record in _records(path_or_stream):
         cps = _require(record, "centipawns", line_no)
         result = _require(record, "result", line_no)
@@ -117,21 +111,10 @@ def read_chess_games(path_or_stream) -> list:
                 f"'result' must be one of {CHESS_RESULTS}, got {result!r}",
                 line=line_no,
             )
-        games.append(ChessGameRecord(record["id"], tuple(map(float, cps)), result))
-    return games
-
-
-def chess_to_dataset(games) -> tuple:
-    """Null hypothesis is a White win: label 1 iff result == white_win
-    (draws count as the alternative). Scores are per-move win chances."""
-    return tuple(
-        LabeledTrajectory(
-            id=game.id,
-            scores=[centipawn_to_prob(c) for c in game.centipawns],
-            label=1 if game.result == "white_win" else 0,
-        )
-        for game in games
-    )
+        scores = [centipawn_to_prob(float(c)) for c in cps]
+        label = 1 if result == "white_win" else 0
+        items.append(LabeledTrajectory(record["id"], scores, label))
+    return tuple(items)
 
 
 class _Digesting(io.BufferedReader):

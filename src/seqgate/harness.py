@@ -246,21 +246,26 @@ def token_study(data, cfg: ExperimentConfig) -> list:
     return points
 
 
-def calibration_ablation(data, cfg: ExperimentConfig, fractions) -> list:
-    """run_experiment at each calibration fraction; a fraction whose splits
-    degenerate is reported as failed without aborting the others."""
+def ablation_configs(cfg: ExperimentConfig, fractions) -> list:
+    """cfg at each calibration fraction; fractions that are empty, repeated
+    or not each a valid cal_fraction raise OutOfRange."""
     fractions = tuple(fractions)
     if not fractions or len(set(fractions)) < len(fractions):
         raise OutOfRange(f"fractions must be distinct and non-empty: {fractions}")
+    return [replace(cfg, cal_fraction=fraction) for fraction in fractions]
+
+
+def calibration_ablation(data, cfg: ExperimentConfig, fractions) -> list:
+    """run_experiment at each calibration fraction; a fraction whose splits
+    degenerate is reported as failed without aborting the others."""
     # every fraction is checked before any runs
-    subs = [replace(cfg, cal_fraction=fraction) for fraction in fractions]
     results = []
-    for fraction, sub in zip(fractions, subs):
+    for sub in ablation_configs(cfg, fractions):
         try:
             curves = tuple(run_experiment(data, sub))
-            results.append(AblationResult(cal_fraction=fraction, curves=curves))
+            results.append(AblationResult(cal_fraction=sub.cal_fraction, curves=curves))
         except DegenerateSplit as exc:
             results.append(
-                AblationResult(cal_fraction=fraction, curves=(), error=str(exc))
+                AblationResult(cal_fraction=sub.cal_fraction, curves=(), error=str(exc))
             )
     return results

@@ -229,6 +229,8 @@ CLI_CASES = [
     (["tokens", "--data", MISSING, "--alphas", "0.1", "--methods", "nope"], 1, "OUT_OF_RANGE"),
     (["ablate", "--data", MISSING, "--alphas", "0.1", "--fractions", "0.2", "--splits", "0"],
      1, "OUT_OF_RANGE"),
+    (["ablate", "--data", MISSING, "--alphas", "0.1", "--fractions", "1.5"], 1, "OUT_OF_RANGE"),
+    (["ablate", "--data", MISSING, "--alphas", "0.1", "--fractions", ","], 1, "OUT_OF_RANGE"),
     (SYNTH + ['{"prior_1": 1.0}'], 1, "PARSE_ERROR"),
     (SYNTH + ['{"prior_1": NaN}'], 1, "PARSE_ERROR"),
     (SYNTH + ['{"prior_1": true}'], 1, "PARSE_ERROR"),

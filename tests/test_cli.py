@@ -1028,6 +1028,11 @@ CONTRACT = {
         ["monitor", "--model", "{model}"], "nan\n",
         "numpy", 1, "err", r"^ERROR INVALID_TRAJECTORY: non-finite score",
     ),
+    # float reads the separator in "0_5" as 5.0; the dataset format refuses it
+    "monitor digit separator": Row(
+        ["monitor", "--model", "{model}"], "0_5\n",
+        None, 1, "err", r"\AERROR PARSE_ERROR: not a number: '0_5'\n\Z",
+    ),
     # dataio and trajectories load no numpy: one trajectory per game
     "chess without numpy": Row(
         ["chess", "--games", "{games}", *OUT], "",

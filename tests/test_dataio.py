@@ -11,9 +11,8 @@ import pytest
 from seqgate.artifact import ThresholdSpec, ville_threshold
 from seqgate.dataio import (
     centipawn_to_prob,
-    chess_to_dataset,
     load_calibration,
-    read_chess_games,
+    read_chess,
     read_dataset,
     read_digested,
     save_calibration,
@@ -132,6 +131,20 @@ def test_dataset_roundtrip(tmp_path):
     assert first == second
 
 
+def test_write_dataset_bytes():
+    # key order id, scores, label, then tokens only when the trajectory has them
+    data = (
+        LabeledTrajectory("a", [0.5, 1], 1, tokens=[3, 7]),
+        LabeledTrajectory("b", [0.25], 0),
+    )
+    buf = io.StringIO()
+    write_dataset(data, buf)
+    assert buf.getvalue() == (
+        '{"id": "a", "scores": [0.5, 1.0], "label": 1, "tokens": [3, 7]}\n'
+        '{"id": "b", "scores": [0.25], "label": 0}\n'
+    )
+
+
 # (scores, label) the constructor accepts, stored as floats and an int
 BUILDS = [
     pytest.param([0.5, 1, 2**60], 1, id="ints and floats"),
@@ -205,18 +218,17 @@ def test_chess_labels():
             '{"id":"g3","centipawns":[0,0,0],"result":"draw"}',
         ]
     )
-    games = read_chess_games(io.StringIO(lines + "\n"))
-    data = chess_to_dataset(games)
+    data = read_chess(io.StringIO(lines + "\n"))
     labels = {item.id: item.label for item in data}
     assert labels == {"g1": 1, "g2": 0, "g3": 0}
+    assert data[0].scores == (centipawn_to_prob(50.0), centipawn_to_prob(120.0))
+    assert data[1].scores == (centipawn_to_prob(-50.0),)
     assert data[2].scores == (0.5, 0.5, 0.5)
 
 
 def test_chess_bad_result():
     with pytest.raises(ParseError):
-        read_chess_games(
-            io.StringIO('{"id":"g","centipawns":[1],"result":"stalemate"}\n')
-        )
+        read_chess(io.StringIO('{"id":"g","centipawns":[1],"result":"stalemate"}\n'))
 
 
 @pytest.mark.parametrize(
@@ -229,13 +241,13 @@ def test_chess_rejects_a_non_object_record_or_a_non_string_id(record):
         '{"id":"g1","centipawns":[50],"result":"draw"}\n\n' + record + "\n"
     )
     with pytest.raises(ParseError) as err:
-        read_chess_games(stream)
+        read_chess(stream)
     assert err.value.line == 3
 
 
 def test_chess_empty_centipawns():
     with pytest.raises(ParseError):
-        read_chess_games(io.StringIO('{"id":"g","centipawns":[],"result":"draw"}\n'))
+        read_chess(io.StringIO('{"id":"g","centipawns":[],"result":"draw"}\n'))
 
 
 @pytest.mark.parametrize("size", [0, 1, 65536, 65537, 200_003])
