@@ -173,7 +173,9 @@ def _cmd_monitor(args, stdin, stdout) -> int:
         if not text:
             continue
         try:
-            if "_" in text:  # float reads the digit separator in "0_5"; JSON does not
+            # float reads the digit separator in "0_5" and any Unicode digit,
+            # as in "\u0663"; JSON reads neither
+            if "_" in text or not text.isascii():
                 raise ValueError
             score = float(text)
         except ValueError:

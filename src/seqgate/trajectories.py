@@ -1,7 +1,9 @@
 """Core data types: labeled score trajectories, valid by construction
 because each checks its own invariants when built, and the seeded
 stratified splits every downstream stage consumes. A dataset is a tuple of
-trajectories; every stage accepts any sequence of them.
+trajectories; every stage accepts any sequence of them. Each trajectory
+holds its scores packed in its own float64 ``array("d")``, 8 bytes a score,
+not one float object each.
 
 Splits and derived seeds come from this module's own port of numpy's
 ``SeedSequence`` hash (NEP 19, after O'Neill's ``seed_seq``) and of its
@@ -18,8 +20,9 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 from typing import Optional
 
@@ -32,15 +35,17 @@ class LabeledTrajectory:
     """Ordered per-step verifier scores plus the trajectory-level outcome label.
 
     ``scores`` holds at least one ``numbers.Real`` that is not a bool, each
-    finite as a float, and is stored as a tuple of floats; ``label`` is an
-    integer 0 or 1 and not a bool.
+    finite as a float, and is stored as the trajectory's own ``array("d")``
+    of them: a copy, which no caller is to write to. It is left out of the
+    hash, so trajectories stay hashable; equality compares its values.
+    ``label`` is an integer 0 or 1 and not a bool.
     ``tokens``, when present, holds cumulative token counts after each step
     (non-negative ints, as many as scores, non-decreasing). Anything else
     raises InvalidTrajectory naming the id and field.
     """
 
     id: str
-    scores: tuple
+    scores: array = field(hash=False)
     label: int
     tokens: Optional[tuple] = None
 
@@ -55,7 +60,7 @@ class LabeledTrajectory:
         if not values:
             raise self._invalid("empty score sequence", "scores")
         try:
-            scores = tuple(map(float, values))
+            scores = array("d", values)
         except OverflowError:  # an int too large for a float
             scores = (math.inf,)
         if not all(map(math.isfinite, scores)):
@@ -93,8 +98,9 @@ class LabeledTrajectory:
 
     def _tuple(self, field: str) -> tuple:
         value = getattr(self, field)
-        # a JSON string or object iterates, but as characters or keys
-        if not isinstance(value, (str, bytes, Mapping)):
+        # a JSON string or object iterates, but as characters or keys, and
+        # bytes as small ints
+        if not isinstance(value, (str, bytes, bytearray, Mapping)):
             try:
                 return tuple(value)
             except TypeError:

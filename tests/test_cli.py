@@ -1033,6 +1033,11 @@ CONTRACT = {
         ["monitor", "--model", "{model}"], "0_5\n",
         None, 1, "err", r"\AERROR PARSE_ERROR: not a number: '0_5'\n\Z",
     ),
+    # float reads the ARABIC-INDIC DIGIT THREE as 3.0; the dataset format refuses it
+    "monitor non-ASCII digit": Row(
+        ["monitor", "--model", "{model}"], "\u0663\n",
+        None, 1, "err", r"\AERROR PARSE_ERROR: not a number: '\u0663'\n\Z",
+    ),
     # dataio and trajectories load no numpy: one trajectory per game
     "chess without numpy": Row(
         ["chess", "--games", "{games}", *OUT], "",

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import random
+import tracemalloc
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +31,35 @@ def test_read_dataset_basic():
     stream = io.StringIO('{"id":"a","scores":[0.9,0.8],"label":1}\n')
     data = read_dataset(stream)
     assert len(data) == 1
-    assert data[0].scores == (0.9, 0.8)
+    assert data[0].scores == array("d", [0.9, 0.8])
     assert data[0].label == 1
     assert data[0].tokens is None
+
+
+def test_read_dataset_holds_about_8_bytes_a_score(tmp_path):
+    # packed float64 scores take 8 bytes each, plus a few hundred bytes of
+    # object overhead per trajectory: about 13 B a score here. One float
+    # object and one tuple slot per score would take about 36.
+    n, length = 1000, 50
+    rng = random.Random(0)
+    path = tmp_path / "data.jsonl"
+    write_dataset(
+        [
+            LabeledTrajectory(f"t{i:04d}", [rng.random() for _ in range(length)], i % 2)
+            for i in range(n)
+        ],
+        path,
+    )
+    read_dataset(io.StringIO('{"id":"warm","scores":[0.5],"label":1}\n'))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data = read_dataset(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(data) == n
+    assert held < 20 * n * length, f"{held / (n * length):.1f} bytes a score"
 
 
 def test_read_dataset_with_tokens():
@@ -221,9 +249,9 @@ def test_chess_labels():
     data = read_chess(io.StringIO(lines + "\n"))
     labels = {item.id: item.label for item in data}
     assert labels == {"g1": 1, "g2": 0, "g3": 0}
-    assert data[0].scores == (centipawn_to_prob(50.0), centipawn_to_prob(120.0))
-    assert data[1].scores == (centipawn_to_prob(-50.0),)
-    assert data[2].scores == (0.5, 0.5, 0.5)
+    assert data[0].scores == array("d", [centipawn_to_prob(50.0), centipawn_to_prob(120.0)])
+    assert data[1].scores == array("d", [centipawn_to_prob(-50.0)])
+    assert data[2].scores == array("d", [0.5, 0.5, 0.5])
 
 
 def test_chess_bad_result():

@@ -1,3 +1,6 @@
+import pickle
+from array import array
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +26,41 @@ def make_set(labels, length=3):
 
 def test_validate_accepts_well_formed():
     traj = LabeledTrajectory(id="a", scores=[0.9, 0.8], label=1, tokens=[3, 3])
-    assert (traj.id, traj.scores, traj.label, traj.tokens) == ("a", (0.9, 0.8), 1, (3, 3))
+    assert (traj.id, traj.scores, traj.label, traj.tokens) == (
+        "a", array("d", [0.9, 0.8]), 1, (3, 3)
+    )
+
+
+def test_scores_are_a_packed_copy_that_compares_by_value():
+    scores = [0.9, 0.25, 1]
+    traj = LabeledTrajectory("a", scores, 1, [1, 2, 3])
+    same = LabeledTrajectory("a", (0.9, 0.25, 1.0), 1, (1, 2, 3))
+    assert type(traj.scores) is array and traj.scores.typecode == "d"
+    assert traj == same and hash(traj) == hash(same) and len({traj, same}) == 1
+    assert traj == LabeledTrajectory("a", array("d", scores), 1, (1, 2, 3))
+    assert traj != LabeledTrajectory("a", [0.9, 0.25, 0.5], 1, (1, 2, 3))
+    assert len(traj) == 3 and traj.scores[1] == 0.25 and list(traj.scores[1:]) == [0.25, 1.0]
+    assert repr(traj) == (
+        "LabeledTrajectory(id='a', scores=array('d', [0.9, 0.25, 1.0]), label=1, tokens=(1, 2, 3))"
+    )
+    back = pickle.loads(pickle.dumps(traj))
+    assert back == traj and hash(back) == hash(traj) and type(back.scores) is array
+    # the trajectory holds its own copy of what it was given
+    source = array("d", [0.5, 0.5])
+    packed = LabeledTrajectory("b", source, 0)
+    scores[0], source[0] = 0.1, 0.1
+    assert traj == same and packed.scores == array("d", [0.5, 0.5])
+
+
+@pytest.mark.parametrize("field", ["scores", "tokens"])
+@pytest.mark.parametrize("kind", [bytes, bytearray])
+def test_validate_rejects_bytes_and_bytearray(field, kind):
+    # bytes iterate as small ints, which would read as scores or token counts
+    fields = {"scores": [0.5, 0.5], "tokens": [1, 2], field: kind(b"\x01\x02")}
+    with pytest.raises(InvalidTrajectory) as err:
+        LabeledTrajectory("a", label=1, **fields)
+    assert (err.value.field, err.value.trajectory_id) == (field, "a")
+    assert str(err.value).startswith(f"{field} must be a sequence, got {kind.__name__}")
 
 
 def test_validate_rejects_empty_scores():
