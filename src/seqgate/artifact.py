@@ -384,7 +384,7 @@ def _ratio_model(payload) -> RatioModel:
 def _threshold(payload) -> ThresholdSpec:
     """The threshold, certified by deriving it again from its own alpha,
     t_cal_max, delta and n_null; a pac value comes from data, so only its
-    type is checked."""
+    type and sign are checked: it is just above a statistic, which is >= 0."""
     p = _fields_of(ThresholdSpec, payload, "threshold")
     kind = p["kind"]
     if kind not in THRESHOLD_KINDS:
@@ -399,6 +399,8 @@ def _threshold(payload) -> ThresholdSpec:
     elif kind == "bonferroni":
         derived = bonferroni_threshold(spec.alpha, spec.t_cal_max)
     else:
+        if spec.value <= 0:  # such a threshold rejects every trajectory
+            raise ParseError(f"pac threshold.value must be > 0, got {spec.value!r}")
         k = pac_index(spec.n_null, spec.alpha, spec.delta)
         derived = replace(spec, k_index=k, t_cal_max=None)
     if spec != derived:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .artifact import DEFAULT_CAL_FRACTION, DEFAULT_DELTA, DEFAULT_DRE_FRACTION
-from .artifact import DEFAULT_SPLITS, THRESHOLD_KINDS, count, json_object
+from .artifact import DEFAULT_SPLITS, THRESHOLD_KINDS, _opened, count, json_object
 from .artifact import load_calibration, save_calibration
 from .errors import InsufficientCalibration, ParseError, SeqgateError
 from .monitor import KNOWN_METHODS, MonitorState, ratio_rule
@@ -68,16 +67,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="FAR/power curves over repeated splits")
     p.set_defaults(run=_cmd_evaluate)
     _add_experiment_args(p)
+    p.add_argument("--cal-fraction", type=float, default=DEFAULT_CAL_FRACTION)
     p.add_argument("--splits", type=int, default=DEFAULT_SPLITS)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("tokens", help="token-budget study on one split")
     p.set_defaults(run=_cmd_tokens)
     _add_experiment_args(p)
+    p.add_argument("--cal-fraction", type=float, default=DEFAULT_CAL_FRACTION)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("ablate", help="repeat evaluate at several calibration sizes")
-    p.set_defaults(run=_cmd_ablate)
+    # no --cal-fraction: each of --fractions replaces the config's value
+    p.set_defaults(run=_cmd_ablate, cal_fraction=DEFAULT_CAL_FRACTION)
     _add_experiment_args(p)
     p.add_argument("--fractions", type=_float_list, required=True)
     p.add_argument("--splits", type=int, default=DEFAULT_SPLITS)
@@ -102,7 +104,6 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--alphas", type=_float_list, required=True, help="comma-separated grid in (0,1)"
     )
-    p.add_argument("--cal-fraction", type=float, default=DEFAULT_CAL_FRACTION)
     p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--dre-fraction", type=float, default=DEFAULT_DRE_FRACTION)
     p.add_argument(
@@ -169,13 +170,13 @@ def _cmd_monitor(args, stdin, stdout) -> int:
     state = MonitorState(ratio_rule(model, spec.value))
     # readline loop: no read-ahead buffering, each answer follows its score
     for line in iter(stdin.readline, ""):
-        text = line.strip()
+        text = line.strip(" \t\r\n")  # JSON's whitespace
         if not text:
             continue
         try:
-            # float reads the digit separator in "0_5" and any Unicode digit,
-            # as in "\u0663"; JSON reads neither
-            if "_" in text or not text.isascii():
+            # float reads "0_5", any Unicode digit, as in "\u0663", and skips
+            # other whitespace, as in "\x0c0.5"; JSON does none of these
+            if "_" in text or not (text.isascii() and text.isprintable()):
                 raise ValueError
             score = float(text)
         except ValueError:
@@ -244,8 +245,9 @@ def _load_synth_spec(text):
         if exc.__cause__ is None:  # JSON, but not an object
             raise
         try:
-            text = Path(text).read_text(encoding="utf-8")
-        except (OSError, ValueError) as err:  # ValueError: not UTF-8
+            with _opened(text, "r") as fh:
+                text = fh.read()
+        except (OSError, ValueError, ParseError) as err:  # ValueError: a NUL
             # an OSError's str echoes the text as the file name
             reason = getattr(err, "strerror", None) or err
             raise ParseError(

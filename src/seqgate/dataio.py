@@ -1,17 +1,16 @@
 """File formats: JSON-lines trajectory datasets, chess game records read
 into a dataset, and the CSV tables of the experiment harness.
 
-Each function takes a path, opened here as UTF-8, or an open text stream,
-which is left open. Input that is not UTF-8, or a line that is not a JSON
-object, fails as ParseError. The versioned calibration artifact lives in
-``artifact``; ``load_calibration`` and ``save_calibration`` are re-exported
-here only because the benchmark (``perfbench/run.py``) calls
-``dataio.load_calibration``.
+A path is opened by ``artifact._opened``, as strict UTF-8 with line endings
+kept; an open text stream is read as given and left open. Input that is not
+UTF-8, or a line that is not a JSON object, fails as ParseError. The
+versioned calibration artifact lives in ``artifact``; ``load_calibration``
+and ``save_calibration`` are re-exported here only because the benchmark
+(``perfbench/run.py``) calls ``dataio.load_calibration``.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import sys
@@ -117,25 +116,12 @@ def read_chess(path_or_stream) -> tuple:
     return tuple(items)
 
 
-class _Digesting(io.BufferedReader):
-    """A file opened for binary reading that feeds each chunk ``read1``
-    returns to ``digest``; a text layer reads its buffer through ``read1``."""
-
-    def __init__(self, path, digest):
-        super().__init__(io.FileIO(path))
-        self.digest = digest
-
-    def read1(self, size=-1):
-        chunk = super().read1(size)
-        self.digest.update(chunk)
-        return chunk
-
-
 def read_digested(path) -> tuple:
     """``read_dataset(path)`` and ``"sha256:"`` plus the hex SHA-256 of the
-    file's bytes, as ``sha256sum`` prints it, hashed as the reader decodes
-    them from its one open. It is CPython's built-in SHA-256: hashlib would
-    load OpenSSL's libcrypto, several MB of resident memory."""
+    file's bytes, as ``sha256sum`` prints it, from one open: each line read
+    is hashed as its UTF-8 bytes, which are the file's bytes, line endings
+    kept. It is CPython's built-in SHA-256: hashlib would load OpenSSL's
+    libcrypto, several MB of resident memory."""
     try:
         from _sha2 import sha256  # Python 3.12+
     except ImportError:
@@ -144,8 +130,14 @@ def read_digested(path) -> tuple:
         except ImportError:  # a build without the built-in hashes
             from hashlib import sha256
     digest = sha256()
-    with io.TextIOWrapper(_Digesting(path, digest), encoding="utf-8", newline="") as fh:
-        return read_dataset(fh), "sha256:" + digest.hexdigest()
+
+    def hashed(lines):
+        for line in lines:
+            digest.update(line.encode("utf-8"))
+            yield line
+
+    with _opened(path, "r") as fh:
+        return read_dataset(hashed(fh)), "sha256:" + digest.hexdigest()
 
 
 def write_csv(path_or_stream, cls, rows, lead=None) -> None:

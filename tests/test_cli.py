@@ -899,6 +899,9 @@ ARTIFACT_FAULTS = {
     ),
     "pac delta null": lambda a: a["threshold"].update(delta=None),
     "pac with t_cal_max set": lambda a: a["threshold"].update(t_cal_max=7),
+    # a pac value is just above a statistic >= 0; these reject every trajectory
+    "pac value 0.0": lambda a: a["threshold"].update(value=0.0),
+    "pac value -1.0": lambda a: a["threshold"].update(value=-1.0),
     # integers too large for a float: 401 nines
     "bonferroni t_cal_max of 401 digits": _threshold_of(
         kind="bonferroni", t_cal_max=10**401 - 1, value=5.0
@@ -1007,8 +1010,9 @@ DATA, OUT = ["--data", "{data}"], ["--out", "{out}"]
 # output file; the stdin; the import made to fail (None, "numpy" or
 # "numpy.random"); the exit code; and a pattern that stdout ("out"), stderr
 # ("err") or the output file ("file") must match. Every row also asserts no
-# Traceback and no RuntimeWarning, and a failing row one stderr line
-# "ERROR <CODE>: ..." under 300 characters and no output file.
+# Traceback and no RuntimeWarning, a failing row no output file, a usage
+# error (exit 2) argparse's usage lines and any other failing row one stderr
+# line "ERROR <CODE>: ..." under 300 characters.
 CONTRACT = {
     # splits and derived seeds load no numpy.random
     "calibrate without numpy.random": Row(
@@ -1038,6 +1042,33 @@ CONTRACT = {
         ["monitor", "--model", "{model}"], "\u0663\n",
         None, 1, "err", r"\AERROR PARSE_ERROR: not a number: '\u0663'\n\Z",
     ),
+    # only JSON's whitespace may surround a score: float skips the rest too,
+    # and str.strip strips it, reading a line of NEL alone as blank
+    "monitor NO-BREAK SPACE": Row(
+        ["monitor", "--model", "{model}"], "\u00a00.5\n",
+        None, 1, "err", r"\AERROR PARSE_ERROR: not a number: '\\xa00\.5'\n\Z",
+    ),
+    "monitor EM SPACE": Row(
+        ["monitor", "--model", "{model}"], "\u20030.5\n",
+        None, 1, "err", r"\AERROR PARSE_ERROR: not a number: '\\u20030\.5'\n\Z",
+    ),
+    "monitor form feed": Row(
+        ["monitor", "--model", "{model}"], "\x0c0.5\n",
+        None, 1, "err", r"\AERROR PARSE_ERROR: not a number: '\\x0c0\.5'\n\Z",
+    ),
+    "monitor U+001C": Row(
+        ["monitor", "--model", "{model}"], "\x1c0.5\n",
+        None, 1, "err", r"\AERROR PARSE_ERROR: not a number: '\\x1c0\.5'\n\Z",
+    ),
+    "monitor NEL line": Row(
+        ["monitor", "--model", "{model}"], "0.5\n\x85\n",
+        None, 1, "err", r"\AERROR PARSE_ERROR: not a number: '\\x85'\n\Z",
+    ),
+    # blank lines are skipped, and space, tab and CR may surround a number
+    "monitor JSON whitespace": Row(
+        ["monitor", "--model", "{model}"], "\n \t\r\n\t.5\r\n 1e-1 \n",
+        None, 3, "out", r"\ACONTINUE\nREJECT t=2\n\Z",
+    ),
     # dataio and trajectories load no numpy: one trajectory per game
     "chess without numpy": Row(
         ["chess", "--games", "{games}", *OUT], "",
@@ -1049,6 +1080,12 @@ CONTRACT = {
         ["ablate", *DATA, "--alphas", "0.1,0.3", "--fractions", "0.001,0.2,0.4",
          "--splits", "2", *OUT], "",
         None, 0, "file", r"\Acal_fraction,method,[^\n]*\n(?:0\.[24],[^\n]*\n){20}\Z",
+    ),
+    # ablate runs at each of its --fractions, so it takes no --cal-fraction
+    "ablate cal-fraction": Row(
+        ["ablate", *DATA, "--alphas", "0.1", "--fractions", "0.2", "--cal-fraction", "0.3",
+         *OUT], "",
+        None, 2, "err", r"^seqgate: error: unrecognized arguments: --cal-fraction 0\.3$",
     ),
     "bad label on line 3": Row(
         ["evaluate", "--data", "{label}", "--alphas", "0.1", *OUT], "",
@@ -1083,7 +1120,9 @@ def check_row(row, code, out, err, out_path):
     text = out_path.read_text() if row.stream == "file" else {"out": out, "err": err}[row.stream]
     assert re.search(row.pattern, text, re.M), text[:300]
     assert "Traceback" not in err
-    if code not in (0, 3):
+    if code == 2:  # argparse's usage lines, then its error line
+        assert err.startswith("usage: seqgate ") and not out_path.exists(), err[:300]
+    elif code not in (0, 3):
         assert err.count("\n") == 1 and err.startswith("ERROR ") and len(err) < 300, err[:300]
         assert not out_path.exists()
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from seqgate.artifact import ThresholdSpec, ville_threshold
+from seqgate.artifact import ThresholdSpec, pac_index, ville_threshold
 from seqgate.dataio import (
     centipawn_to_prob,
     load_calibration,
@@ -278,18 +278,24 @@ def test_chess_empty_centipawns():
         read_chess(io.StringIO('{"id":"g","centipawns":[],"result":"draw"}\n'))
 
 
+@pytest.mark.parametrize("last", ["blank lines", "no newline"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
 @pytest.mark.parametrize("size", [0, 1, 65536, 65537, 200_003])
-def test_data_digest_is_the_sha256_of_the_bytes(tmp_path, size):
+def test_data_digest_is_the_sha256_of_the_bytes(tmp_path, size, newline, last):
     # sizes on either side of a multiple of the text layer's 8 KiB reads;
-    # two-byte characters in the ids, which a read can split, then blank lines
-    rng, data = random.Random(size), b""
+    # two-byte characters in the ids, which a read can split, then blank
+    # lines, or no line ending after the last record
+    rng, data, newline = random.Random(size), b"", newline.encode()
     while True:
         record = {"id": f"\u00fc{len(data)}", "scores": [rng.random()], "label": 1}
-        line = (json.dumps(record, ensure_ascii=False) + "\n").encode()
+        line = json.dumps(record, ensure_ascii=False).encode() + newline
         if len(data) + len(line) > size:
             break
         data += line
-    data += b"\n" * (size - len(data))
+    if last == "blank lines":
+        data += newline * ((size - len(data)) // len(newline))
+    elif data:
+        data = data[: -len(newline)]
     path = tmp_path / "data.jsonl"
     path.write_bytes(data)
     digest = "sha256:" + hashlib.sha256(data).hexdigest()
@@ -316,10 +322,12 @@ def test_calibration_artifact_roundtrip(tmp_path):
         (ThresholdSpec("ville", 0.1, 5.0), None, ParseError),
         (ville_threshold(0.2), {"when": object()}, TypeError),
         (ville_threshold(0.2), [1], ParseError),
+        # a pac value is just above a statistic >= 0; 0 would reject every trajectory
+        (ThresholdSpec("pac", 0.1, 0.0, 0.05, 100, pac_index(100, 0.1, 0.05)), None, ParseError),
     ],
     ids=[
         "threshold the loader refuses", "metadata that is not JSON",
-        "metadata that is no JSON object",
+        "metadata that is no JSON object", "pac value 0",
     ],
 )
 def test_a_refused_save_leaves_the_old_artifact(tmp_path, threshold, metadata, error):
