@@ -16,9 +16,9 @@ import importlib
 
 _EXPORTS = {
     "artifact": (
-        "FitConfig", "LogisticModel", "RatioModel", "ThresholdSpec", "binomial_sf",
-        "bonferroni_threshold", "load_calibration", "min_null_samples", "pac_index",
-        "pac_threshold", "ratio_statistic", "save_calibration", "ville_threshold",
+        "FitConfig", "LogisticModel", "RatioModel", "ThresholdSpec", "bonferroni_threshold",
+        "load_calibration", "min_null_samples", "pac_index", "pac_threshold",
+        "ratio_statistic", "save_calibration", "ville_threshold",
     ),
     "errors": (
         "DegenerateSplit", "DimensionMismatch", "EmptyPrefix",

@@ -15,7 +15,6 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
-from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,6 +31,9 @@ THRESHOLD_KINDS = ("pac", "ville", "bonferroni")
 MAX_NULL_SAMPLES = 10**6
 ARTIFACT_FORMAT = "seqgate-calibration"
 ARTIFACT_VERSION = 1
+ARTIFACT_KEYS = ("format", "version", "ratio_model", "threshold", "metadata")
+# the whitespace JSON admits around a value; str.strip() strips more
+JSON_WHITESPACE = " \t\r\n"
 
 
 def number(value, name: str, kind=(int, float)):
@@ -256,22 +258,6 @@ def _log_tails(n: int, p: float):
         yield top + math.log(total)
 
 
-def binomial_sf(n: int, p: float, k: int) -> float:
-    """Exact Pr[Binomial(n, p) >= k], valid for 0 <= k <= n + 1."""
-    n = count(n, "n")
-    if not 0.0 <= number(p, "p") <= 1.0:
-        raise OutOfRange(f"p must lie in [0, 1], got {p}")
-    k = count(k, "k", n + 1, lower=0)
-    if k == 0:
-        return 1.0
-    if k == n + 1 or p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    tails = islice(_log_tails(n, p), n - k, None)
-    return min(1.0, math.exp(next(tails)))
-
-
 def min_null_samples(alpha: float, delta: float) -> int:
     """Smallest n for which Pr[Bin(n, 1-alpha) >= n] <= delta is satisfiable."""
     return math.ceil(math.log(delta) / math.log1p(-alpha))
@@ -354,11 +340,12 @@ def save_calibration(
         fh.write("\n")
 
 
-def _fields_of(cls, payload, where: str) -> dict:
-    """``payload`` checked to be a JSON object holding exactly cls's fields."""
+def _fields_of(keys, payload, where: str) -> dict:
+    """``payload`` checked to be a JSON object holding exactly ``keys``: the
+    names in a tuple, or a dataclass's field names."""
     if not isinstance(payload, dict):
         raise ParseError(f"{where} must be a JSON object")
-    names = {f.name for f in fields(cls)}
+    names = set(keys) if isinstance(keys, tuple) else {f.name for f in fields(keys)}
     missing = sorted(names - payload.keys())
     unknown = sorted(payload.keys() - names)
     if missing or unknown:
@@ -420,12 +407,13 @@ def load_calibration(path):
     version = payload.get("version")
     if type(version) is not int or version != ARTIFACT_VERSION:
         raise ParseError(f"unsupported artifact version {version!r}")
+    _fields_of(ARTIFACT_KEYS, payload, "calibration artifact")
     try:
-        model = _ratio_model(payload.get("ratio_model"))
-        threshold = _threshold(payload.get("threshold"))
+        model = _ratio_model(payload["ratio_model"])
+        threshold = _threshold(payload["threshold"])
     except (OutOfRange, InsufficientCalibration) as exc:
         raise ParseError(str(exc)) from exc
-    metadata = payload.get("metadata", {})
+    metadata = payload["metadata"]
     if not isinstance(metadata, dict):
         raise ParseError("metadata must be a JSON object")
     return model, threshold, metadata

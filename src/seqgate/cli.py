@@ -13,8 +13,8 @@ import argparse
 import sys
 
 from .artifact import DEFAULT_CAL_FRACTION, DEFAULT_DELTA, DEFAULT_DRE_FRACTION
-from .artifact import DEFAULT_SPLITS, THRESHOLD_KINDS, _opened, count, json_object
-from .artifact import load_calibration, save_calibration
+from .artifact import DEFAULT_SPLITS, JSON_WHITESPACE, THRESHOLD_KINDS, _opened, count
+from .artifact import json_object, load_calibration, save_calibration
 from .errors import InsufficientCalibration, ParseError, SeqgateError
 from .monitor import KNOWN_METHODS, MonitorState, ratio_rule
 
@@ -170,7 +170,7 @@ def _cmd_monitor(args, stdin, stdout) -> int:
     state = MonitorState(ratio_rule(model, spec.value))
     # readline loop: no read-ahead buffering, each answer follows its score
     for line in iter(stdin.readline, ""):
-        text = line.strip(" \t\r\n")  # JSON's whitespace
+        text = line.strip(JSON_WHITESPACE)
         if not text:
             continue
         try:

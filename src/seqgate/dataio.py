@@ -16,7 +16,8 @@ import math
 import sys
 from dataclasses import fields
 
-from .artifact import _opened, json_object, load_calibration, save_calibration
+from .artifact import JSON_WHITESPACE, _opened, json_object
+from .artifact import load_calibration, save_calibration
 from .errors import InvalidTrajectory, ParseError
 from .trajectories import LabeledTrajectory
 
@@ -33,10 +34,10 @@ def _require(record: dict, field: str, line: int):
 
 def _records(path_or_stream):
     """(1-based line number, JSON object with a string ``id``) for each
-    non-blank line of a JSON-lines file."""
+    line of a JSON-lines file that holds more than JSON's whitespace."""
     with _opened(path_or_stream, "r") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
+            if not line.strip(JSON_WHITESPACE):
                 continue
             record = json_object(line, "record", line_no)
             if not isinstance(_require(record, "id", line_no), str):

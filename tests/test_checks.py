@@ -17,7 +17,6 @@ from seqgate.artifact import (
     FitConfig,
     LogisticModel,
     RatioModel,
-    binomial_sf,
     bonferroni_threshold,
     pac_index,
     ville_threshold,
@@ -74,7 +73,6 @@ CALLS = {
     "bonferroni_threshold": lambda f, v: bonferroni_threshold(
         **{"alpha": 0.1, "t_cal_max": 5, f: v}
     ),
-    "binomial_sf": lambda f, v: binomial_sf(**{"n": 5, "p": 0.5, "k": 2, f: v}),
     "pac_index": lambda f, v: pac_index(**{"n": 100, "alpha": 0.1, "delta": 0.05, f: v}),
 }
 
@@ -109,9 +107,6 @@ FIELDS = [
     ("ville_threshold", "alpha", PROBABILITY),
     ("bonferroni_threshold", "alpha", PROBABILITY),
     ("bonferroni_threshold", "t_cal_max", COUNT),
-    ("binomial_sf", "n", COUNT),
-    ("binomial_sf", "p", NUMBER + [1.5]),
-    ("binomial_sf", "k", [2.5, True, "1", -1, 7]),
     ("pac_index", "n", COUNT + [MAX_NULL_SAMPLES + 1]),
     ("pac_index", "alpha", PROBABILITY),
     ("pac_index", "delta", PROBABILITY),

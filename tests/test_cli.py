@@ -911,6 +911,9 @@ ARTIFACT_FAULTS = {
     # walks its tail
     "pac n_null 10**18": lambda a: a["threshold"].update(n_null=10**18),
     "metadata 5": lambda a: a.update(metadata=5),
+    # the top level holds exactly its five keys, as every nested object does
+    "unknown top-level key": lambda a: a.update(extra=5),
+    "missing metadata": lambda a: a.pop("metadata"),
     "step_models 5": lambda a: a["ratio_model"].update(step_models=5),
 }
 

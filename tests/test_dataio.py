@@ -140,9 +140,31 @@ def test_read_dataset_invariant_errors_carry_line():
         assert "non-finite score" in str(err.value)
 
 
-def test_read_dataset_skips_blank_lines():
-    stream = io.StringIO('\n{"id":"a","scores":[0.9],"label":1}\n\n')
-    assert len(read_dataset(stream)) == 1
+RECORDS = {
+    read_dataset: '{"id":"a","scores":[0.9],"label":1}',
+    read_chess: '{"id":"g","centipawns":[50],"result":"draw"}',
+}
+
+
+@pytest.mark.parametrize("reader", RECORDS, ids=lambda reader: reader.__name__)
+@pytest.mark.parametrize(
+    "line, blank",
+    [("", True), (" \t ", True), ("\r", True), ("\u00a0", False), ("\x1c", False),
+     ("\x85", False), ("\x0c", False), ("\u2003 ", False)],
+    ids=["empty", "space and tab", "CR", "NO-BREAK SPACE", "U+001C", "U+0085",
+         "form feed", "EM SPACE"],
+)
+def test_read_dataset_skips_blank_lines(tmp_path, reader, line, blank):
+    # only JSON's whitespace (space, tab, CR, LF) makes a line blank; a line
+    # of any other whitespace is malformed JSON, as in seqgate monitor
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(f"\n{RECORDS[reader]}\n{line}\n{RECORDS[reader]}\n".encode())
+    if blank:
+        assert len(reader(path)) == 2
+    else:
+        with pytest.raises(ParseError, match=r"^line 3: malformed JSON") as err:
+            reader(path)
+        assert err.value.line == 3
 
 
 def test_dataset_roundtrip(tmp_path):
@@ -151,12 +173,10 @@ def test_dataset_roundtrip(tmp_path):
     write_dataset(data, path)
     again = read_dataset(path)
     assert again == data
-    # content identical modulo field ordering
-    first = [json.loads(line) for line in path.read_text().splitlines()]
-    buf = io.StringIO()
-    write_dataset(again, buf)
-    second = [json.loads(line) for line in buf.getvalue().splitlines()]
-    assert first == second
+    # byte for byte: each score is held as a packed C double between the
+    # read and the write
+    write_dataset(again, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
 def test_write_dataset_bytes():
