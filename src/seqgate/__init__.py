@@ -28,12 +28,13 @@ _EXPORTS = {
     ),
     "harness": (
         "AblationResult", "CurvePoint", "ExperimentConfig", "TokenCurvePoint",
-        "calibration_ablation", "evaluate_split", "run_experiment", "token_study",
+        "calibration_ablation", "evaluate_split", "pooled_isotonic", "run_experiment",
+        "token_study",
     ),
     "kernels": ("IsotonicModel", "apply_isotonic", "fit_isotonic", "fit_logistic"),
     "monitor": (
-        "DecisionRule", "MonitorState", "Status", "calibrated_score_rule",
-        "pooled_isotonic", "ratio_rule", "raw_score_rule",
+        "DecisionRule", "MonitorState", "Status", "calibrated_score_rule", "ratio_rule",
+        "raw_score_rule",
     ),
     "ratio": ("eval_process", "fit_ratio_model", "null_maxima"),
     "synthetic": (

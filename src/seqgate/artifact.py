@@ -27,6 +27,9 @@ DEFAULT_DRE_FRACTION = 0.5
 DEFAULT_CAL_FRACTION = 0.2
 DEFAULT_SPLITS = 50
 THRESHOLD_KINDS = ("pac", "ville", "bonferroni")
+# the rules the experiment compares: the ratio statistic under the PAC, Ville
+# and Bonferroni thresholds, and the raw and calibrated scores
+KNOWN_METHODS = ("evaluator_pac", "evaluator_ville", "bonferroni", "raw", "calibrated")
 # the largest pac n_null: pac_index sums up to n terms, about 1 s per million
 MAX_NULL_SAMPLES = 10**6
 ARTIFACT_FORMAT = "seqgate-calibration"

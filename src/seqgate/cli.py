@@ -10,13 +10,14 @@ rejected the trajectory, 4 calibration set too small for the requested
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .artifact import DEFAULT_CAL_FRACTION, DEFAULT_DELTA, DEFAULT_DRE_FRACTION
-from .artifact import DEFAULT_SPLITS, JSON_WHITESPACE, THRESHOLD_KINDS, _opened, count
-from .artifact import json_object, load_calibration, save_calibration
+from .artifact import DEFAULT_SPLITS, JSON_WHITESPACE, KNOWN_METHODS, THRESHOLD_KINDS
+from .artifact import _opened, count, json_object, load_calibration, save_calibration
 from .errors import InsufficientCalibration, ParseError, SeqgateError
-from .monitor import KNOWN_METHODS, MonitorState, ratio_rule
+from .monitor import MonitorState, ratio_rule
 
 # Every batch module is imported by the subcommands that run it: `monitor`
 # loads only the artifact, the state machine and this module, and no numpy.
@@ -158,6 +159,13 @@ def _cmd_calibrate(args, stdin, stdout) -> int:
         "seed": args.seed,
     }
     save_calibration(args.out, model, spec, metadata)
+    # the logit is clamped to [-L, L], so the ratio never exceeds odds * e^L
+    ceiling = model.prior_odds * math.exp(model.logit_bound)
+    if spec.value > ceiling:
+        print(
+            f"WARN threshold value={spec.value!r} is above the statistic's largest "
+            f"value {ceiling!r}: no trajectory can be rejected", file=sys.stderr,
+        )
     print(
         f"calibrated t_max={model.t_max} threshold_kind={spec.kind} "
         f"value={spec.value!r} -> {args.out}", file=stdout

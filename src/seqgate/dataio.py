@@ -5,8 +5,9 @@ A path is opened by ``artifact._opened``, as strict UTF-8 with line endings
 kept; an open text stream is read as given and left open. Input that is not
 UTF-8, or a line that is not a JSON object, fails as ParseError. The
 versioned calibration artifact lives in ``artifact``; ``load_calibration``
-and ``save_calibration`` are re-exported here only because the benchmark
-(``perfbench/run.py``) calls ``dataio.load_calibration``.
+and ``save_calibration`` are re-exported here only for the benchmark: its
+untraced run (``perfbench/run.py``) calls ``dataio.load_calibration``, and
+its tracer (``perfbench/spans.py``) wraps ``dataio.save_calibration``.
 """
 
 from __future__ import annotations

@@ -16,11 +16,11 @@ from typing import Optional
 import numpy as np
 
 from .artifact import DEFAULT_CAL_FRACTION, DEFAULT_DELTA, DEFAULT_DRE_FRACTION
-from .artifact import DEFAULT_SPLITS, bonferroni_threshold, count, probability
-from .artifact import pac_threshold, ville_threshold
+from .artifact import DEFAULT_SPLITS, KNOWN_METHODS, bonferroni_threshold, count
+from .artifact import pac_threshold, probability, ville_threshold
 from .errors import DegenerateSplit, InsufficientCalibration, MissingTokens, OutOfRange
-from .kernels import apply_isotonic
-from .monitor import KNOWN_METHODS, calibrated_score_rule, pooled_isotonic
+from .errors import SingleClassData
+from .kernels import IsotonicModel, apply_isotonic, fit_isotonic
 from .monitor import ratio_rule, raw_score_rule
 from .ratio import fit_ratio_model, flatten, null_maxima, replay
 from .trajectories import derive_seed, split_calibration
@@ -90,6 +90,16 @@ class AblationResult:
     error: Optional[str] = None
 
 
+def pooled_isotonic(cal) -> IsotonicModel:
+    """Isotonic recalibration map fit on the pooled (score, label) pairs of
+    every step of every trajectory."""
+    xs, _, lengths = flatten([item.scores for item in cal])
+    labels = [item.label for item in cal]
+    if len(set(labels)) < 2:
+        raise SingleClassData("calibrated rule needs both labels present")
+    return fit_isotonic(xs, np.repeat(labels, lengths))
+
+
 def _first_steps(fired, starts) -> np.ndarray:
     """First 1-based step at which each trajectory's rule fired, 0 if it
     never did; ``fired`` concatenates the per-step flags of all trajectories
@@ -126,11 +136,11 @@ class _SplitArtifacts:
 
     def decide(self, method: str, alpha: float, delta: float):
         """Per-test-trajectory first rejection step (0 = accepted)."""
+        # the calibrated rule is the raw one on the recalibrated scores
         if method == "raw":
             rule, process = raw_score_rule(alpha), self.raw
         elif method == "calibrated":
-            rule = calibrated_score_rule(self.iso_model, alpha)
-            process = self.calibrated
+            rule, process = raw_score_rule(alpha), self.calibrated
         else:
             if method == "evaluator_ville":
                 thr = ville_threshold(alpha).value

@@ -6,9 +6,9 @@ applies it to one prefix per observed score; the experiment harness applies
 the same ``fires`` to whole replayed processes at once, so streaming and
 batch decisions agree exactly. The ratio rule's statistic is
 ``artifact.ratio_statistic``, which reads the model once when the rule is
-built, so a streamed step pays only for its own prefix. numpy and
-``kernels`` load only in ``pooled_isotonic`` and ``calibrated_score_rule``,
-and ``ratio`` only in the first.
+built, so a streamed step pays only for its own prefix. ``kernels`` and
+numpy load only in ``calibrated_score_rule``; the experiment's batch isotonic
+fit, ``pooled_isotonic``, lives in ``harness``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .artifact import RatioModel, ratio_statistic
-from .errors import InvalidTrajectory, MonitorClosed, SingleClassData
+from .errors import InvalidTrajectory, MonitorClosed, OutOfRange
 
 if TYPE_CHECKING:
     from .kernels import IsotonicModel
@@ -32,23 +32,23 @@ class DecisionRule:
     ``value`` maps the observed prefix of scores to the statistic. Ratio
     statistics cross when they reach the threshold (inclusive >=); score
     statistics, with ``reject_below`` set, when they drop strictly below it.
-    The rule constructors below pair each statistic with its direction.
+    The rule constructors below pair each statistic with its direction. A
+    nan threshold, which no statistic crosses, raises OutOfRange.
     """
 
     value: Callable[[list], float]
     threshold: float
     reject_below: bool = False
 
+    def __post_init__(self):
+        if self.threshold != self.threshold:
+            raise OutOfRange(f"threshold must not be nan, got {self.threshold!r}")
+
     def fires(self, stat):
         """Whether the statistic crosses; elementwise on an array of values."""
         if self.reject_below:
             return stat < self.threshold
         return stat >= self.threshold
-
-
-# The rules the experiment harness compares: the ratio statistic under the
-# PAC, Ville and Bonferroni thresholds, and the raw and calibrated scores.
-KNOWN_METHODS = ("evaluator_pac", "evaluator_ville", "bonferroni", "raw", "calibrated")
 
 
 def ratio_rule(model: RatioModel, threshold: float) -> DecisionRule:
@@ -65,21 +65,6 @@ def calibrated_score_rule(model: IsotonicModel, alpha: float) -> DecisionRule:
     return DecisionRule(
         lambda prefix: apply_isotonic(model, prefix[-1]), alpha, reject_below=True
     )
-
-
-def pooled_isotonic(cal) -> IsotonicModel:
-    """Isotonic recalibration map fit on the pooled (score, label) pairs of
-    every step of every trajectory."""
-    import numpy as np
-
-    from .kernels import fit_isotonic
-    from .ratio import flatten
-
-    xs, _, lengths = flatten([item.scores for item in cal])
-    labels = [item.label for item in cal]
-    if len(set(labels)) < 2:
-        raise SingleClassData("calibrated rule needs both labels present")
-    return fit_isotonic(xs, np.repeat(labels, lengths))
 
 
 @dataclass(frozen=True)
@@ -114,7 +99,15 @@ class MonitorState:
         # holds an equal one, which the property still reads as live
         if status is not ACTIVE and status.terminal:
             raise MonitorClosed(f"monitor already {status.decision}")
-        score = float(score)
+        # float first: the CLI's scores need no further check and no import
+        if type(score) is not float:
+            from numbers import Real
+
+            if not isinstance(score, Real) or isinstance(score, bool):
+                raise InvalidTrajectory(
+                    f"score must be a real number, got {score!r}", field="scores"
+                )
+            score = float(score)
         if not math.isfinite(score):
             raise InvalidTrajectory(f"non-finite score {score!r}", field="scores")
         observed, rule = self.observed, self.rule

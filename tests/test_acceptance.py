@@ -28,7 +28,7 @@ from seqgate.artifact import _log_tails, pac_index, pac_threshold
 from seqgate.cli import cli_dispatch
 from seqgate.dataio import centipawn_to_prob, write_dataset
 from seqgate.errors import InsufficientCalibration
-from seqgate.harness import ExperimentConfig, evaluate_split
+from seqgate.harness import ExperimentConfig, evaluate_split, pooled_isotonic
 from seqgate.kernels import (
     fit_isotonic,
     apply_isotonic,
@@ -37,7 +37,6 @@ from seqgate.kernels import (
 from seqgate.monitor import (
     MonitorState,
     calibrated_score_rule,
-    pooled_isotonic,
     ratio_rule,
     raw_score_rule,
 )

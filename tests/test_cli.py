@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -567,6 +568,27 @@ def test_calibrate_ville_and_bonferroni_artifacts(tmp_path, data_file):
     assert spec.kind == "bonferroni"
     assert spec.t_cal_max == longest
     assert spec.value == longest / 0.25
+
+
+def test_calibrate_warns_of_a_threshold_the_statistic_never_reaches(
+    tmp_path, data_file, capsys
+):
+    # the clamped logit caps the statistic at odds * e^L, about 1e6 here, so
+    # a ville threshold of 1e7 can never reject; the exit code and the
+    # summary line stay as they are
+    path = tmp_path / "model.json"
+    argv = ["calibrate", "--data", str(data_file), "--threshold", "ville"]
+    code, out = run(argv + ["--alpha", "1e-7", "--out", str(path)])
+    model, spec, _ = load_calibration(path)
+    ceiling = model.prior_odds * math.exp(model.logit_bound)
+    assert code == 0 and out.endswith(f"value={spec.value!r} -> {path}\n")
+    assert spec.value > ceiling
+    assert capsys.readouterr().err == (
+        f"WARN threshold value={spec.value!r} is above the statistic's largest "
+        f"value {ceiling!r}: no trajectory can be rejected\n"
+    )
+    code, _ = run(argv + ["--alpha", "0.2", "--out", str(path)])
+    assert code == 0 and capsys.readouterr().err == ""
 
 
 def test_synth_spec_from_file(tmp_path):

@@ -31,7 +31,7 @@ from seqgate.artifact import load_calibration, pac_index, pac_threshold, ratio_s
 from seqgate.artifact import ville_threshold
 from seqgate.cli import cli_dispatch
 from seqgate.harness import NEVER_TERMINATE, ExperimentConfig, TokenCurvePoint
-from seqgate.harness import _first_steps, _SplitArtifacts
+from seqgate.harness import _first_steps, _SplitArtifacts, pooled_isotonic
 from seqgate.dataio import read_dataset, save_calibration, write_dataset
 from seqgate.errors import (
     EmptyPrefix,
@@ -46,7 +46,6 @@ from seqgate.monitor import (
     DecisionRule,
     MonitorState,
     calibrated_score_rule,
-    pooled_isotonic,
     ratio_rule,
     raw_score_rule,
 )

@@ -19,6 +19,7 @@ from seqgate.harness import (
     ExperimentConfig,
     calibration_ablation,
     evaluate_split,
+    pooled_isotonic,
     run_experiment,
     token_study,
     NEVER_TERMINATE,
@@ -103,7 +104,7 @@ def test_always_rejecting_method_scores_one():
 
 def test_evaluate_split_matches_run_offline(synth_data):
     # the harness fast path must agree with literal rule replay
-    from seqgate.monitor import calibrated_score_rule, pooled_isotonic, ratio_rule
+    from seqgate.monitor import calibrated_score_rule, ratio_rule
     from seqgate.artifact import ville_threshold
     from seqgate.trajectories import split_calibration
 

@@ -1,17 +1,19 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from oracles import run_offline
 
-from seqgate.errors import InvalidTrajectory, MonitorClosed, SingleClassData
+from seqgate.errors import InvalidTrajectory, MonitorClosed, OutOfRange, SingleClassData
 from seqgate.artifact import FitConfig, LogisticModel, RatioModel
+from seqgate.harness import pooled_isotonic
 from seqgate.kernels import IsotonicModel
 from seqgate.monitor import (
     DecisionRule,
     MonitorState,
     calibrated_score_rule,
-    pooled_isotonic,
     ratio_rule,
     raw_score_rule,
 )
@@ -84,6 +86,46 @@ def test_nan_statistic_fails_closed():
     # the failed step is not recorded, and the stream is not accepted
     assert state.step == 1 and state.observed == [1e308]
     assert state.status.decision == "active"
+
+
+@pytest.mark.parametrize(
+    "score", ["0.5", b"0.5", True, "\u0663", None, 1j, Decimal("0.5")], ids=repr
+)
+def test_observe_refuses_what_a_trajectory_refuses(score):
+    # float() reads each string, bool and Decimal; "\u0663" (Arabic-Indic
+    # three) as 3.0
+    with pytest.raises(InvalidTrajectory, match="must be a real number") as caught:
+        LabeledTrajectory("t", [score], 1)
+    state = MonitorState(raw_score_rule(0.5))
+    state.observe(0.9)
+    with pytest.raises(InvalidTrajectory, match="score must be a real number") as exc:
+        state.observe(score)
+    assert exc.value.field == caught.value.field == "scores"
+    assert state.observed == [0.9] and state.status.decision == "active"
+
+
+@pytest.mark.parametrize(
+    "score", [0.25, 1, np.float32(0.25), np.int64(1), Fraction(1, 4)], ids=repr
+)
+def test_observe_reads_any_real_number_as_its_float(score):
+    state = MonitorState(raw_score_rule(0.5))
+    status = state.observe(score)
+    assert state.observed == [float(score)] and type(state.observed[0]) is float
+    assert status.decision == ("rejected" if score < 0.5 else "active")
+
+
+def test_rule_refuses_a_nan_threshold():
+    # no statistic crosses nan, so every trajectory would be accepted
+    for build in (
+        lambda t: ratio_rule(score_echo_model(1), t),
+        raw_score_rule,
+        lambda t: DecisionRule(len, t),
+    ):
+        with pytest.raises(OutOfRange, match="threshold must not be nan"):
+            build(math.nan)
+    # an infinite threshold stays allowed: the ratio rule then never rejects
+    state = MonitorState(ratio_rule(score_echo_model(1), math.inf))
+    assert state.observe(-700.0).decision == "active"
 
 
 def test_finalize():
