@@ -32,15 +32,9 @@ _EXPORTS = {
         "token_study",
     ),
     "kernels": ("IsotonicModel", "apply_isotonic", "fit_isotonic", "fit_logistic"),
-    "monitor": (
-        "DecisionRule", "MonitorState", "Status", "calibrated_score_rule", "ratio_rule",
-        "raw_score_rule",
-    ),
+    "monitor": ("DecisionRule", "MonitorState", "Status", "ratio_rule", "raw_score_rule"),
     "ratio": ("eval_process", "fit_ratio_model", "null_maxima"),
-    "synthetic": (
-        "SyntheticSpec", "sample_dataset", "toy_marginal_example", "true_ratio_process",
-        "true_ratio_rule",
-    ),
+    "synthetic": ("SyntheticSpec", "sample_dataset"),
     "trajectories": ("LabeledTrajectory", "split_calibration"),
     "dataio": ("centipawn_to_prob", "read_chess", "read_dataset", "write_dataset"),
 }

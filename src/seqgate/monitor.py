@@ -6,9 +6,9 @@ applies it to one prefix per observed score; the experiment harness applies
 the same ``fires`` to whole replayed processes at once, so streaming and
 batch decisions agree exactly. The ratio rule's statistic is
 ``artifact.ratio_statistic``, which reads the model once when the rule is
-built, so a streamed step pays only for its own prefix. ``kernels`` and
-numpy load only in ``calibrated_score_rule``; the experiment's batch isotonic
-fit, ``pooled_isotonic``, lives in ``harness``.
+built, so a streamed step pays only for its own prefix. No path here loads
+numpy: the isotonic baseline is fit and decided in ``harness``, and the
+closed-form oracle rules live with the tests in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -16,13 +16,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from .artifact import RatioModel, ratio_statistic
 from .errors import InvalidTrajectory, MonitorClosed, OutOfRange
 
-if TYPE_CHECKING:
-    from .kernels import IsotonicModel
+
+def _real(value) -> bool:
+    """Whether value is a ``numbers.Real`` and not a bool; a float imports nothing."""
+    if type(value) is float:
+        return True
+    from numbers import Real
+
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -33,7 +39,8 @@ class DecisionRule:
     statistics cross when they reach the threshold (inclusive >=); score
     statistics, with ``reject_below`` set, when they drop strictly below it.
     The rule constructors below pair each statistic with its direction. A
-    nan threshold, which no statistic crosses, raises OutOfRange.
+    threshold that is not a real number, or is a bool or nan (which no
+    statistic crosses), raises OutOfRange; ``math.inf`` is allowed.
     """
 
     value: Callable[[list], float]
@@ -41,8 +48,11 @@ class DecisionRule:
     reject_below: bool = False
 
     def __post_init__(self):
-        if self.threshold != self.threshold:
-            raise OutOfRange(f"threshold must not be nan, got {self.threshold!r}")
+        threshold = self.threshold
+        if not _real(threshold):
+            raise OutOfRange(f"threshold must be a real number, got {threshold!r}")
+        if threshold != threshold:
+            raise OutOfRange(f"threshold must not be nan, got {threshold!r}")
 
     def fires(self, stat):
         """Whether the statistic crosses; elementwise on an array of values."""
@@ -57,14 +67,6 @@ def ratio_rule(model: RatioModel, threshold: float) -> DecisionRule:
 
 def raw_score_rule(alpha: float) -> DecisionRule:
     return DecisionRule(itemgetter(-1), alpha, reject_below=True)
-
-
-def calibrated_score_rule(model: IsotonicModel, alpha: float) -> DecisionRule:
-    from .kernels import apply_isotonic
-
-    return DecisionRule(
-        lambda prefix: apply_isotonic(model, prefix[-1]), alpha, reject_below=True
-    )
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,7 @@ class MonitorState:
             raise MonitorClosed(f"monitor already {status.decision}")
         # float first: the CLI's scores need no further check and no import
         if type(score) is not float:
-            from numbers import Real
-
-            if not isinstance(score, Real) or isinstance(score, bool):
+            if not _real(score):
                 raise InvalidTrajectory(
                     f"score must be a real number, got {score!r}", field="scores"
                 )

@@ -3,7 +3,9 @@
 Scores are i.i.d. Gaussian per step given the label, and trajectory length
 is geometric independently of the label, so the exact joint density ratio
 factorizes into the per-step Gaussian likelihood ratio. This makes every
-monitoring guarantee checkable against closed-form truth.
+monitoring guarantee checkable against closed-form truth; that truth, with
+the paper's two-point toy example, lives with the tests in
+``tests/oracles.py``.
 
 This is the one module that draws through ``numpy.random``: each item's
 seed words come from ``trajectories.seed_state``, and its label, length and
@@ -13,14 +15,13 @@ scores from numpy's own Generator and PCG64.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .artifact import count, number, probability
 from .errors import OutOfRange
-from .monitor import DecisionRule
 from .trajectories import LabeledTrajectory, seed_state, seed_words
 
 
@@ -104,44 +105,3 @@ def sample_dataset(
         items.append(LabeledTrajectory(f"synth-{seed}-{i:06d}", scores.tolist(), y))
     return tuple(items)
 
-
-def log_ratio_increments(spec: SyntheticSpec, scores) -> np.ndarray:
-    theta = (spec.mu_alt - spec.mu_null) / spec.sigma**2
-    mid = (spec.mu_alt + spec.mu_null) / 2.0
-    return theta * (np.asarray(scores, dtype=float) - mid)
-
-
-def true_ratio_process(spec: SyntheticSpec, scores) -> list:
-    """Exact density ratio at every step: the cumulative Gaussian
-    likelihood ratio (the shared length density cancels)."""
-    return np.exp(np.cumsum(log_ratio_increments(spec, scores))).tolist()
-
-
-def true_ratio_rule(spec: SyntheticSpec, threshold: float) -> DecisionRule:
-    """Ratio rule on the exact process, for injecting ground truth."""
-    return DecisionRule(
-        lambda prefix: true_ratio_process(spec, prefix)[-1], threshold
-    )
-
-
-class ToyMarginalResult(NamedTuple):
-    far: float
-    alpha: float
-    base_rate: float
-
-
-def toy_marginal_example() -> ToyMarginalResult:
-    """Two-point marginally calibrated verifier whose naive score-threshold
-    rule massively overshoots the requested false alarm rate.
-
-    The score takes value 0.005 with probability 0.99 and 0.5 with
-    probability 0.01, and equals p(Y=1 | S) exactly. Rejecting at S <= 0.01
-    is a false alarm about half the time even though alpha = 0.01.
-    """
-    from fractions import Fraction
-
-    p_low, p_high = Fraction(99, 100), Fraction(1, 100)
-    s_low, s_high = Fraction(5, 1000), Fraction(1, 2)
-    base_rate = s_low * p_low + s_high * p_high
-    far = (s_low * p_low) / base_rate
-    return ToyMarginalResult(far=float(far), alpha=0.01, base_rate=float(base_rate))

@@ -11,17 +11,26 @@ package itself never computes: it takes the ratio straight from the logit.
 Synthetic datasets come from numpy's own SeedSequence, one item at a time,
 and derived seeds, permutations and splits from numpy's SeedSequence and
 ``default_rng``, which the package ports instead of calling.
+
+The ground truth the package is checked against lives here too, not in the
+library: the closed-form Gaussian ratio of a ``SyntheticSpec``
+(``true_ratio_process`` and ``true_ratio_rule``), the paper's two-point
+toy example (``toy_marginal_example``), and ``calibrated_score_rule``, the
+streaming form of the isotonic baseline that the harness decides in batch.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import comb, floor
+from typing import NamedTuple
 
 import numpy as np
 
 from seqgate.errors import DimensionMismatch
 from seqgate.artifact import DEFAULT_PROB_CLAMP, ratio_statistic
-from seqgate.monitor import MonitorState
+from seqgate.kernels import IsotonicModel, apply_isotonic
+from seqgate.monitor import DecisionRule, MonitorState
+from seqgate.synthetic import SyntheticSpec
 from seqgate.trajectories import LabeledTrajectory, _per_label_take
 
 
@@ -224,3 +233,49 @@ def split_calibration_oracle(cal, fraction, seed):
     first = tuple(item for i, item in enumerate(cal) if i in chosen)
     second = tuple(item for i, item in enumerate(cal) if i not in chosen)
     return first, second
+
+
+def log_ratio_increments(spec: SyntheticSpec, scores) -> np.ndarray:
+    theta = (spec.mu_alt - spec.mu_null) / spec.sigma**2
+    mid = (spec.mu_alt + spec.mu_null) / 2.0
+    return theta * (np.asarray(scores, dtype=float) - mid)
+
+
+def true_ratio_process(spec: SyntheticSpec, scores) -> list:
+    """Exact density ratio at every step: the cumulative Gaussian
+    likelihood ratio (the shared length density cancels)."""
+    return np.exp(np.cumsum(log_ratio_increments(spec, scores))).tolist()
+
+
+def true_ratio_rule(spec: SyntheticSpec, threshold: float) -> DecisionRule:
+    """Ratio rule on the exact process, for injecting ground truth."""
+    return DecisionRule(
+        lambda prefix: true_ratio_process(spec, prefix)[-1], threshold
+    )
+
+
+class ToyMarginalResult(NamedTuple):
+    far: float
+    alpha: float
+    base_rate: float
+
+
+def toy_marginal_example() -> ToyMarginalResult:
+    """Two-point marginally calibrated verifier whose naive score-threshold
+    rule massively overshoots the requested false alarm rate.
+
+    The score takes value 0.005 with probability 0.99 and 0.5 with
+    probability 0.01, and equals p(Y=1 | S) exactly. Rejecting at S <= 0.01
+    is a false alarm about half the time even though alpha = 0.01.
+    """
+    p_low, p_high = Fraction(99, 100), Fraction(1, 100)
+    s_low, s_high = Fraction(5, 1000), Fraction(1, 2)
+    base_rate = s_low * p_low + s_high * p_high
+    far = (s_low * p_low) / base_rate
+    return ToyMarginalResult(far=float(far), alpha=0.01, base_rate=float(base_rate))
+
+
+def calibrated_score_rule(model: IsotonicModel, alpha: float) -> DecisionRule:
+    return DecisionRule(
+        lambda prefix: apply_isotonic(model, prefix[-1]), alpha, reject_below=True
+    )

@@ -16,12 +16,15 @@ import numpy as np
 import pytest
 
 from oracles import (
+    calibrated_score_rule,
     central_diff_gradient,
     exact_binomial_tails,
     isotonic_bruteforce,
     logistic_gradient,
     pac_index_oracle,
     run_offline,
+    toy_marginal_example,
+    true_ratio_process,
 )
 
 from seqgate.artifact import _log_tails, pac_index, pac_threshold
@@ -34,19 +37,9 @@ from seqgate.kernels import (
     apply_isotonic,
     logistic_objective,
 )
-from seqgate.monitor import (
-    MonitorState,
-    calibrated_score_rule,
-    ratio_rule,
-    raw_score_rule,
-)
+from seqgate.monitor import MonitorState, ratio_rule, raw_score_rule
 from seqgate.ratio import fit_ratio_model
-from seqgate.synthetic import (
-    SyntheticSpec,
-    sample_dataset,
-    toy_marginal_example,
-    true_ratio_process,
-)
+from seqgate.synthetic import SyntheticSpec, sample_dataset
 from seqgate.trajectories import derive_seed, split_calibration
 
 

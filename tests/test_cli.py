@@ -808,6 +808,32 @@ def test_calibrate_digests_the_data_without_openssl(tmp_path, data_file):
         assert meta["data_digest"] == expected, kind
 
 
+MONITOR_CHILD = """
+import json, sys
+for name in sys.argv[1:]:
+    sys.modules[name] = None
+from seqgate.artifact import FitConfig, LogisticModel, RatioModel
+from seqgate.monitor import MonitorState, ratio_rule, raw_score_rule
+steps = (LogisticModel((1.0,), 0.0), LogisticModel((0.0, 1.0), 0.0))
+model = RatioModel(steps, prior_1=0.5, t_max=2, fit_config=FitConfig())
+decisions = []
+for rule, scores in json.load(sys.stdin):
+    state = MonitorState(ratio_rule(model, 2.0) if rule == "ratio" else raw_score_rule(1))
+    decisions.append([state.observe(score).decision for score in scores])
+loaded = [m for m in ("numpy", "seqgate.kernels") if sys.modules.get(m) is not None]
+print(json.dumps([decisions, loaded]))
+"""
+
+
+def test_monitor_module_runs_both_rules_without_numpy():
+    # an int threshold and an int score take the non-float checks; the ratio
+    # at step t is exp(-score_t), so -1 gives e >= 2
+    cases = [["ratio", [0.5, -1]], ["raw", [1.5, 2, 0.5]]]
+    decisions, loaded = run_child(cases, blocked=("numpy",), script=MONITOR_CHILD)
+    assert decisions == [["active", "rejected"], ["active", "active", "rejected"]]
+    assert loaded == []
+
+
 OPENS_CHILD = """
 import io, json, sys
 from seqgate.cli import cli_dispatch
@@ -840,7 +866,12 @@ def test_every_export_resolves():
         namespace = {}
         exec(f"from seqgate import {name}", namespace)
         assert namespace[name] is getattr(seqgate, name)
-    assert "make_calibrated_rule" not in seqgate.__all__
+    # the closed-form oracles and the streaming isotonic rule live in tests
+    moved = {
+        "make_calibrated_rule", "calibrated_score_rule", "toy_marginal_example",
+        "ToyMarginalResult", "true_ratio_process", "true_ratio_rule", "log_ratio_increments",
+    }
+    assert moved.isdisjoint(seqgate.__all__)
     with pytest.raises(AttributeError):
         seqgate.no_such_name
 

@@ -21,8 +21,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import eval_ratio, isotonic_fraction_oracle, predict_proba, run_offline
-from oracles import prefixes_oracle
+from oracles import calibrated_score_rule, eval_ratio, isotonic_fraction_oracle, predict_proba
+from oracles import prefixes_oracle, run_offline
 
 from seqgate import harness
 from seqgate.artifact import THRESHOLD_KINDS, FitConfig, LogisticModel, RatioModel
@@ -45,7 +45,6 @@ from seqgate.monitor import (
     ACTIVE,
     DecisionRule,
     MonitorState,
-    calibrated_score_rule,
     ratio_rule,
     raw_score_rule,
 )

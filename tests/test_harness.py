@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import run_offline
+from oracles import calibrated_score_rule, run_offline, true_ratio_rule
 
 import seqgate
 from seqgate import harness
@@ -104,7 +104,7 @@ def test_always_rejecting_method_scores_one():
 
 def test_evaluate_split_matches_run_offline(synth_data):
     # the harness fast path must agree with literal rule replay
-    from seqgate.monitor import calibrated_score_rule, ratio_rule
+    from seqgate.monitor import ratio_rule
     from seqgate.artifact import ville_threshold
     from seqgate.trajectories import split_calibration
 
@@ -399,7 +399,6 @@ def test_true_ratio_rule_controls_far_through_monitor():
     # the exact ratio process with the 1/alpha threshold, replayed through
     # the monitor over a split's test side, keeps FAR within binomial noise
     spec = SyntheticSpec()
-    from seqgate.synthetic import true_ratio_rule
     from seqgate.trajectories import split_calibration
 
     data = sample_dataset(spec, 2500, seed=29)

@@ -4,20 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import run_offline
+from oracles import calibrated_score_rule, run_offline, true_ratio_rule
 
 from seqgate.errors import InvalidTrajectory, MonitorClosed, OutOfRange, SingleClassData
 from seqgate.artifact import FitConfig, LogisticModel, RatioModel
 from seqgate.harness import pooled_isotonic
 from seqgate.kernels import IsotonicModel
-from seqgate.monitor import (
-    DecisionRule,
-    MonitorState,
-    calibrated_score_rule,
-    ratio_rule,
-    raw_score_rule,
-)
-from seqgate.synthetic import SyntheticSpec, sample_dataset, true_ratio_rule
+from seqgate.monitor import DecisionRule, MonitorState, ratio_rule, raw_score_rule
+from seqgate.synthetic import SyntheticSpec, sample_dataset
 from seqgate.trajectories import LabeledTrajectory
 
 
@@ -112,6 +106,30 @@ def test_observe_reads_any_real_number_as_its_float(score):
     status = state.observe(score)
     assert state.observed == [float(score)] and type(state.observed[0]) is float
     assert status.decision == ("rejected" if score < 0.5 else "active")
+
+
+@pytest.mark.parametrize(
+    "threshold", ["0.5", None, b"1", [1.0], True, False, 1j, Decimal("0.5")], ids=repr
+)
+def test_rule_refuses_a_threshold_that_is_not_a_real_number(threshold):
+    # each would raise a bare TypeError at the first step; a bool would be
+    # read as 1 or 0 and decide in silence
+    for build in (
+        lambda t: ratio_rule(score_echo_model(1), t),
+        raw_score_rule,
+        lambda t: DecisionRule(len, t),
+    ):
+        with pytest.raises(OutOfRange, match="threshold must be a real number"):
+            build(threshold)
+
+
+@pytest.mark.parametrize(
+    "threshold", [0.5, 1, np.float64(0.5), np.int64(1), Fraction(1, 2), math.inf], ids=repr
+)
+def test_rule_keeps_any_real_threshold(threshold):
+    state = MonitorState(raw_score_rule(threshold))
+    assert state.observe(0.7).decision == ("rejected" if 0.7 < threshold else "active")
+    assert state.rule.threshold is threshold
 
 
 def test_rule_refuses_a_nan_threshold():

@@ -5,13 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from oracles import eval_ratio, predict_proba
+from oracles import eval_ratio, predict_proba, true_ratio_process
 
 from seqgate.errors import EmptyPrefix, InvalidTrajectory, SingleClassData
 from seqgate.artifact import FitConfig, LogisticModel, RatioModel, ratio_statistic
 from seqgate.kernels import fit_logistic
 from seqgate.ratio import eval_process, fit_ratio_model, flatten, replay
-from seqgate.synthetic import SyntheticSpec, sample_dataset, true_ratio_process
+from seqgate.synthetic import SyntheticSpec, sample_dataset
 from seqgate.trajectories import LabeledTrajectory
 
 

@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sample_dataset_oracle
-from seqgate.cli import cli_dispatch
-from seqgate.dataio import write_dataset
-from seqgate.errors import OutOfRange
-from seqgate.synthetic import (
-    SyntheticSpec,
-    item_states,
-    sample_dataset,
+from oracles import (
+    sample_dataset_oracle,
     toy_marginal_example,
     true_ratio_process,
     true_ratio_rule,
 )
+from seqgate.cli import cli_dispatch
+from seqgate.dataio import write_dataset
+from seqgate.errors import OutOfRange
+from seqgate.synthetic import SyntheticSpec, item_states, sample_dataset
 
 
 def test_spec_validation():
