@@ -33,7 +33,7 @@ _EXPORTS = {
     ),
     "kernels": ("IsotonicModel", "apply_isotonic", "fit_isotonic", "fit_logistic"),
     "monitor": ("DecisionRule", "MonitorState", "Status", "ratio_rule", "raw_score_rule"),
-    "ratio": ("eval_process", "fit_ratio_model", "null_maxima"),
+    "ratio": ("Calibration", "eval_process", "fit_ratio_model", "null_maxima"),
     "synthetic": ("SyntheticSpec", "sample_dataset"),
     "trajectories": ("LabeledTrajectory", "split_calibration"),
     "dataio": ("centipawn_to_prob", "read_chess", "read_dataset", "write_dataset"),

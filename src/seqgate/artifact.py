@@ -262,8 +262,9 @@ def _log_tails(n: int, p: float):
 
 
 def min_null_samples(alpha: float, delta: float) -> int:
-    """Smallest n for which Pr[Bin(n, 1-alpha) >= n] <= delta is satisfiable."""
-    return math.ceil(math.log(delta) / math.log1p(-alpha))
+    """Smallest n with Pr[Bin(n, 1-alpha) >= n] <= delta, or MAX_NULL_SAMPLES + 1
+    if it is past that cap, as at a tiny alpha, where it can overflow a float."""
+    return math.ceil(min(math.log(delta) / math.log1p(-alpha), MAX_NULL_SAMPLES + 1))
 
 
 def pac_index(n: int, alpha: float, delta: float) -> int:

@@ -1,5 +1,6 @@
 """Command-line surface: calibrate, monitor, evaluate, tokens, ablate,
-synth, and chess subcommands.
+synth, and chess subcommands. ``calibrate`` writes the model and threshold of
+``ratio.Calibration``, the step the harness runs on each split.
 
 Exit codes: 0 success (monitor: accepted), 2 usage error, 3 monitor
 rejected the trajectory, 4 calibration set too small for the requested
@@ -131,32 +132,24 @@ def _experiment_config(args, n_splits: int):
 
 def _cmd_calibrate(args, stdin, stdout) -> int:
     from . import dataio
-    from .artifact import bonferroni_threshold, pac_threshold, probability, ville_threshold
-    from .ratio import fit_ratio_model, null_maxima
-    from .trajectories import split_calibration
+    from .artifact import probability, ville_threshold
+    from .ratio import Calibration
 
     # checked before the data is read; only pac reads delta, but a bad value
     # is never accepted, and the ville threshold needs only alpha
     probability(args.delta, "delta")
     probability(args.dre_fraction, "dre_fraction")
     probability(args.alpha, "alpha")
-    spec = ville_threshold(args.alpha) if args.threshold == "ville" else None
+    if args.threshold == "ville":
+        ville_threshold(args.alpha)
     data, digest = dataio.read_digested(args.data)
-    dre, thresh_set = split_calibration(data, args.dre_fraction, args.seed)
-    model = fit_ratio_model(dre)
-    if args.threshold == "bonferroni":
-        spec = bonferroni_threshold(args.alpha, max(len(item) for item in data))
-    elif args.threshold == "pac":
-        maxima = null_maxima(model, thresh_set)
-        spec = pac_threshold(maxima, args.alpha, args.delta)
+    # every kind replays the threshold set: a nan statistic fails closed
+    cal = Calibration(data, args.dre_fraction, args.seed)
+    model, spec = cal.model, cal.threshold(args.threshold, args.alpha, args.delta)
     metadata = {
-        "data": str(args.data),
-        "data_digest": digest,
-        "n_trajectories": len(data),
-        "n_dre": len(dre),
-        "n_threshold": len(thresh_set),
-        "dre_fraction": args.dre_fraction,
-        "seed": args.seed,
+        "data": str(args.data), "data_digest": digest, "n_trajectories": len(data),
+        "n_dre": len(cal.fit_set), "n_threshold": len(cal.thresh_set),
+        "dre_fraction": args.dre_fraction, "seed": args.seed,
     }
     save_calibration(args.out, model, spec, metadata)
     # the logit is clamped to [-L, L], so the ratio never exceeds odds * e^L

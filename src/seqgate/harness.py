@@ -3,8 +3,9 @@ percentile confidence intervals across repeated random splits, a
 calibration-size ablation, and the token-budget study.
 
 All five methods share the same split per seed, so curves are paired
-comparisons. Split seeds are derived by index from the master seed, which
-makes every output a pure function of the config.
+comparisons; the ratio methods share the ``ratio.Calibration`` that
+``seqgate calibrate`` runs. Split seeds are derived by index from the master
+seed, which makes every output a pure function of the config.
 """
 
 from __future__ import annotations
@@ -16,16 +17,15 @@ from typing import Optional
 import numpy as np
 
 from .artifact import DEFAULT_CAL_FRACTION, DEFAULT_DELTA, DEFAULT_DRE_FRACTION
-from .artifact import DEFAULT_SPLITS, KNOWN_METHODS, bonferroni_threshold, count
-from .artifact import pac_threshold, probability, ville_threshold
+from .artifact import DEFAULT_SPLITS, KNOWN_METHODS, count, probability
 from .errors import DegenerateSplit, InsufficientCalibration, MissingTokens, OutOfRange
 from .errors import SingleClassData
 from .kernels import IsotonicModel, apply_isotonic, fit_isotonic
 from .monitor import ratio_rule, raw_score_rule
-from .ratio import fit_ratio_model, flatten, null_maxima, replay
+from .ratio import Calibration, flatten, replay
 from .trajectories import derive_seed, split_calibration
 
-_RATIO_METHODS = {"evaluator_pac", "evaluator_ville", "bonferroni"}
+_RATIO_METHODS = dict(evaluator_pac="pac", evaluator_ville="ville", bonferroni="bonferroni")
 NEVER_TERMINATE = "never_terminate"
 
 
@@ -114,21 +114,15 @@ class _SplitArtifacts:
 
     def __init__(self, data, cfg: ExperimentConfig, split_seed: int):
         cal, test = split_calibration(data, cfg.cal_fraction, derive_seed(split_seed, 0))
-        self.cal = cal
-        self.test = test
-        self.t_cal_max = max(map(len, cal))
+        self.cal, self.test = cal, test
         self.null = np.array([item.label for item in test]) == 1
 
         # per-step statistic values of every test trajectory, concatenated
         self.raw, self.starts, lengths = flatten([item.scores for item in test])
 
         if any(m in _RATIO_METHODS for m in cfg.methods):
-            dre, thresh = split_calibration(
-                cal, cfg.dre_fraction, derive_seed(split_seed, 1)
-            )
-            self.ratio_model = fit_ratio_model(dre)
-            self.null_maxima = null_maxima(self.ratio_model, thresh)
-            self.ratio = replay(self.ratio_model, self.raw, self.starts, lengths)
+            self.calibration = Calibration(cal, cfg.dre_fraction, derive_seed(split_seed, 1))
+            self.ratio = replay(self.calibration.model, self.raw, self.starts, lengths)
 
         if "calibrated" in cfg.methods:
             self.iso_model = pooled_isotonic(cal)
@@ -136,19 +130,12 @@ class _SplitArtifacts:
 
     def decide(self, method: str, alpha: float, delta: float):
         """Per-test-trajectory first rejection step (0 = accepted)."""
-        # the calibrated rule is the raw one on the recalibrated scores
-        if method == "raw":
-            rule, process = raw_score_rule(alpha), self.raw
-        elif method == "calibrated":
-            rule, process = raw_score_rule(alpha), self.calibrated
-        else:
-            if method == "evaluator_ville":
-                thr = ville_threshold(alpha).value
-            elif method == "bonferroni":
-                thr = bonferroni_threshold(alpha, self.t_cal_max).value
-            else:
-                thr = pac_threshold(self.null_maxima, alpha, delta).value
-            rule, process = ratio_rule(self.ratio_model, thr), self.ratio
+        if method in _RATIO_METHODS:
+            spec = self.calibration.threshold(_RATIO_METHODS[method], alpha, delta)
+            rule, process = ratio_rule(self.calibration.model, spec.value), self.ratio
+        else:  # the calibrated rule is the raw one on the recalibrated scores
+            rule = raw_score_rule(alpha)
+            process = self.calibrated if method == "calibrated" else self.raw
         return _first_steps(rule.fires(process), self.starts)
 
     def cells(self, cfg: ExperimentConfig):

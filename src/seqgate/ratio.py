@@ -24,9 +24,9 @@ Two paths share one arithmetic. ``artifact.ratio_statistic`` turns a model
 into its per-prefix statistic, for the streaming monitor: it reads the step
 models and the constants once, so each call is one length, one index and the
 logit loop. ``replay`` evaluates whole processes of many trajectories, for
-``null_maxima`` and the experiment harness. Both sum the logit left to right,
-clamp it and take ``math.exp`` of its negation, so they return
-bit-identical values on any platform: the statistic in plain float
+the harness and for ``Calibration``'s ``null_maxima``. Both sum the logit
+left to right, clamp it and take ``math.exp`` of its negation, so they
+return bit-identical values on any platform: the statistic in plain float
 arithmetic, ``replay`` with numpy arrays for the sums and the clamp.
 """
 
@@ -37,9 +37,12 @@ from itertools import chain
 
 import numpy as np
 
-from .artifact import FitConfig, RatioModel
-from .errors import EmptyPrefix, InvalidTrajectory, NoNullTrajectories, SingleClassData
+from .artifact import THRESHOLD_KINDS, FitConfig, RatioModel, ThresholdSpec
+from .artifact import bonferroni_threshold, pac_threshold, ville_threshold
+from .errors import EmptyPrefix, InvalidTrajectory, NoNullTrajectories, OutOfRange
+from .errors import SingleClassData
 from .kernels import fit_logistic
+from .trajectories import split_calibration
 
 
 def flatten(sequences):
@@ -149,6 +152,28 @@ def null_maxima(model: RatioModel, thresh_set) -> list:
         raise NoNullTrajectories("threshold calibration needs label-1 trajectories")
     values, first, lengths = flatten(nulls)
     return np.maximum.reduceat(replay(model, values, first, lengths), first).tolist()
+
+
+class Calibration:
+    """The calibration step of ``seqgate calibrate`` and the harness: ``cal``
+    split into ``fit_set``, which ``model`` is fit on, and ``thresh_set``, whose
+    null maxima are ``maxima``; ``t_cal_max`` is the longest trajectory."""
+
+    def __init__(self, cal, dre_fraction: float, seed: int):
+        self.fit_set, self.thresh_set = split_calibration(cal, dre_fraction, seed)
+        self.model = fit_ratio_model(self.fit_set)
+        self.maxima = null_maxima(self.model, self.thresh_set)
+        self.t_cal_max = max(map(len, cal))
+
+    def threshold(self, kind: str, alpha: float, delta: float) -> ThresholdSpec:
+        """The one dispatch from a threshold kind to its formula."""
+        if kind == "ville":
+            return ville_threshold(alpha)
+        if kind == "bonferroni":
+            return bonferroni_threshold(alpha, self.t_cal_max)
+        if kind == "pac":
+            return pac_threshold(self.maxima, alpha, delta)
+        raise OutOfRange(f"threshold kind {kind!r} is not one of {THRESHOLD_KINDS}")
 
 
 def eval_process(model: RatioModel, scores) -> list:

@@ -19,7 +19,7 @@ from seqgate import artifact, harness, ratio
 from seqgate.artifact import THRESHOLD_KINDS, FitConfig, LogisticModel, RatioModel
 from seqgate.artifact import ville_threshold
 from seqgate.cli import _build_parser, cli_dispatch
-from seqgate.dataio import load_calibration, save_calibration, write_dataset
+from seqgate.dataio import load_calibration, read_dataset, save_calibration, write_dataset
 from seqgate.synthetic import SyntheticSpec, sample_dataset
 from seqgate.trajectories import LabeledTrajectory
 
@@ -651,6 +651,9 @@ NAN_STATISTIC_RUNS = {
     "evaluate": ["evaluate", "--alphas", "0.3", "--splits", "2"],
     "ablate": ["ablate", "--alphas", "0.3", "--fractions", "0.5", "--splits", "2"],
     "calibrate pac": ["calibrate", "--alpha", "0.5", "--threshold", "pac"],
+    # ville and bonferroni replay the threshold set too
+    "calibrate ville": ["calibrate", "--alpha", "0.5", "--threshold", "ville"],
+    "calibrate bonferroni": ["calibrate", "--alpha", "0.5", "--threshold", "bonferroni"],
 }
 
 
@@ -666,9 +669,7 @@ def test_batch_nan_statistic_fails_closed(tmp_path, capsys, command):
         "--data", str(path), "--out", str(tmp_path / "out"),
     ]
     fit = lambda *args, **kwargs: overflow_model()  # noqa: E731
-    with mock.patch.object(harness, "fit_ratio_model", fit), mock.patch.object(
-        ratio, "fit_ratio_model", fit
-    ):
+    with mock.patch.object(ratio, "fit_ratio_model", fit):
         code = cli_dispatch(argv)
     assert code == 1
     err = capsys.readouterr().err.splitlines()
@@ -951,6 +952,8 @@ ARTIFACT_FAULTS = {
         k_index=a["threshold"]["k_index"] + 1
     ),
     "pac delta null": lambda a: a["threshold"].update(delta=None),
+    # min_null_samples at this alpha is past the float range
+    "pac alpha 1e-320": lambda a: a["threshold"].update(alpha=1e-320),
     "pac with t_cal_max set": lambda a: a["threshold"].update(t_cal_max=7),
     # a pac value is just above a statistic >= 0; these reject every trajectory
     "pac value 0.0": lambda a: a["threshold"].update(value=0.0),
@@ -1019,6 +1022,21 @@ def test_calibrate_artifact_of_each_kind_loads_as_saved(tmp_path, data_file, kin
     assert spec.kind == kind
     save_calibration(tmp_path / "again.json", model, spec, metadata)
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", THRESHOLD_KINDS)
+def test_calibrate_artifact_is_the_library_calibration(tmp_path, data_file, kind):
+    # the CLI and the library run one calibration step, so they cannot drift
+    path = tmp_path / "model.json"
+    argv = ["calibrate", "--data", str(data_file), "--alpha", "0.2", "--delta", "0.1",
+            "--threshold", kind, "--dre-fraction", "0.4", "--seed", "3"]
+    assert cli_dispatch(argv + ["--out", str(path)]) == 0
+    model, spec, metadata = load_calibration(path)
+    cal = ratio.Calibration(read_dataset(data_file), 0.4, 3)
+    assert model == cal.model
+    assert spec == cal.threshold(kind, 0.2, 0.1)
+    assert metadata["n_dre"] == len(cal.fit_set)
+    assert metadata["n_threshold"] == len(cal.thresh_set)
 
 
 @pytest.mark.parametrize("command", ["evaluate", "tokens", "ablate"])
@@ -1150,6 +1168,21 @@ CONTRACT = {
     "evaluate cal-fraction 1.5": Row(
         ["evaluate", *DATA, "--alphas", "0.1", "--cal-fraction", "1.5", *OUT], "",
         None, 1, "err", r"^ERROR OUT_OF_RANGE: cal_fraction",
+    ),
+    # at a tiny alpha pac is infeasible: one short line, whose n is the cap
+    # plus one, where the n itself has 301 digits or overflows a float
+    "calibrate pac alpha 1e-300": Row(
+        ["calibrate", *DATA, "--alpha", "1e-300", "--threshold", "pac", *OUT], "",
+        None, 4, "err", r"^ERROR INSUFFICIENT_CALIBRATION: .* need at least n=1000001$",
+    ),
+    "calibrate pac alpha 1e-320": Row(
+        ["calibrate", *DATA, "--alpha", "1e-320", "--threshold", "pac", *OUT], "",
+        None, 4, "err", r"^ERROR INSUFFICIENT_CALIBRATION: .* need at least n=1000001$",
+    ),
+    "evaluate pac alpha 1e-320": Row(
+        ["evaluate", *DATA, "--alphas", "1e-320,0.2", "--methods", "evaluator_pac",
+         "--splits", "2", *OUT], "",
+        None, 0, "file", r"\A[^\n]*\nevaluator_pac,1e-320(?:,nan){6}\nevaluator_pac,0\.2,",
     ),
     "calibrate delta 0": Row(
         ["calibrate", *DATA, "--alpha", "0.2", "--delta", "0", *OUT], "",

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from oracles import calibrated_score_rule, eval_ratio, isotonic_fraction_oracle, predict_proba
 from oracles import prefixes_oracle, run_offline
 
-from seqgate import harness
+from seqgate import harness, ratio
 from seqgate.artifact import THRESHOLD_KINDS, FitConfig, LogisticModel, RatioModel
 from seqgate.artifact import ThresholdSpec
 from seqgate.artifact import load_calibration, pac_index, pac_threshold, ratio_statistic
@@ -430,19 +430,19 @@ def test_harness_first_crossing_equals_run_offline(drawn):
     cfg = ExperimentConfig(
         alpha_grid=(0.3, 0.5), n_splits=1, cal_fraction=0.5, delta=0.5
     )
-    with mock.patch.object(harness, "fit_ratio_model", lambda dre: model):
+    with mock.patch.object(ratio, "fit_ratio_model", lambda dre: model):
         arts = _SplitArtifacts(data, cfg, split_seed=3)
         cells = harness.evaluate_split(data, cfg, split_seed=3)
     assert arts.iso_model == pooled_reference(arts.cal)
     for alpha in cfg.alpha_grid:
         rules = {
             "evaluator_ville": ratio_rule(model, ville_threshold(alpha).value),
-            "bonferroni": ratio_rule(model, arts.t_cal_max / alpha),
+            "bonferroni": ratio_rule(model, arts.calibration.t_cal_max / alpha),
             "raw": raw_score_rule(alpha),
             "calibrated": calibrated_score_rule(pooled_reference(arts.cal), alpha),
         }
         try:
-            pac = pac_threshold(arts.null_maxima, alpha, cfg.delta)
+            pac = pac_threshold(arts.calibration.maxima, alpha, cfg.delta)
             rules["evaluator_pac"] = ratio_rule(model, pac.value)
         except InsufficientCalibration:
             far, power = cells[("evaluator_pac", alpha)]
@@ -473,7 +473,7 @@ def test_token_study_equals_run_offline(drawn, draws):
     cfg = ExperimentConfig(
         alpha_grid=(0.05, 0.5), n_splits=1, cal_fraction=0.5, delta=0.5
     )
-    with mock.patch.object(harness, "fit_ratio_model", lambda dre: model):
+    with mock.patch.object(ratio, "fit_ratio_model", lambda dre: model):
         arts = _SplitArtifacts(items, cfg, derive_seed(cfg.seed, 0))
         points = harness.token_study(items, cfg)
     test = arts.test
@@ -482,12 +482,12 @@ def test_token_study_equals_run_offline(drawn, draws):
     for alpha in cfg.alpha_grid:
         rules = {
             "evaluator_ville": ratio_rule(model, ville_threshold(alpha).value),
-            "bonferroni": ratio_rule(model, arts.t_cal_max / alpha),
+            "bonferroni": ratio_rule(model, arts.calibration.t_cal_max / alpha),
             "raw": raw_score_rule(alpha),
             "calibrated": calibrated_score_rule(pooled_reference(arts.cal), alpha),
         }
         try:
-            pac = pac_threshold(arts.null_maxima, alpha, cfg.delta)
+            pac = pac_threshold(arts.calibration.maxima, alpha, cfg.delta)
             rules["evaluator_pac"] = ratio_rule(model, pac.value)
         except InsufficientCalibration:
             pass  # the study skips the cell

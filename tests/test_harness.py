@@ -268,6 +268,21 @@ def test_pac_infeasible_cells_are_nan():
     assert not math.isnan(by_key[("evaluator_ville", 0.05)].far_mean)
 
 
+def test_tiny_alpha_pac_cells_are_infeasible(synth_data):
+    # min_null_samples overflows a float below about 1.7e-308: the cell is
+    # infeasible, a nan row in evaluate and skipped by tokens
+    cfg = ExperimentConfig(
+        alpha_grid=(1e-320, 1e-300, 0.2), n_splits=1, seed=3, methods=("evaluator_pac",)
+    )
+    cells = evaluate_split(synth_data, cfg, derive_seed(cfg.seed, 0))
+    assert all(math.isnan(v) for a in (1e-320, 1e-300) for v in cells[("evaluator_pac", a)])
+    assert not math.isnan(cells[("evaluator_pac", 0.2)][0])
+    points = token_study(tokenized(synth_data), cfg)
+    assert [(p.method, p.alpha) for p in points] == [
+        (NEVER_TERMINATE, 0.0), ("evaluator_pac", 0.2)
+    ]
+
+
 def test_token_study_requires_tokens(synth_data):
     cfg = ExperimentConfig(alpha_grid=(0.3,), n_splits=1, seed=1, methods=("raw",))
     with pytest.raises(MissingTokens):

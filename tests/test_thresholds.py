@@ -25,7 +25,9 @@ from seqgate.artifact import (
     ville_threshold,
 )
 from seqgate.monitor import MonitorState, ratio_rule
-from seqgate.ratio import eval_process, fit_ratio_model, flatten, null_maxima, replay
+from seqgate.ratio import Calibration, eval_process, fit_ratio_model, flatten, null_maxima
+from seqgate.ratio import replay
+from seqgate.synthetic import SyntheticSpec, sample_dataset
 from seqgate.trajectories import LabeledTrajectory, split_calibration
 
 
@@ -132,9 +134,37 @@ def test_pac_index_caps_n_at_max_null_samples():
         pac_index(10**18, 0.1, 0.05)
 
 
+def test_calibration_is_split_fit_and_null_maxima():
+    data = sample_dataset(SyntheticSpec(), 200, seed=12)
+    cal = Calibration(data, 0.4, 5)
+    fit_set, thresh_set = split_calibration(data, 0.4, 5)
+    assert (cal.fit_set, cal.thresh_set) == (fit_set, thresh_set)
+    assert cal.model == fit_ratio_model(fit_set)
+    assert cal.maxima == null_maxima(cal.model, thresh_set)
+    assert cal.t_cal_max == max(len(item) for item in data)
+    assert cal.threshold("ville", 0.1, 0.05) == ville_threshold(0.1)
+    assert cal.threshold("bonferroni", 0.1, 0.05) == bonferroni_threshold(0.1, cal.t_cal_max)
+    assert cal.threshold("pac", 0.1, 0.05) == pac_threshold(cal.maxima, 0.1, 0.05)
+    # a method name is not a threshold kind
+    with pytest.raises(OutOfRange, match="threshold kind 'evaluator_pac'"):
+        cal.threshold("evaluator_pac", 0.1, 0.05)
+
+
 def test_min_null_samples():
     assert min_null_samples(0.5, 0.01) == 7
     assert min_null_samples(0.05, 0.05) == 59
+    # exact up to the cap
+    assert min_null_samples(3e-6, 0.05) == 998_576 <= MAX_NULL_SAMPLES
+
+
+@pytest.mark.parametrize("alpha", [1e-7, 1e-300, 1e-320, 5e-324])
+def test_min_null_samples_past_the_cap_is_the_cap_plus_one(alpha):
+    # at 1e-300 the n has 301 digits; below about 1.7e-308 it overflows a float
+    assert min_null_samples(alpha, 0.05) == MAX_NULL_SAMPLES + 1
+    with pytest.raises(InsufficientCalibration) as err:
+        pac_index(50, alpha, 0.05)
+    assert err.value.min_n == MAX_NULL_SAMPLES + 1
+    assert str(err.value).endswith("need at least n=1000001")
 
 
 def test_pac_index_matches_oracle_small_grid():
