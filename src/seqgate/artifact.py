@@ -1,9 +1,10 @@
 """The calibration artifact without numpy: the model and threshold types
 ``seqgate calibrate`` writes, the threshold formulas, the scalar statistic
 ``seqgate monitor`` streams, the versioned JSON format that bundles them, and
-the input checks ``number``, ``probability``, ``count`` and ``json_object``.
-The batch modules import these names from here, so a monitor process loads
-this module, ``monitor`` and ``cli`` alone, and re-derives the threshold it loads.
+the input checks ``number``, ``probability``, ``count``, ``real``, ``score``
+and ``json_object``. The batch modules import these names from here, so a
+monitor process loads this module, ``monitor`` and ``cli`` alone, and
+re-derives the threshold it loads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import EmptyPrefix, InsufficientCalibration, OutOfRange, ParseError
+from .errors import EmptyPrefix, InsufficientCalibration, InvalidTrajectory, OutOfRange
+from .errors import ParseError
 
 DEFAULT_PROB_CLAMP = 1e-6
 # the CLI's and the experiment's defaults, here so that the parser needs no numpy
@@ -69,6 +71,31 @@ def count(value, name: str, upper=None, lower=1) -> int:
     return n
 
 
+def real(value) -> bool:
+    """Whether value is a ``numbers.Real`` and not a bool; a float imports nothing."""
+    if type(value) is float:
+        return True
+    from numbers import Real
+
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def score(value, trajectory_id=None) -> float:
+    """``float(value)`` if value is ``real`` and finite as a float, which an
+    int past the float range is not; InvalidTrajectory on field scores if not."""
+    if not real(value):
+        raise InvalidTrajectory(
+            f"score must be a real number, got {value!r}", trajectory_id, "scores"
+        )
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
+        raise InvalidTrajectory(f"non-finite score {value!r}", trajectory_id, "scores")
+    return value
+
+
 def json_object(text: str, name: str, line=None) -> dict:
     """``text`` decoded as a JSON object; otherwise ParseError at ``line``:
     "<name> must be a JSON object" for any other JSON value, and, caused by
@@ -106,7 +133,7 @@ class FitConfig:
     def __post_init__(self):
         if number(self.l2_lambda, "l2_lambda") < 0:
             raise OutOfRange(f"l2_lambda must be >= 0, got {self.l2_lambda}")
-        count(self.max_iters, "max_iters")
+        object.__setattr__(self, "max_iters", count(self.max_iters, "max_iters"))
         if number(self.tolerance, "tolerance") <= 0:
             raise OutOfRange(f"tolerance must be > 0, got {self.tolerance}")
         # the ratio takes math.exp of logits up to log((1 - c)/c), which
@@ -150,7 +177,8 @@ class RatioModel:
         if not isinstance(self.step_models, Sequence):
             raise OutOfRange(f"step_models must be a sequence, got {self.step_models!r}")
         object.__setattr__(self, "step_models", tuple(self.step_models))
-        if count(self.t_max, "t_max") != len(self.step_models):
+        object.__setattr__(self, "t_max", count(self.t_max, "t_max"))
+        if self.t_max != len(self.step_models):
             raise OutOfRange(f"t_max={self.t_max} but {len(self.step_models)} step models")
         for t, step in enumerate(self.step_models, start=1):
             if not isinstance(step, LogisticModel) or len(step.weights) != t:

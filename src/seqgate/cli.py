@@ -136,11 +136,11 @@ def _cmd_calibrate(args, stdin, stdout) -> int:
     from .ratio import Calibration
 
     # checked before the data is read; only pac reads delta, but a bad value
-    # is never accepted, and the ville threshold needs only alpha
+    # is never accepted, and bonferroni's t/alpha overflows when ville's 1/alpha does
     probability(args.delta, "delta")
     probability(args.dre_fraction, "dre_fraction")
     probability(args.alpha, "alpha")
-    if args.threshold == "ville":
+    if args.threshold != "pac":
         ville_threshold(args.alpha)
     data, digest = dataio.read_digested(args.data)
     # every kind replays the threshold set: a nan statistic fails closed

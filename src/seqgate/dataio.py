@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import fields
 
-from .artifact import JSON_WHITESPACE, _opened, json_object
+from .artifact import JSON_WHITESPACE, _opened, json_object, real
 from .artifact import load_calibration, save_calibration
 from .errors import InvalidTrajectory, ParseError
 from .trajectories import LabeledTrajectory
@@ -95,9 +95,7 @@ def read_chess(path_or_stream) -> tuple:
     for line_no, record in _records(path_or_stream):
         cps = _require(record, "centipawns", line_no)
         result = _require(record, "result", line_no)
-        if not isinstance(cps, list) or not cps or any(
-            not isinstance(c, (int, float)) or isinstance(c, bool) for c in cps
-        ):
+        if not isinstance(cps, list) or not cps or not all(map(real, cps)):
             raise ParseError(
                 "'centipawns' must be a non-empty array of numbers", line=line_no
             )

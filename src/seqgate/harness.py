@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .artifact import DEFAULT_CAL_FRACTION, DEFAULT_DELTA, DEFAULT_DRE_FRACTION
-from .artifact import DEFAULT_SPLITS, KNOWN_METHODS, count, probability
+from .artifact import DEFAULT_SPLITS, KNOWN_METHODS, count, probability, ville_threshold
 from .errors import DegenerateSplit, InsufficientCalibration, MissingTokens, OutOfRange
 from .errors import SingleClassData
 from .kernels import IsotonicModel, apply_isotonic, fit_isotonic
@@ -33,7 +33,8 @@ NEVER_TERMINATE = "never_terminate"
 class ExperimentConfig:
     """alpha_grid (non-empty, increasing), cal_fraction, delta and dre_fraction
     hold ``probability`` values, n_splits is a ``count`` and seed a ``count``
-    from 0."""
+    from 0. With evaluator_ville or bonferroni, whose T/alpha >= 1/alpha,
+    among the methods, each alpha must have a finite ``ville_threshold``."""
 
     alpha_grid: tuple
     n_splits: int = DEFAULT_SPLITS
@@ -47,8 +48,11 @@ class ExperimentConfig:
         object.__setattr__(self, "alpha_grid", tuple(self.alpha_grid))
         object.__setattr__(self, "methods", tuple(self.methods))
         grid = self.alpha_grid
+        ville = not {"evaluator_ville", "bonferroni"}.isdisjoint(self.methods)
         for alpha in grid:
             probability(alpha, "alpha_grid")
+            if ville:
+                ville_threshold(alpha)
         if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
             raise OutOfRange("alpha_grid must be non-empty and strictly increasing")
         count(self.n_splits, "n_splits")

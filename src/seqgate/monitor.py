@@ -2,13 +2,14 @@
 
 A DecisionRule holds a per-prefix statistic, a threshold and a direction,
 and writes the first-crossing comparison once, in ``fires``. MonitorState
-applies it to one prefix per observed score; the experiment harness applies
-the same ``fires`` to whole replayed processes at once, so streaming and
-batch decisions agree exactly. The ratio rule's statistic is
-``artifact.ratio_statistic``, which reads the model once when the rule is
-built, so a streamed step pays only for its own prefix. No path here loads
-numpy: the isotonic baseline is fit and decided in ``harness``, and the
-closed-form oracle rules live with the tests in ``tests/oracles.py``.
+applies it to one prefix per observed score, checked by ``artifact.score``
+as a trajectory's scores are; the experiment harness applies the same
+``fires`` to whole replayed processes at once, so streaming and batch
+decisions agree exactly. The ratio statistic, ``artifact.ratio_statistic``,
+reads the model once when the rule is built, so a streamed step pays only
+for its own prefix. No path here loads numpy: the isotonic baseline is fit
+and decided in ``harness``, and the closed-form oracle rules live with the
+tests in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -18,17 +19,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .artifact import RatioModel, ratio_statistic
+from .artifact import RatioModel, ratio_statistic, real, score as checked_score
 from .errors import InvalidTrajectory, MonitorClosed, OutOfRange
-
-
-def _real(value) -> bool:
-    """Whether value is a ``numbers.Real`` and not a bool; a float imports nothing."""
-    if type(value) is float:
-        return True
-    from numbers import Real
-
-    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -49,7 +41,7 @@ class DecisionRule:
 
     def __post_init__(self):
         threshold = self.threshold
-        if not _real(threshold):
+        if not real(threshold):
             raise OutOfRange(f"threshold must be a real number, got {threshold!r}")
         if threshold != threshold:
             raise OutOfRange(f"threshold must not be nan, got {threshold!r}")
@@ -101,15 +93,9 @@ class MonitorState:
         # holds an equal one, which the property still reads as live
         if status is not ACTIVE and status.terminal:
             raise MonitorClosed(f"monitor already {status.decision}")
-        # float first: the CLI's scores need no further check and no import
-        if type(score) is not float:
-            if not _real(score):
-                raise InvalidTrajectory(
-                    f"score must be a real number, got {score!r}", field="scores"
-                )
-            score = float(score)
-        if not math.isfinite(score):
-            raise InvalidTrajectory(f"non-finite score {score!r}", field="scores")
+        # a finite float first: the CLI's scores need no further check
+        if type(score) is not float or not math.isfinite(score):
+            score = checked_score(score)
         observed, rule = self.observed, self.rule
         observed.append(score)
         stat = rule.value(observed)

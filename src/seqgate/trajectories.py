@@ -18,30 +18,29 @@ monitoring), 0 an unsuccessful one (the alternative).
 from __future__ import annotations
 
 import math
-import operator
-import sys
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Optional
 
-from .artifact import count, probability
-from .errors import DegenerateSplit, InvalidTrajectory
+from .artifact import count, probability, score
+from .errors import DegenerateSplit, InvalidTrajectory, OutOfRange
 
 
 @dataclass(frozen=True)
 class LabeledTrajectory:
     """Ordered per-step verifier scores plus the trajectory-level outcome label.
 
-    ``scores`` holds at least one ``numbers.Real`` that is not a bool, each
-    finite as a float, and is stored as the trajectory's own ``array("d")``
-    of them: a copy, which no caller is to write to. It is left out of the
-    hash, so trajectories stay hashable; equality compares its values.
-    ``label`` is an integer 0 or 1 and not a bool.
+    ``scores`` holds at least one score that ``artifact.score`` accepts: a
+    ``numbers.Real`` that is not a bool, finite as a float. It is stored as
+    the trajectory's own ``array("d")`` of them: a copy, which no caller is
+    to write to. It is left out of the hash, so trajectories stay hashable;
+    equality compares its values.
+    ``label`` is an integer 0 or 1 and not a bool: a ``count`` in [0, 1].
     ``tokens``, when present, holds cumulative token counts after each step
     (non-negative ints, as many as scores, non-decreasing). Anything else
-    raises InvalidTrajectory naming the id and field.
+    raises InvalidTrajectory naming the id and field, and the first refused
+    score in order.
     """
 
     id: str
@@ -52,32 +51,22 @@ class LabeledTrajectory:
     def __post_init__(self):
         object.__setattr__(self, "id", str(self.id))
         values = self._tuple("scores")
-        # exact types make the common case one pass; bool is a type of its own
-        if not {float, int}.issuperset(map(type, values)):
-            for s in values:
-                if not isinstance(s, Real) or isinstance(s, bool):
-                    raise self._invalid(f"score must be a real number, got {s!r}", "scores")
         if not values:
             raise self._invalid("empty score sequence", "scores")
         try:
-            scores = array("d", values)
+            # exact types make the common case one pass; bool is a type of its own
+            exact = {float, int}.issuperset(map(type, values))
+            scores = array("d", values) if exact else None
         except OverflowError:  # an int too large for a float
-            scores = (math.inf,)
-        if not all(map(math.isfinite, scores)):
-            # False for nan, the infinities and an int too large for a float
-            s = next(s for s in values if not abs(s) <= sys.float_info.max)
-            raise self._invalid(f"non-finite score {s!r}", "scores")
+            scores = None
+        if scores is None or not all(map(math.isfinite, scores)):
+            # the first score in order that artifact.score refuses raises
+            scores = array("d", [score(s, self.id) for s in values])
         object.__setattr__(self, "scores", scores)
         try:
-            label = operator.index(self.label)
-        except TypeError:
-            label = None
-        # operator.index reads True as 1
-        if isinstance(self.label, bool) or label not in (0, 1):
-            raise self._invalid(
-                f"label must be an integer 0 or 1, got {self.label!r}", "label"
-            )
-        object.__setattr__(self, "label", label)
+            object.__setattr__(self, "label", count(self.label, "label", upper=1, lower=0))
+        except OutOfRange as exc:
+            raise self._invalid(str(exc), "label") from None
         if self.tokens is None:
             return
         tokens = self._tuple("tokens")

@@ -10,6 +10,7 @@ in one ``ERROR <CODE>`` line and a documented exit code.
 import math
 import re
 
+import numpy as np
 import pytest
 
 from seqgate.artifact import (
@@ -151,6 +152,8 @@ TRAJECTORY_CASES = [
     ("scores", ["0.5"], {"label": 1}),
     ("scores", [0.5, True], {"label": 1}),
     ("scores", [10**400], {"label": 1}),
+    # numpy compares a float32 with the float range as float32 infinities
+    ("scores", [0.5, np.float32("inf")], {"label": 1}),
     # a string or a mapping iterates as characters or keys: no sequence
     ("scores", "x", {"label": 1}),
     ("scores", "", {"label": 1}),
@@ -169,6 +172,32 @@ def test_bad_trajectory_is_refused_at_construction(field, value, rest):
     with pytest.raises(InvalidTrajectory) as exc:
         LabeledTrajectory(id="t", **{field: value}, **rest)
     assert (exc.value.trajectory_id, exc.value.field) == ("t", field)
+
+
+@pytest.mark.parametrize(
+    "scores, message",
+    [
+        ([math.inf, "x"], "non-finite score inf"),
+        (["x", math.inf], "score must be a real number, got 'x'"),
+        ([0.5, 10**400, math.nan], "non-finite score inf"),
+        ([0.5, -10**400, "x"], "non-finite score -inf"),
+    ],
+    ids=["inf, 'x'", "'x', inf", "0.5, 10**400, nan", "0.5, -10**400, 'x'"],
+)
+def test_the_first_refused_score_is_named(scores, message):
+    with pytest.raises(InvalidTrajectory) as exc:
+        LabeledTrajectory("t", scores, 1)
+    assert exc.value.args[0] == message
+
+
+@pytest.mark.parametrize("alpha", [1e-320, 1e-310])
+def test_experiment_refuses_an_alpha_whose_ville_threshold_overflows(alpha):
+    # bonferroni's t_cal_max/alpha is at least 1/alpha
+    for method in ("evaluator_ville", "bonferroni"):
+        with pytest.raises(OutOfRange, match="1 / alpha must be a finite float"):
+            ExperimentConfig((alpha, 0.2), methods=(method, "raw"))
+    config = ExperimentConfig((alpha, 0.2), methods=("raw", "calibrated", "evaluator_pac"))
+    assert config.alpha_grid == (alpha, 0.2)
 
 
 def test_out_of_range_is_a_value_error():

@@ -1071,7 +1071,7 @@ def contract_files(tmp_path_factory):
     label.write_text("".join(head) + '{"id": "bad", "scores": [0.5], "label": 2}\n')
     return {
         "{data}": str(data), "{model}": str(model), "{label}": str(label),
-        "{games}": str(games),
+        "{games}": str(games), "{missing}": str(d / "missing.jsonl"),
     }
 
 
@@ -1080,8 +1080,8 @@ DATA, OUT = ["--data", "{data}"], ["--out", "{out}"]
 
 # The CLI's exit-code and error-line contract, one row per case that no test
 # above asserts. A row holds the argv, whose arguments "{data}", "{label}",
-# "{model}" and "{games}" name the contract_files and "{out}" the row's
-# output file; the stdin; the import made to fail (None, "numpy" or
+# "{model}" and "{games}" name the contract_files, "{missing}" a file that
+# does not exist and "{out}" the row's output file; the stdin; the import made to fail (None, "numpy" or
 # "numpy.random"); the exit code; and a pattern that stdout ("out"), stderr
 # ("err") or the output file ("file") must match. Every row also asserts no
 # Traceback and no RuntimeWarning, a failing row no output file, a usage
@@ -1183,6 +1183,35 @@ CONTRACT = {
         ["evaluate", *DATA, "--alphas", "1e-320,0.2", "--methods", "evaluator_pac",
          "--splits", "2", *OUT], "",
         None, 0, "file", r"\A[^\n]*\nevaluator_pac,1e-320(?:,nan){6}\nevaluator_pac,0\.2,",
+    ),
+    # a 1/alpha past the float range is refused before the read, which would
+    # fail with IO_ERROR; bonferroni's t_cal_max/alpha >= 1/alpha overflows too
+    "evaluate alpha 1e-320 before the read": Row(
+        ["evaluate", "--data", "{missing}", "--alphas", "1e-320,0.2", "--splits", "2", *OUT],
+        "", None, 1, "err", r"^ERROR OUT_OF_RANGE: 1 / alpha must be a finite float",
+    ),
+    "evaluate bonferroni alpha 1e-310 before the read": Row(
+        ["evaluate", "--data", "{missing}", "--alphas", "1e-310,0.2", "--methods",
+         "bonferroni", "--splits", "2", *OUT],
+        "", None, 1, "err", r"^ERROR OUT_OF_RANGE: 1 / alpha must be a finite float",
+    ),
+    "calibrate bonferroni alpha 1e-310 before the read": Row(
+        ["calibrate", "--data", "{missing}", "--alpha", "1e-310", "--threshold",
+         "bonferroni", *OUT],
+        "", None, 1, "err", r"^ERROR OUT_OF_RANGE: 1 / alpha must be a finite float",
+    ),
+    # the raw and calibrated rules need no 1/alpha
+    "evaluate raw and calibrated alpha 1e-320": Row(
+        ["evaluate", *DATA, "--alphas", "1e-320,0.2", "--methods", "raw,calibrated",
+         "--splits", "2", *OUT],
+        "", None, 0, "file", r"\A[^\n]*\nraw,1e-320,[^\n]*\nraw,0\.2,[^\n]*\ncalibrated,1e-320,",
+    ),
+    # the overflow of a t_cal_max/alpha that depends on the data fails closed
+    # after the read
+    "evaluate bonferroni alpha 1e-307": Row(
+        ["evaluate", *DATA, "--alphas", "1e-307", "--methods", "bonferroni",
+         "--splits", "2", *OUT],
+        "", None, 1, "err", r"^ERROR OUT_OF_RANGE: t_cal_max / alpha must be a finite float",
     ),
     "calibrate delta 0": Row(
         ["calibrate", *DATA, "--alpha", "0.2", "--delta", "0", *OUT], "",

@@ -5,7 +5,7 @@ import math
 import random
 import tracemalloc
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -333,6 +333,18 @@ def test_calibration_artifact_roundtrip(tmp_path):
     assert model2 == model  # bit-exact weights via repr round-trip
     assert spec2 == spec
     assert meta == {"note": "test"}
+
+
+def test_a_model_of_numpy_ints_saves_and_loads_back_equal(tmp_path):
+    # each is a count, stored as the int count returns: json.dump refuses a
+    # numpy int, and would fail midway through the file
+    model = fit_ratio_model(sample_dataset(SyntheticSpec(), 150, seed=14))
+    cfg = replace(model.fit_config, max_iters=np.int64(model.fit_config.max_iters))
+    model = replace(model, t_max=np.int64(model.t_max), fit_config=cfg)
+    assert type(model.t_max) is int and type(model.fit_config.max_iters) is int
+    path = tmp_path / "model.json"
+    save_calibration(path, model, ville_threshold(0.1))
+    assert load_calibration(path)[0] == model
 
 
 @pytest.mark.parametrize(
