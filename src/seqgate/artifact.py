@@ -206,8 +206,10 @@ def ratio_statistic(model: RatioModel):
 
     Each step's (weights, intercept), t_max, the logit bound and the prior
     odds are read once, here. Prefixes longer than t_max are truncated to
-    their first t_max scores, freezing the statistic. The arithmetic is
-    replay's, one prefix at a time.
+    their first t_max scores, freezing the statistic, so ``ratio_rule``
+    gives its rule the horizon t_max. The arithmetic is replay's, one prefix
+    at a time: the logit sums ``weights[i] * prefix[i]`` left to right by
+    index, which builds no iterator per call.
     """
     steps = [(step.weights, step.intercept) for step in model.step_models]
     t_max = model.t_max
@@ -221,8 +223,8 @@ def ratio_statistic(model: RatioModel):
             raise EmptyPrefix("cannot evaluate the ratio on an empty prefix")
         weights, intercept = steps[t - 1]
         z = 0.0
-        for w, v in zip(weights, prefix):
-            z = z + w * v
+        for i in range(t):
+            z = z + weights[i] * prefix[i]
         z = z + intercept
         # two comparisons, as np.clip: a nan logit stays nan
         if z > bound:

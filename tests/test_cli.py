@@ -1067,6 +1067,7 @@ def contract_files(tmp_path_factory):
     assert cli_dispatch(argv, stdout=quiet) == 0
     argv = ["calibrate", "--data", str(data), "--alpha", "0.2", "--threshold", "ville"]
     assert cli_dispatch(argv + ["--out", str(model)], stdout=quiet) == 0
+    assert load_calibration(model)[0].t_max == CONTRACT_T_MAX
     head = data.read_text().splitlines(keepends=True)[:2]
     label.write_text("".join(head) + '{"id": "bad", "scores": [0.5], "label": 2}\n')
     return {
@@ -1076,6 +1077,8 @@ def contract_files(tmp_path_factory):
 
 
 Row = namedtuple("Row", "argv stdin blocked code stream pattern")
+# the t_max of the contract model, which contract_files asserts
+CONTRACT_T_MAX = 21
 DATA, OUT = ["--data", "{data}"], ["--out", "{out}"]
 
 # The CLI's exit-code and error-line contract, one row per case that no test
@@ -1101,6 +1104,15 @@ CONTRACT = {
     "monitor session without numpy": Row(
         ["monitor", "--model", "{model}"], "0.9\n0.8\n0.7\n",
         "numpy", 0, "out", r"\ACONTINUE\nCONTINUE\nCONTINUE\nACCEPT t=3\n\Z",
+    ),
+    # past t_max a step only checks and counts its score, and every step counts
+    "monitor session of 3 t_max": Row(
+        ["monitor", "--model", "{model}"], "0.9\n" * (3 * CONTRACT_T_MAX),
+        None, 0, "out", r"\A(?:CONTINUE\n){%d}ACCEPT t=%d\n\Z" % ((3 * CONTRACT_T_MAX,) * 2),
+    ),
+    "monitor malformed line past t_max": Row(
+        ["monitor", "--model", "{model}"], "0.9\n" * (2 * CONTRACT_T_MAX) + "0.9x\n",
+        None, 1, "err", r"\AERROR PARSE_ERROR: not a number: '0\.9x'\n\Z",
     ),
     "monitor nan score without numpy": Row(
         ["monitor", "--model", "{model}"], "nan\n",
