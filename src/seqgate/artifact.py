@@ -206,10 +206,10 @@ def ratio_statistic(model: RatioModel):
 
     Each step's (weights, intercept), t_max, the logit bound and the prior
     odds are read once, here. Prefixes longer than t_max are truncated to
-    their first t_max scores, freezing the statistic, so ``ratio_rule``
-    gives its rule the horizon t_max. The arithmetic is replay's, one prefix
-    at a time: the logit sums ``weights[i] * prefix[i]`` left to right by
-    index, which builds no iterator per call.
+    their first t_max scores, freezing the statistic. The arithmetic is
+    replay's, one prefix at a time: the logit sums ``weights[i] * prefix[i]``
+    left to right by index, which measured faster than a ``zip`` loop on
+    CPython 3.11.
     """
     steps = [(step.weights, step.intercept) for step in model.step_models]
     t_max = model.t_max

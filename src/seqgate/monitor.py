@@ -7,11 +7,9 @@ as a trajectory's scores are; the experiment harness applies the same
 ``fires`` to whole replayed processes at once, so streaming and batch
 decisions agree exactly. The ratio statistic, ``artifact.ratio_statistic``,
 reads the model once when the rule is built, so a streamed step pays only
-for its own prefix. Past a rule's horizon, ``t_max`` for the ratio rule, the
-statistic is frozen, so a step there only checks and counts its score: a
-stream of any length costs constant time and memory per step. No path here
-loads numpy: the isotonic baseline is fit and decided in ``harness``, and
-the closed-form oracle rules live with the tests in ``tests/oracles.py``.
+for its own prefix. No path here loads numpy: the isotonic baseline is fit
+and decided in ``harness``, and the closed-form oracle rules live with the
+tests in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .artifact import RatioModel, count, ratio_statistic, real, score as checked_score
+from .artifact import RatioModel, ratio_statistic, real, score as checked_score
 from .errors import InvalidTrajectory, MonitorClosed, OutOfRange
 
 
@@ -35,16 +33,11 @@ class DecisionRule:
     The rule constructors below pair each statistic with its direction. A
     threshold that is not a real number, or is a bool or nan (which no
     statistic crosses), raises OutOfRange; ``math.inf`` is allowed.
-
-    ``horizon``, a ``count`` or None, is the step after which ``value``
-    cannot change: a prefix longer than it has the value of its first
-    ``horizon`` scores. None means that every step may change it.
     """
 
     value: Callable[[list], float]
     threshold: float
     reject_below: bool = False
-    horizon: Optional[int] = None
 
     def __post_init__(self):
         threshold = self.threshold
@@ -52,8 +45,6 @@ class DecisionRule:
             raise OutOfRange(f"threshold must be a real number, got {threshold!r}")
         if threshold != threshold:
             raise OutOfRange(f"threshold must not be nan, got {threshold!r}")
-        if self.horizon is not None:
-            object.__setattr__(self, "horizon", count(self.horizon, "horizon"))
 
     def fires(self, stat):
         """Whether the statistic crosses; elementwise on an array of values."""
@@ -63,11 +54,10 @@ class DecisionRule:
 
 
 def ratio_rule(model: RatioModel, threshold: float) -> DecisionRule:
-    return DecisionRule(ratio_statistic(model), threshold, horizon=model.t_max)
+    return DecisionRule(ratio_statistic(model), threshold)
 
 
 def raw_score_rule(alpha: float) -> DecisionRule:
-    # no horizon: the value reads the last score
     return DecisionRule(itemgetter(-1), alpha, reject_below=True)
 
 
@@ -85,22 +75,17 @@ ACTIVE = Status("active")
 
 
 class MonitorState:
-    """Single-owner mutable state for one monitored trajectory.
-
-    ``observed`` holds the first ``min(step, rule.horizon)`` scores, every
-    score when the rule has no horizon; ``step`` counts every score.
-    """
+    """Single-owner mutable state for one monitored trajectory."""
 
     def __init__(self, rule: DecisionRule):
         self.rule = rule
         self.observed: list = []
         self.status = ACTIVE
-        self._past_horizon = 0
 
     @property
     def step(self) -> int:
         """The number of scores observed."""
-        return len(self.observed) + self._past_horizon
+        return len(self.observed)
 
     def observe(self, score: float) -> Status:
         status = self.status
@@ -112,10 +97,6 @@ class MonitorState:
         if type(score) is not float or not math.isfinite(score):
             score = checked_score(score)
         observed, rule = self.observed, self.rule
-        if len(observed) == rule.horizon:
-            # the value froze at the horizon without firing, so it cannot fire
-            self._past_horizon += 1
-            return status
         observed.append(score)
         stat = rule.value(observed)
         if stat != stat:

@@ -1105,7 +1105,7 @@ CONTRACT = {
         ["monitor", "--model", "{model}"], "0.9\n0.8\n0.7\n",
         "numpy", 0, "out", r"\ACONTINUE\nCONTINUE\nCONTINUE\nACCEPT t=3\n\Z",
     ),
-    # past t_max a step only checks and counts its score, and every step counts
+    # past t_max the statistic is frozen, and every step still counts
     "monitor session of 3 t_max": Row(
         ["monitor", "--model", "{model}"], "0.9\n" * (3 * CONTRACT_T_MAX),
         None, 0, "out", r"\A(?:CONTINUE\n){%d}ACCEPT t=%d\n\Z" % ((3 * CONTRACT_T_MAX,) * 2),

@@ -1,4 +1,3 @@
-import copy
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -11,8 +10,7 @@ from seqgate.errors import InvalidTrajectory, MonitorClosed, OutOfRange, SingleC
 from seqgate.artifact import FitConfig, LogisticModel, RatioModel
 from seqgate.harness import pooled_isotonic
 from seqgate.kernels import IsotonicModel
-from seqgate.monitor import ACTIVE, DecisionRule, MonitorState, Status, ratio_rule
-from seqgate.monitor import raw_score_rule
+from seqgate.monitor import DecisionRule, MonitorState, ratio_rule, raw_score_rule
 from seqgate.synthetic import SyntheticSpec, sample_dataset
 from seqgate.trajectories import LabeledTrajectory
 
@@ -98,7 +96,7 @@ def test_nan_statistic_fails_closed():
 def test_observe_refuses_what_a_trajectory_refuses(score):
     # float() reads each string, bool and Decimal; "\u0663" (Arabic-Indic
     # three) as 3.0. Both refusals come from one check, artifact.score, also
-    # at step t_max + 1 of a ratio rule, past its horizon
+    # at step t_max + 1 of a ratio rule, where the statistic is frozen
     with pytest.raises(InvalidTrajectory) as caught:
         LabeledTrajectory("t", [0.5, score], 1)
     for rule in (raw_score_rule(0.5), ratio_rule(score_echo_model(1), 2.0)):
@@ -347,52 +345,3 @@ def test_observed_length_tracks_step():
         state.observe(s)
         assert state.step == i
         assert state.observed == list(scores[:i])
-
-
-def test_a_stream_past_the_horizon_holds_horizon_scores():
-    # the statistic is 1.0 at every step; past t_max = 3 it is frozen, so a
-    # step there only counts its score and never runs the statistic
-    rule, calls = ratio_rule(score_echo_model(3), 2.0), []
-
-    def counting(prefix):
-        calls.append(len(prefix))
-        return rule.value(prefix)
-
-    assert rule.horizon == 3
-    for streamed in (rule, DecisionRule(counting, 2.0, horizon=3)):
-        state = MonitorState(streamed)
-        for _ in range(10**5):
-            state.observe(0.0)
-        assert state.observed == [0.0] * 3 and state.step == 10**5
-        assert state.finalize() == Status("accepted", 10**5)
-    assert calls == [1, 2, 3]
-
-
-def test_a_state_past_its_horizon_copies_and_closes_as_before():
-    state = MonitorState(ratio_rule(score_echo_model(2), 2.0))
-    for _ in range(5):
-        state.observe(0.0)
-    twin = copy.deepcopy(state)
-    assert twin.observe(0.5) == state.observe(0.5) == ACTIVE
-    assert twin.observed == state.observed == [0.0, 0.0]
-    assert twin.step == state.step == 6
-    assert twin.finalize() == state.finalize() == Status("accepted", 6)
-    for closed in (state, twin):
-        with pytest.raises(MonitorClosed):
-            closed.observe(0.0)
-        assert closed.step == 6
-
-
-@pytest.mark.parametrize("horizon", [0, -1, True, 2.5, "3"], ids=repr)
-def test_rule_refuses_a_horizon_that_is_not_a_count(horizon):
-    with pytest.raises(OutOfRange, match="horizon must be an integer >= 1"):
-        DecisionRule(len, 1.0, horizon=horizon)
-
-
-def test_raw_score_rule_keeps_every_score():
-    rule = raw_score_rule(0.01)
-    assert rule.horizon is None
-    state = MonitorState(rule)
-    for _ in range(1000):
-        state.observe(0.5)
-    assert state.observed == [0.5] * 1000 and state.step == 1000
