@@ -2,9 +2,9 @@
 ``seqgate calibrate`` writes, the threshold formulas, the scalar statistic
 ``seqgate monitor`` streams, the versioned JSON format that bundles them, and
 the input checks ``number``, ``probability``, ``count``, ``real``, ``score``
-and ``json_object``. The batch modules import these names from here, so a
-monitor process loads this module, ``monitor`` and ``cli`` alone, and
-re-derives the threshold it loads.
+and ``json_object``. Each type certifies itself when built, a threshold by
+deriving it again. The batch modules import these names from here, so a
+monitor process loads this module, ``monitor`` and ``cli`` alone.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 import operator
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
@@ -41,9 +41,9 @@ ARTIFACT_KEYS = ("format", "version", "ratio_model", "threshold", "metadata")
 JSON_WHITESPACE = " \t\r\n"
 
 
-def number(value, name: str, kind=(int, float)):
-    """``value`` if it is a finite ``kind`` and not a bool; OutOfRange otherwise."""
-    valid = isinstance(value, kind) and not isinstance(value, bool)
+def number(value, name: str):
+    """``value`` if it is a finite int or float and not a bool; OutOfRange otherwise."""
+    valid = isinstance(value, (int, float)) and not isinstance(value, bool)
     # False for nan, the infinities and an int too large for a float
     if not (valid and abs(value) <= sys.float_info.max):
         raise OutOfRange(f"{name} must be a finite number, got {value!r}")
@@ -122,7 +122,9 @@ class FitConfig:
     biases the estimated ratio process downward at every step.
 
     l2_lambda >= 0, tolerance > 0 and prob_clamp are each a finite
-    ``number``, and max_iters is a ``count``.
+    ``number``, and max_iters is a ``count``. tolerance bounds the gradient
+    summed over all rows, so a fit whose rounding floor lies above it ends at
+    its fixed point without meeting it.
     """
 
     l2_lambda: float = 0.02
@@ -236,9 +238,28 @@ def ratio_statistic(model: RatioModel):
     return value
 
 
+def _over_alpha(alpha, t_cal_max=None) -> float:
+    """1/alpha, or t_cal_max/alpha for a ``count`` t_cal_max, at a ``probability``
+    alpha; OutOfRange unless a finite float: an infinite threshold never rejects."""
+    probability(alpha, "alpha")
+    t = 1 if t_cal_max is None else count(t_cal_max, "t_cal_max")
+    # a subnormal alpha overflows to inf; a t past the float range raises
+    try:
+        value = t / alpha
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        numerator = "1" if t_cal_max is None else "t_cal_max"
+        raise OutOfRange(f"{numerator} / alpha must be a finite float, alpha={alpha}")
+    return value
+
+
 @dataclass(frozen=True)
 class ThresholdSpec:
-    """A resolved decision threshold plus how it was derived."""
+    """A resolved decision threshold plus how it was derived, certified by
+    deriving it again: ville's value is 1/alpha, bonferroni's t_cal_max/alpha
+    and pac's k_index pac_index(n_null, alpha, delta); a pac value comes from
+    data, so only its sign is checked. Unused fields are None; counts are ints."""
 
     kind: str  # one of THRESHOLD_KINDS
     alpha: float
@@ -248,29 +269,40 @@ class ThresholdSpec:
     k_index: Optional[int] = None   # pac only
     t_cal_max: Optional[int] = None  # bonferroni only
 
+    def __post_init__(self):
+        if self.kind not in THRESHOLD_KINDS:
+            raise OutOfRange(f"kind must be one of {THRESHOLD_KINDS}, got {self.kind!r}")
+        probability(self.alpha, "alpha")
+        number(self.value, "value")
+        for name in ("delta", "n_null", "k_index", "t_cal_max"):
+            user = "bonferroni" if name == "t_cal_max" else "pac"
+            if self.kind != user and getattr(self, name) is not None:
+                raise OutOfRange(f"{name} is {user} only, got {getattr(self, name)!r}")
+        if self.kind == "bonferroni":
+            object.__setattr__(self, "t_cal_max", count(self.t_cal_max, "t_cal_max"))
+        if self.kind != "pac":
+            name, derived = "value", _over_alpha(self.alpha, self.t_cal_max)
+        elif self.value <= 0:  # it lies just above a statistic, which is >= 0
+            raise OutOfRange(f"value must be > 0 for pac, got {self.value!r}")
+        else:
+            probability(self.delta, "delta")
+            for name, upper in (("n_null", MAX_NULL_SAMPLES), ("k_index", None)):
+                object.__setattr__(self, name, count(getattr(self, name), name, upper))
+            name, derived = "k_index", pac_index(self.n_null, self.alpha, self.delta)
+        got = getattr(self, name)
+        if got != derived:
+            raise OutOfRange(f"{name} must be {derived!r} for {self.kind}, got {got!r}")
+
 
 def ville_threshold(alpha: float) -> ThresholdSpec:
     """Universal threshold 1/alpha."""
-    probability(alpha, "alpha")
-    # a subnormal alpha overflows 1/alpha to inf, a threshold that never rejects
-    value = 1.0 / alpha
-    if not math.isfinite(value):
-        raise OutOfRange(f"1 / alpha must be a finite float, alpha={alpha}")
-    return ThresholdSpec(kind="ville", alpha=alpha, value=value)
+    return ThresholdSpec("ville", alpha, _over_alpha(alpha))
 
 
 def bonferroni_threshold(alpha: float, t_cal_max: int) -> ThresholdSpec:
     """Per-step rejection at level alpha/T, i.e. statistic threshold T/alpha."""
-    probability(alpha, "alpha")
-    t = count(t_cal_max, "t_cal_max")
-    # an infinite threshold never rejects; t past the float range overflows
-    try:
-        value = t / alpha
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise OutOfRange(f"t_cal_max / alpha must be a finite float, alpha={alpha}")
-    return ThresholdSpec(kind="bonferroni", alpha=alpha, value=value, t_cal_max=t)
+    value = _over_alpha(alpha, t_cal_max)
+    return ThresholdSpec("bonferroni", alpha, value, t_cal_max=t_cal_max)
 
 
 def _log_tails(n: int, p: float):
@@ -324,14 +356,8 @@ def pac_threshold(maxima, alpha: float, delta: float) -> ThresholdSpec:
     if any(map(math.isnan, maxima)):
         raise OutOfRange("maxima must not be nan")
     k = pac_index(n, alpha, delta)
-    return ThresholdSpec(
-        kind="pac",
-        alpha=alpha,
-        value=math.nextafter(sorted(maxima)[k - 1], math.inf),
-        delta=delta,
-        n_null=n,
-        k_index=k,
-    )
+    value = math.nextafter(sorted(maxima)[k - 1], math.inf)
+    return ThresholdSpec("pac", alpha, value, delta, n, k)
 
 
 @contextmanager
@@ -355,11 +381,10 @@ def save_calibration(
     threshold: ThresholdSpec,
     metadata: Optional[dict] = None,
 ) -> None:
-    """Write the artifact that ``load_calibration`` reads back. The threshold
-    is certified as the loader certifies it, and the metadata encoded and
-    decoded as a JSON object, before the file is opened: a failure leaves any
-    file at ``path`` as it was. The rest always encodes, so it streams."""
-    _threshold(asdict(threshold))
+    """Write the artifact that ``load_calibration`` reads back. The metadata
+    is encoded and decoded as a JSON object before the file is opened: a
+    failure leaves any file at ``path`` as it was. The model and threshold
+    certified themselves when built, so they always encode and stream."""
     metadata = metadata or {}
     json_object(json.dumps(metadata, sort_keys=True), "metadata")
     payload = {
@@ -402,33 +427,6 @@ def _ratio_model(payload) -> RatioModel:
     return RatioModel(steps, p["prior_1"], p["t_max"], cfg)
 
 
-def _threshold(payload) -> ThresholdSpec:
-    """The threshold, certified by deriving it again from its own alpha,
-    t_cal_max, delta and n_null; a pac value comes from data, so only its
-    type and sign are checked: it is just above a statistic, which is >= 0."""
-    p = _fields_of(ThresholdSpec, payload, "threshold")
-    kind = p["kind"]
-    if kind not in THRESHOLD_KINDS:
-        raise ParseError(f"threshold.kind {kind!r} is not one of {THRESHOLD_KINDS}")
-    number(p["value"], "threshold.value")
-    for key in ("delta", "n_null", "k_index", "t_cal_max"):
-        if p[key] is not None or (kind == "pac" and key != "t_cal_max"):
-            number(p[key], f"threshold.{key}", float if key == "delta" else int)
-    spec = ThresholdSpec(**p)
-    if kind == "ville":
-        derived = ville_threshold(spec.alpha)
-    elif kind == "bonferroni":
-        derived = bonferroni_threshold(spec.alpha, spec.t_cal_max)
-    else:
-        if spec.value <= 0:  # such a threshold rejects every trajectory
-            raise ParseError(f"pac threshold.value must be > 0, got {spec.value!r}")
-        k = pac_index(spec.n_null, spec.alpha, spec.delta)
-        derived = replace(spec, k_index=k, t_cal_max=None)
-    if spec != derived:
-        raise ParseError(f"threshold {p} is not the {kind} threshold its fields derive")
-    return spec
-
-
 def load_calibration(path):
     """(ratio model, threshold, metadata) from an artifact, every field
     validated and the threshold re-derived; anything malformed raises
@@ -444,7 +442,8 @@ def load_calibration(path):
     _fields_of(ARTIFACT_KEYS, payload, "calibration artifact")
     try:
         model = _ratio_model(payload["ratio_model"])
-        threshold = _threshold(payload["threshold"])
+        p = _fields_of(ThresholdSpec, payload["threshold"], "threshold")
+        threshold = ThresholdSpec(**p)
     except (OutOfRange, InsufficientCalibration) as exc:
         raise ParseError(str(exc)) from exc
     metadata = payload["metadata"]

@@ -18,6 +18,7 @@ from seqgate.artifact import (
     FitConfig,
     LogisticModel,
     RatioModel,
+    ThresholdSpec,
     bonferroni_threshold,
     pac_index,
     ville_threshold,
@@ -62,6 +63,12 @@ def _two_step_model(second):
     return RatioModel((LogisticModel((0.5,), 0.0), second), 0.5, 2, FitConfig())
 
 
+# a valid threshold of each kind, at alpha 0.1: pac_index(100, 0.1, 0.05) is 96
+VILLE = dict(kind="ville", alpha=0.1, value=10.0)
+BONFERRONI = dict(kind="bonferroni", alpha=0.1, value=50.0, t_cal_max=5)
+PAC = dict(kind="pac", alpha=0.1, value=1.0, delta=0.05, n_null=100, k_index=96)
+
+
 CALLS = {
     "FitConfig": lambda f, v: FitConfig(**{f: v}),
     "LogisticModel": _logistic_model,
@@ -75,6 +82,9 @@ CALLS = {
         **{"alpha": 0.1, "t_cal_max": 5, f: v}
     ),
     "pac_index": lambda f, v: pac_index(**{"n": 100, "alpha": 0.1, "delta": 0.05, f: v}),
+    "ville ThresholdSpec": lambda f, v: ThresholdSpec(**(VILLE | {f: v})),
+    "bonferroni ThresholdSpec": lambda f, v: ThresholdSpec(**(BONFERRONI | {f: v})),
+    "pac ThresholdSpec": lambda f, v: ThresholdSpec(**(PAC | {f: v})),
 }
 
 FIELDS = [
@@ -111,6 +121,24 @@ FIELDS = [
     ("pac_index", "n", COUNT + [MAX_NULL_SAMPLES + 1]),
     ("pac_index", "alpha", PROBABILITY),
     ("pac_index", "delta", PROBABILITY),
+    ("ville ThresholdSpec", "kind", ["bogus", "Ville", None, 5]),
+    ("ville ThresholdSpec", "alpha", PROBABILITY),
+    ("pac ThresholdSpec", "alpha", PROBABILITY),
+    # each kind with a value its other fields do not derive: 1/alpha is 10,
+    # t_cal_max/alpha 50, and a pac value of 0 or less rejects every trajectory
+    ("ville ThresholdSpec", "value", NUMBER + [5.0]),
+    ("bonferroni ThresholdSpec", "value", NUMBER + [10.0]),
+    ("pac ThresholdSpec", "value", NUMBER + [0.0, -1.0]),
+    ("pac ThresholdSpec", "delta", PROBABILITY + [None]),
+    ("pac ThresholdSpec", "n_null", COUNT + [None, MAX_NULL_SAMPLES + 1]),
+    ("pac ThresholdSpec", "k_index", COUNT + [None, 95, 97]),
+    ("bonferroni ThresholdSpec", "t_cal_max", COUNT + [None, 10**400]),
+    # a field the kind does not use must be None
+    ("ville ThresholdSpec", "delta", [0.05]),
+    ("bonferroni ThresholdSpec", "n_null", [100]),
+    ("ville ThresholdSpec", "k_index", [96]),
+    ("ville ThresholdSpec", "t_cal_max", [5]),
+    ("pac ThresholdSpec", "t_cal_max", [5]),
 ]
 
 CASES = [

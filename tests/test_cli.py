@@ -971,6 +971,11 @@ ARTIFACT_FAULTS = {
     "unknown top-level key": lambda a: a.update(extra=5),
     "missing metadata": lambda a: a.pop("metadata"),
     "step_models 5": lambda a: a["ratio_model"].update(step_models=5),
+    # a nested value that is no JSON object
+    "ratio_model 5": lambda a: a.update(ratio_model=5),
+    "threshold []": lambda a: a.update(threshold=[]),
+    "fit_config null": lambda a: a["ratio_model"].update(fit_config=None),
+    "step_models[0] 5": lambda a: _steps(a).__setitem__(0, 5),
 }
 
 

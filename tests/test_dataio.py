@@ -21,7 +21,7 @@ from seqgate.dataio import (
     write_csv,
     write_dataset,
 )
-from seqgate.errors import InvalidTrajectory, ParseError
+from seqgate.errors import InvalidTrajectory, OutOfRange, ParseError
 from seqgate.ratio import fit_ratio_model
 from seqgate.synthetic import SyntheticSpec, sample_dataset
 from seqgate.trajectories import LabeledTrajectory
@@ -348,28 +348,52 @@ def test_a_model_of_numpy_ints_saves_and_loads_back_equal(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "threshold, metadata, error",
+    "threshold",
     [
-        # 5.0 is not 1/0.1, so the loader would refuse the file
-        (ThresholdSpec("ville", 0.1, 5.0), None, ParseError),
-        (ville_threshold(0.2), {"when": object()}, TypeError),
-        (ville_threshold(0.2), [1], ParseError),
-        # a pac value is just above a statistic >= 0; 0 would reject every trajectory
-        (ThresholdSpec("pac", 0.1, 0.0, 0.05, 100, pac_index(100, 0.1, 0.05)), None, ParseError),
+        ThresholdSpec("pac", 0.1, 1.0, 0.05, np.int64(100), np.int64(96)),
+        ThresholdSpec("bonferroni", 0.1, 70.0, t_cal_max=np.int64(7)),
     ],
-    ids=[
-        "threshold the loader refuses", "metadata that is not JSON",
-        "metadata that is no JSON object", "pac value 0",
-    ],
+    ids=["pac n_null and k_index", "bonferroni t_cal_max"],
 )
-def test_a_refused_save_leaves_the_old_artifact(tmp_path, threshold, metadata, error):
+def test_a_threshold_of_numpy_ints_saves_and_loads_back_equal(tmp_path, threshold):
+    # each is a count, stored as the int count returns, as RatioModel.t_max is
+    counts = (threshold.n_null, threshold.k_index, threshold.t_cal_max)
+    assert all(type(c) is int for c in counts if c is not None)
+    model = fit_ratio_model(sample_dataset(SyntheticSpec(), 150, seed=14))
+    path = tmp_path / "model.json"
+    save_calibration(path, model, threshold)
+    assert load_calibration(path)[1] == threshold
+
+
+@pytest.mark.parametrize(
+    "metadata, error",
+    [({"when": object()}, TypeError), ([1], ParseError)],
+    ids=["metadata that is not JSON", "metadata that is no JSON object"],
+)
+def test_a_refused_save_leaves_the_old_artifact(tmp_path, metadata, error):
     model = fit_ratio_model(sample_dataset(SyntheticSpec(), 150, seed=14))
     path = tmp_path / "model.json"
     save_calibration(path, model, ville_threshold(0.1), {"note": "old"})
     before = path.read_bytes()
     with pytest.raises(error):
-        save_calibration(path, model, threshold, metadata)
+        save_calibration(path, model, ville_threshold(0.2), metadata)
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # 5.0 is not 1/0.1, so the loader would refuse the file
+        ("ville", 0.1, 5.0),
+        # a pac value is just above a statistic >= 0; 0 would reject every trajectory
+        ("pac", 0.1, 0.0, 0.05, 100, pac_index(100, 0.1, 0.05)),
+    ],
+    ids=["ville value 5.0", "pac value 0"],
+)
+def test_a_threshold_its_fields_do_not_derive_is_refused_when_built(fields):
+    # so save_calibration never holds one to write
+    with pytest.raises(OutOfRange, match="^value must be"):
+        ThresholdSpec(*fields)
 
 
 def test_calibration_artifact_rejects_other_files(tmp_path):

@@ -277,6 +277,20 @@ def test_fixed_point_stop_on_a_stalled_long_trajectory_step():
     assert fit_calls <= reference_calls / 4
 
 
+def test_fit_logistic_keeps_its_start_when_no_step_lowers_the_objective():
+    # every candidate, at step sizes 1 down to 2**-39, scores above the start,
+    # so step halving runs out and the fit stops after its first Newton step
+    start = np.array([0.5, -0.25])
+
+    def objective(theta, Z, y, l2_lambda):
+        return 0.0 if np.array_equal(theta, start) else 1.0
+
+    with mock.patch.object(kernels, "logistic_objective", side_effect=objective) as calls:
+        model = fit_logistic([[0.1], [0.9], [0.4]], [0, 1, 1], FitConfig(), start)
+    assert calls.call_count == 1 + 40
+    assert (model.weights, model.intercept) == ((0.5,), -0.25)
+
+
 def test_fit_logistic_zero_start_is_the_default():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(40, 2))

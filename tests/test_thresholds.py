@@ -18,6 +18,7 @@ from seqgate.artifact import (
     FitConfig,
     LogisticModel,
     RatioModel,
+    ThresholdSpec,
     bonferroni_threshold,
     min_null_samples,
     pac_index,
@@ -46,6 +47,15 @@ def test_ville_threshold_out_of_range():
     with pytest.raises(OutOfRange, match="1 / alpha must be a finite float"):
         ville_threshold(1e-310)
     assert ville_threshold(6e-309).value == 1.0 / 6e-309
+
+
+@pytest.mark.parametrize(
+    "kind, t_cal_max, message",
+    [("ville", None, "1 / alpha"), ("bonferroni", 5, "t_cal_max / alpha")],
+)
+def test_a_spec_built_by_hand_checks_the_quotient_as_its_builder(kind, t_cal_max, message):
+    with pytest.raises(OutOfRange, match=f"^{message} must be a finite float, alpha=1e-310"):
+        ThresholdSpec(kind, 1e-310, 1.0, t_cal_max=t_cal_max)
 
 
 def _score_echo_model(t_max):
